@@ -9,47 +9,56 @@
 //   while (!session.done()) session.advance();
 //   FlJobResult result = session.result();
 //
-// advance() is mode-dispatched (FlJobConfig::mode):
+// Every party dispatch, in either mode, runs through one kernel,
+// dispatch_party() in fl/session.cpp: the duration draw, straggler
+// checks, the legacy reliability draws or the fault plan's crash and
+// link draws, local SGD / FedProx / SCAFFOLD / FedDyn, the arena delta
+// lease, the client-state refresh, codec error feedback and the DP
+// clip. It returns one Dispatch record. Two thin drivers call it, and
+// advance() picks one by FlJobConfig::mode:
 //
-//   kSync — the historical round barrier: select a cohort, train it on
-//       the worker pool, fold in cohort order, one server step per
-//       full cohort. Bit-identical to the PR 5 stepping loop (whose
-//       run_round() alias is retired; advance() is the only entry).
-//   kAsync — FedBuff-style buffered stepping: the session keeps
-//       `parties_per_round` parties in flight, an arrival queue
-//       ordered by the net/device.h latency model delivers their
-//       updates one at a time, and the server steps every
-//       `async.buffer_k` folded arrivals. Each folded update is
-//       discounted by staleness_discount(server steps since its
-//       dispatch); updates staler than `async.max_staleness` are
-//       dropped (RoundRecord::dropped_stale). Freed in-flight slots
-//       are refilled from the selector at the top of every advance()
-//       — continuous re-selection, so a slow party never stalls the
-//       cohort. Async supports ClientAlgo::kSgd (with FedProx mu),
-//       DP, and the lossy uplink codecs; SCAFFOLD / FedDyn / masking
-//       are round-synchronous by construction and rejected at build
-//       time, as is StragglerMode::kDeadline (the staleness cutoff
-//       subsumes it — there is no round to bound). Under DP the fold
-//       weights are the staleness discounts (unit base weight, as in
-//       sync DP-FedAvg) and the noise sigma is calibrated on the
-//       weighted-mean sensitivity clip * max(w) / sum(w), which
-//       reduces to the sync clip / K when all weights are equal. The
-//       downlink ships the full model per dispatch (no
-//       broadcast-delta compression).
+//   kSync (fl/session_sync.cpp) — the round barrier: select a cohort,
+//       run the kernel over it on the worker pool (submitting to the
+//       streaming aggregator inside the worker, so the fold overlaps
+//       training), fold in cohort order, one server step per round.
+//       Under a fault plan, fault-failed slots are backfilled from the
+//       selector in later waves and a quorum rule can skip the step.
+//   kAsync (fl/session_async.cpp) — FedBuff-style buffered stepping:
+//       the session keeps `parties_per_round` parties in flight, an
+//       arrival queue ordered by the net/device.h latency model
+//       delivers their updates one at a time, and the server steps
+//       every `async.buffer_k` folded arrivals. Each folded update is
+//       weighted by fold_weight() times staleness_discount(server steps
+//       since its dispatch); updates staler than `async.max_staleness`
+//       are dropped (RoundRecord::dropped_stale). Freed in-flight slots
+//       are refilled from the selector at the top of every advance() —
+//       continuous re-selection, so a slow party never stalls the
+//       cohort. Under a fault plan, a dispatch lost to a fault is
+//       retried in place after a backoff; other non-responders
+//       (stragglers, empty parties) are not. Async supports
+//       ClientAlgo::kSgd (with FedProx mu), DP and the lossy uplink
+//       codecs; SCAFFOLD / FedDyn / masking are round-synchronous by
+//       construction and rejected at build time, as is
+//       StragglerMode::kDeadline (the staleness cutoff subsumes it).
+//       Under DP the noise sigma is calibrated on the weighted-mean
+//       sensitivity clip * max(w) / sum(w), which reduces to the sync
+//       clip / K when all weights are equal. The downlink ships the
+//       full model per dispatch (no broadcast-delta compression).
+//
+// Both drivers end a step with the same epilogue (finish_step): eval,
+// history, observer fan-out, report_round and arena release.
 //
 // Ownership: the session owns (or shares) its parties — a value
 // vector or a shared_ptr<const std::vector<Party>> — so a session can
-// outlive the scope that built it. The legacy FlJob shim (fl/job.h)
-// wraps its borrowed reference in a non-owning alias and reproduces
-// the original blocking run() bit-for-bit on top of advance().
+// outlive the scope that built it.
 //
 // Observers (fl/observer.h) fire on the stepping thread in
 // registration order; the session's own byte/fairness/target
 // accounting is one of them (fl::ResultAccounting). Async sessions
 // additionally emit on_arrival per queue pop.
 //
-// Determinism: per-(step,party) RNG streams (async streams are keyed
-// by the monotone dispatch sequence, so re-dispatches draw fresh
+// Determinism: per-dispatch RNG streams (sync keyed by (round, party);
+// async by the monotone dispatch sequence, so re-dispatches draw fresh
 // noise), cohort/arrival-ordered reductions, strict-FP aggregation —
 // so every step is bit-identical for any thread count, whether the
 // worker pool is owned or shared with other sessions
@@ -107,9 +116,9 @@ class FederationSession {
   void add_observer(std::shared_ptr<RoundObserver> observer);
 
   /// True once every configured server step has run (immediately true
-  /// for an empty federation or a zero-round config, matching
-  /// FlJob::run()). An async session can also exhaust early if the
-  /// selector stops producing dispatchable parties.
+  /// for an empty federation or a zero-round config). An async session
+  /// can also exhaust early if the selector stops producing
+  /// dispatchable parties.
   [[nodiscard]] bool done() const;
 
   /// Runs the next server step (sync: one barrier round; async: one
@@ -121,8 +130,7 @@ class FederationSession {
   /// Server steps completed so far.
   std::size_t rounds_completed() const { return next_round_ - 1; }
 
-  /// Result snapshot over the rounds run so far; callable at any time
-  /// (after done(), bit-identical to what FlJob::run() returned).
+  /// Result snapshot over the rounds run so far; callable at any time.
   [[nodiscard]] FlJobResult result() const;
 
   ParticipantSelector& selector() { return *selector_; }
@@ -132,14 +140,61 @@ class FederationSession {
   const std::vector<double>& parameters() const { return global_params_; }
 
  private:
-  struct PartyOutcome;
-  struct InFlight;
+  /// One party dispatch, as dispatch_party() produced it: the party's
+  /// feedback, its arena-leased wire update (decoded under a lossy
+  /// codec, clipped under DP) and how the dispatch ended. Sync keeps one
+  /// per cohort slot; async extends it into an in-flight slot.
+  struct Dispatch {
+    PartyFeedback fb;
+    /// What the aggregator folds. Moved into fb.delta once the fold has
+    /// released it, then returned to the arena after report_round.
+    std::vector<double> delta;
+    std::uint64_t wire_bytes = 0;  ///< encoded uplink size
+    std::uint64_t event = 0;       ///< dispatch sequence (fault stream)
+    bool trained = false;          ///< update produced (and submitted)
+    bool churned = false;          ///< unreachable at dispatch
+    bool fault_failed = false;     ///< lost to churn / crash / link fault
+    bool link_failed = false;      ///< trained but the uplink was lost
+    std::vector<double> scaffold_ci_new;  ///< SCAFFOLD only
+  };
+  /// An async in-flight slot: occupied from dispatch until its arrival
+  /// is processed (folded slots keep their delta borrowed by the
+  /// aggregator until the server step).
+  struct InFlight : Dispatch {
+    std::size_t dispatch_version = 0;  ///< server_version_ at dispatch
+    std::size_t attempt = 0;           ///< retries used by this occupancy
+  };
 
   common::ThreadPool& pool() {
     return shared_pool_ != nullptr ? *shared_pool_ : *owned_pool_;
   }
+  static std::uint64_t steady_now_ns();
 
-  // ---- Sync pipeline stages (one call each per sync advance). ----
+  // ---- The party-dispatch kernel (session.cpp). ----
+  /// Runs one dispatch of `party` end to end: duration draw, straggler
+  /// checks, the legacy reliability draws or the fault plan's crash and
+  /// link draws, local training at rate `lr`, the delta lease, the
+  /// SCAFFOLD / FedDyn client-state refresh, codec error feedback and
+  /// the DP clip. `stream_key` seeds the dispatch's private RNG stream
+  /// and `event` keys its fault draws; `churned` is the churn verdict
+  /// the stepping thread took at dispatch time. Touches only state
+  /// owned by `party`, so dispatches of distinct parties run
+  /// concurrently.
+  Dispatch dispatch_party(std::uint64_t stream_key, std::uint64_t event,
+                          std::size_t party, double lr, bool churned);
+  /// Base fold weight of a trained dispatch: its sample count, or 1.0
+  /// under DP (equal weights keep the clip-based sensitivity valid).
+  double fold_weight(const PartyFeedback& fb) const;
+  /// Shared step epilogue: eval, history, observer fan-out,
+  /// report_round and arena release of the step's feedback_.
+  const RoundRecord& finish_step(std::size_t step, RoundRecord& record);
+  void evaluate_round(std::size_t round, RoundRecord& record);
+  /// Stamp the end of a phase that started at `start_ns` and fan it
+  /// out to observers (telemetry; not part of the simulated clock).
+  void emit_phase(std::size_t round, SessionPhase phase,
+                  std::uint64_t start_ns);
+
+  // ---- Sync driver (session_sync.cpp). ----
   const RoundRecord& sync_step();
   std::vector<std::size_t> select_cohort(std::size_t round);
   /// Trains the cohort; under a fault plan, follows up with backfill
@@ -158,23 +213,19 @@ class FederationSession {
   std::uint64_t server_step(std::vector<double>& aggregate,
                             const std::vector<std::size_t>& cohort,
                             bool apply);
-  void evaluate_round(std::size_t round, RoundRecord& record);
 
-  /// Stamp the end of a phase that started at `start_ns` and fan it
-  /// out to observers (telemetry; not part of the simulated clock).
-  void emit_phase(std::size_t round, SessionPhase phase,
-                  std::uint64_t start_ns);
-
-  // ---- Async (FedBuff) engine. ----
+  // ---- Async (FedBuff) driver (session_async.cpp). ----
   /// Refills freed in-flight slots from the selector, trains the new
   /// dispatch batch in parallel, and schedules its arrivals. Returns
   /// the number of parties dispatched.
   std::size_t refill_inflight(std::size_t step);
-  /// Simulates one in-flight dispatch (duration, faults, local
-  /// training, codec, DP clip). Runs on a worker during the dispatch
-  /// batch and inline on the stepping thread for retries — the result
-  /// only depends on the slot's seq-keyed RNG stream.
-  void train_one_dispatch(InFlight& flight, std::size_t step);
+  /// Prepares `slot` for a fresh dispatch of `party` at simulated time
+  /// `time_s`: clears the previous outcome, takes the next dispatch
+  /// sequence and checks the churn trace (stepping thread only).
+  void begin_dispatch(std::size_t slot, std::size_t party, double time_s);
+  /// Runs the dispatch kernel for a slot prepared by begin_dispatch(),
+  /// on the slot's dispatch-sequence-keyed RNG stream.
+  void run_dispatch(InFlight& flight, double lr);
   /// One buffered server step: pop arrivals until buffer_k of them
   /// fold (or the queue drains), then step the server.
   const RoundRecord& async_step();
@@ -229,7 +280,7 @@ class FederationSession {
   std::vector<double> broadcast_wire_;
 
   // Hoisted per-round containers: capacity survives across rounds.
-  std::vector<PartyOutcome> outcomes_;
+  std::vector<Dispatch> outcomes_;
   std::vector<PartyFeedback> feedback_;
 
   // ---- Async (FedBuff) engine state. Slots are in-flight dispatch
