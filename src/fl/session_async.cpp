@@ -164,10 +164,12 @@ const RoundRecord& FederationSession::async_step() {
         break;
       case ArrivalOutcome::kFailed:
         // The failure notice reaches the selector either way; a lost
-        // uplink additionally charges its wasted bytes.
+        // uplink additionally charges its wasted bytes. Only fault
+        // failures are retried and counted as crashed (as in sync
+        // backfill): a straggler or an empty party is no fault.
         up_bytes += f.wire_bytes;
         feedback_.push_back(f.fb);
-        if (faults_on_ && f.attempt < config_.faults.max_retries) {
+        if (f.fault_failed && f.attempt < config_.faults.max_retries) {
           // Retry the slot in place: a fresh dispatch of the same
           // party against the CURRENT server state, scheduled after an
           // exponential backoff. Runs inline on the stepping thread —
@@ -194,7 +196,7 @@ const RoundRecord& FederationSession::async_step() {
           arrivals_.push(
               {redispatch_s + f.fb.duration_s, f.event, ev.slot});
         } else {
-          if (faults_on_) ++record.crashed;
+          if (f.fault_failed) ++record.crashed;
           party_in_flight_[pid] = 0;
           free_slots_.push_back(ev.slot);
         }

@@ -354,6 +354,47 @@ TEST(SessionFaults, OnRetryObserverSeesBackfillsAndRetries) {
   EXPECT_GE(async_sink.last_backoff, config.faults.backoff_base_s);
 }
 
+/// Only fault failures are retried. With the plan switched on by churn
+/// but a fleet that never churns (mean_up_s = 0) and no crash or link
+/// faults, nothing can fail by fault; the drop-fraction stragglers are
+/// ordinary non-responders. Async must neither retry them nor count them
+/// as crashed — the same rule sync backfill follows.
+TEST(SessionFaults, AsyncRetriesOnlyFaultFailures) {
+  struct RetrySink final : flips::fl::RoundObserver {
+    std::size_t retries = 0;
+    void on_retry(std::size_t, const flips::fl::RetryRecord&) override {
+      ++retries;
+    }
+  };
+  auto fed = build_faulty(12, 43);
+  for (Party& party : fed.parties) {
+    PartyProfile profile = party.profile();
+    profile.mean_up_s = 0.0;
+    profile.fault_rate = 0.0;
+    party = Party(party.id(), party.dataset(), profile);
+  }
+  auto config = faulty_config(8, 4, 43);
+  config.mode = flips::fl::FederationMode::kAsync;
+  config.async.buffer_k = 2;
+  config.faults = FaultConfig{};
+  config.faults.churn = 1.0;
+  config.stragglers.rate = 0.5;
+  ASSERT_TRUE(config.faults.enabled());
+
+  RetrySink sink;
+  const auto result = run_session(config, fed, &sink);
+  std::size_t selected = 0;
+  std::size_t responded = 0;
+  for (const auto& record : result.history) {
+    EXPECT_EQ(record.crashed, 0u) << "round " << record.round;
+    EXPECT_EQ(record.retried, 0u) << "round " << record.round;
+    selected += record.selected;
+    responded += record.responded + record.dropped_stale;
+  }
+  EXPECT_EQ(sink.retries, 0u);
+  EXPECT_GT(selected, responded);  // stragglers did arrive as failures
+}
+
 /// A fault-free config must not consume any fault-plan state: the
 /// default FaultConfig reproduces the historical results bit-for-bit
 /// (pinned implicitly by every other suite, re-pinned here explicitly

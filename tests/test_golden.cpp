@@ -49,7 +49,7 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
          {
              {"async_dense64", 0x281660b86e2101b3},
              {"async_faults", 0x302820b653c3ee19},
-             {"async_faults_stragglers", 0xfed1762fd601e7fb},
+             {"async_faults_stragglers", 0x89545ba5a692314c},
              {"async_quant8_dp", 0x9e008c5e38f6a03f},
              {"select_flips", 0x50886492feac0cd0},
              {"select_oort", 0x56d0f6847439580c},
