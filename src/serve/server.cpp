@@ -180,16 +180,20 @@ void Server::drain() {
   }
   work_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
-  // Replies are flushed; unblock and join the readers.
+  // Replies are flushed; unblock the readers and wait until every one
+  // has closed its connection and exited.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    conns.swap(connections_);
+    conns = connections_;
   }
-  for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
   for (const auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-    ::close(conn->fd);
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    readers_cv_.wait(lock, [&] { return live_readers_ == 0; });
   }
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 }
@@ -202,6 +206,8 @@ Server::Stats Server::stats() const {
   out.rejected = stat_rejected_.load();
   out.sessions_opened = stat_sessions_opened_.load();
   out.sessions_finished = stat_sessions_finished_.load();
+  out.connections_accepted = stat_connections_accepted_.load();
+  out.connections_closed = stat_connections_closed_.load();
   return out;
 }
 
@@ -219,28 +225,29 @@ void Server::accept_loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       late = draining_;
-      if (!late) connections_.push_back(conn);
+      if (!late) {
+        connections_.push_back(conn);
+        ++live_readers_;
+      }
     }
     if (late) {
       ::close(fd);
       continue;
     }
-    conn->reader = std::thread([this, conn] { reader_loop(conn); });
+    stat_connections_accepted_.fetch_add(1);
+    std::thread([this, conn] { reader_loop(conn); }).detach();
   }
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
   net::FrameDecoder decoder;
   std::uint8_t chunk[4096];
-  for (;;) {
+  bool open = true;
+  while (open) {
     const ssize_t got = ::recv(conn->fd, chunk, sizeof chunk, 0);
     if (got <= 0) {
       if (got < 0 && errno == EINTR) continue;
-      // Peer closed (or we shut the socket down in drain). Marking the
-      // connection dead is what lets a later hello rebind the tenant
-      // and the idle sweep evict it.
-      conn->dead.store(true);
-      return;
+      break;  // peer closed, or drain() shut the socket down
     }
     decoder.feed(chunk, static_cast<std::size_t>(got));
     net::Frame frame;
@@ -252,20 +259,36 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
         obs_bad_frames_->inc();
         send_status(conn, net::FrameType::kHello,
                     net::FrameStatus::kBadFrame, decoder.error());
-        conn->dead.store(true);
-        // Full shutdown so the peer sees EOF after the error reply
-        // (already-queued data still drains first on Linux).
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;  // framing has no resync point
+        open = false;  // framing has no resync point
+        break;
       }
       stat_frames_.fetch_add(1);
       handle_frame(conn, std::move(frame));
       if (conn->dead.load()) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
+        open = false;
+        break;
       }
     }
   }
+  // Marking the connection dead is what lets a later hello rebind the
+  // tenant and the idle sweep evict it. The full shutdown lets the peer
+  // see EOF after any error reply (queued data drains first on Linux);
+  // fd is cleared under write_mu so no writer can reach a reused number.
+  conn->dead.store(true);
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    ::shutdown(conn->fd, SHUT_RDWR);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  stat_connections_closed_.fetch_add(1);
+  // Last touch of the server: drain() may return (and the server be
+  // destroyed) as soon as this lock is released.
+  std::lock_guard<std::mutex> lock(mu_);
+  connections_.erase(
+      std::find(connections_.begin(), connections_.end(), conn));
+  --live_readers_;
+  readers_cv_.notify_all();
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -331,12 +354,14 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case net::FrameType::kShutdown: {
-      send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
+      // Flag first, ack second: a client that has read the ack always
+      // observes shutdown_requested().
       {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
       }
       shutdown_cv_.notify_all();
+      send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
       return;
     }
     case net::FrameType::kMetrics: {
@@ -578,7 +603,7 @@ bool Server::send_frame(Connection& conn, const net::Frame& frame) {
   std::vector<std::uint8_t> wire;
   net::encode_frame(frame, wire);
   std::lock_guard<std::mutex> lock(conn.write_mu);
-  if (!send_all(conn.fd, wire.data(), wire.size())) {
+  if (conn.fd < 0 || !send_all(conn.fd, wire.data(), wire.size())) {
     conn.dead.store(true);
     return false;
   }

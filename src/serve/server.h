@@ -6,9 +6,12 @@
 // Threading model (all shared state under one server mutex; sessions
 // are touched by the scheduler thread only):
 //
-//   acceptor thread     accept() loop; spawns one reader per conn
+//   acceptor thread     accept() loop; spawns one detached reader per
+//                       conn
 //   reader threads      parse frames; enqueue work; answer protocol
-//                       errors and admission rejections immediately
+//                       errors and admission rejections immediately;
+//                       on EOF or a bad frame, close the conn's fd and
+//                       exit (drain() waits for the live-reader count)
 //   scheduler thread    pops per-tenant queues round-robin, steps the
 //                       SessionPool, writes step/result replies
 //   worker pool         ONE common::ThreadPool every tenant's local
@@ -123,18 +126,21 @@ class Server {
     std::uint64_t rejected = 0;           ///< admission-control refusals
     std::uint64_t sessions_opened = 0;
     std::uint64_t sessions_finished = 0;
+    std::uint64_t connections_accepted = 0;  ///< readers spawned
+    std::uint64_t connections_closed = 0;    ///< fds closed by readers
   };
   Stats stats() const;
 
  private:
   struct Connection {
+    /// Closed and set to -1 by the reader, under write_mu, when it
+    /// exits; writers skip a closed connection.
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> dead{false};
     /// Index into tenants_; set once by the hello handler (the
     /// connection's own reader thread) before any use.
     std::optional<std::size_t> tenant_id;
-    std::thread reader;
   };
 
   /// One queued unit of scheduler work for a tenant.
@@ -194,8 +200,10 @@ class Server {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable shutdown_cv_;
+  std::condition_variable readers_cv_;  ///< live_readers_ reached zero
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  std::vector<std::shared_ptr<Connection>> connections_;  ///< open ones
+  std::size_t live_readers_ = 0;    ///< reader threads not yet done
   std::size_t rr_cursor_ = 0;       ///< round-robin tenant cursor
   std::size_t pending_total_ = 0;   ///< queued work across tenants
   bool draining_ = false;           ///< refuse new work
@@ -211,6 +219,8 @@ class Server {
   std::atomic<std::uint64_t> stat_rejected_{0};
   std::atomic<std::uint64_t> stat_sessions_opened_{0};
   std::atomic<std::uint64_t> stat_sessions_finished_{0};
+  std::atomic<std::uint64_t> stat_connections_accepted_{0};
+  std::atomic<std::uint64_t> stat_connections_closed_{0};
 
   // Registry-backed mirrors of the stats above plus per-frame-type and
   // per-reply-status counters — what the kMetrics snapshot exposes.

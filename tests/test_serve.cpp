@@ -471,13 +471,27 @@ TEST(ServeEndToEnd, FloodingTenantIsRejectedWhileVictimStaysBounded) {
 // Self-healing lifecycle: mid-frame resets, reconnect-and-replay,
 // idle-tenant eviction, and shutdown with a step in flight.
 
-std::size_t open_fd_count() {
-  DIR* dir = ::opendir("/proc/self/fd");
+std::size_t dir_entry_count(const char* path) {
+  DIR* dir = ::opendir(path);
   if (dir == nullptr) return 0;
   std::size_t count = 0;
   while (::readdir(dir) != nullptr) ++count;
   ::closedir(dir);
   return count;
+}
+
+std::size_t open_fd_count() { return dir_entry_count("/proc/self/fd"); }
+std::size_t thread_count() { return dir_entry_count("/proc/self/task"); }
+
+/// Polls `done` until it holds or ten seconds pass; returns its value.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
@@ -493,7 +507,9 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
   client.hello("steady");
   client.open_session(small_spec(2, 404).to_key_values());
 
-  const std::size_t baseline = open_fd_count();
+  const std::size_t fd_baseline = open_fd_count();
+  const std::size_t thread_baseline = thread_count();
+  ASSERT_EQ(server.stats().connections_accepted, 1u);
   // Eight vandals each deliver half a frame, then reset the connection
   // mid-payload. The server must tear each one down completely.
   Frame step;
@@ -514,15 +530,17 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
     ::close(fd);
   }
 
-  // Reader threads notice EOF and release their fds; allow a grace
-  // window, then require the count back at (or below) the baseline.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (open_fd_count() > baseline &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_LE(open_fd_count(), baseline);
+  // Each reader notices EOF, closes its fd, then counts the close: once
+  // the server has accepted and closed all eight, their fds are gone.
+  ASSERT_TRUE(wait_until([&] {
+    const auto stats = server.stats();
+    return stats.connections_accepted == 9 && stats.connections_closed == 8;
+  }));
+  EXPECT_EQ(open_fd_count(), fd_baseline);
+  // The reader threads exit right after their close is counted.
+  EXPECT_TRUE(wait_until([&] { return thread_count() == thread_baseline; }))
+      << thread_count() << " threads against a baseline of "
+      << thread_baseline;
 
   // The well-behaved tenant never noticed.
   flips::serve::StepReply reply;
