@@ -12,7 +12,7 @@
 #include "common/experiment.h"
 #include "common/stats.h"
 #include "data/federated.h"
-#include "fl/job.h"
+#include "fl/session.h"
 #include "selection/factory.h"
 #include "selection/flips_selector.h"
 
@@ -102,9 +102,10 @@ double run_flips(const Fed& fed, const std::vector<std::size_t>& clusters,
 
   flips::common::Rng mrng(seed ^ 0x30DE);
   auto model = flips::ml::ModelFactory::mlp(32, 24, 5, mrng);
-  flips::fl::FlJob job(config, fed.parties, fed.test, std::move(model),
-                       std::move(selector));
-  return job.run().peak_accuracy;
+  flips::fl::FederationSession session(config, fed.parties, fed.test,
+                                      std::move(model), std::move(selector));
+  while (!session.done()) session.advance();
+  return session.result().peak_accuracy;
 }
 
 /// Mean over two federations.
@@ -201,9 +202,11 @@ int main(int argc, char** argv) {
 
       flips::common::Rng mrng(s ^ 0x30DE);
       auto model = flips::ml::ModelFactory::mlp(32, 24, 5, mrng);
-      flips::fl::FlJob job(config, fed.parties, fed.test, std::move(model),
-                           flips::select::make_selector(kind, ctx));
-      return job.run().peak_accuracy;
+      flips::fl::FederationSession session(
+          config, fed.parties, fed.test, std::move(model),
+          flips::select::make_selector(kind, ctx));
+      while (!session.done()) session.advance();
+      return session.result().peak_accuracy;
     });
     printf("  %-8s  %5.1f %%\n", flips::select::to_string(kind),
            100.0 * acc);

@@ -18,7 +18,6 @@
 #include "common/perf.h"
 #include "common/stats.h"
 #include "data/federated.h"
-#include "fl/job.h"
 #include "fl/session.h"
 #include "net/device.h"
 #include "selection/factory.h"
@@ -114,10 +113,11 @@ int main(int argc, char** argv) {
       flips::common::Rng model_rng(options.seed ^ 0x30DE);
       auto model = flips::ml::ModelFactory::mlp(32, 24, 5, model_rng);
 
-      flips::fl::FlJob job(job_config, fleet.parties, fleet.test,
-                           std::move(model),
-                           flips::select::make_selector(kind, ctx));
-      const auto result = job.run();
+      flips::fl::FederationSession session(
+          job_config, fleet.parties, fleet.test, std::move(model),
+          flips::select::make_selector(kind, ctx));
+      while (!session.done()) session.advance();
+      const auto result = session.result();
 
       double responded = 0.0;
       double selected = 0.0;

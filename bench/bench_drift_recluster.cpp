@@ -219,9 +219,7 @@ int main(int argc, char** argv) {
   // Rolling refresh: each round the next slice of parties reports its
   // current label distribution, so the monitor sees drift the way a
   // live deployment would — incrementally, mixed with unchanged
-  // parties. The ReclusterObserver rides the session's round events
-  // (the pre_round_hook wiring this replaced lives on only as the
-  // FlJob compat shim).
+  // parties. The ReclusterObserver rides the session's round events.
   const std::size_t refresh_rounds = 5;
   const std::size_t n_parties = drifted_parties.size();
   flips::ctrl::ReclusterObserver recluster_observer(

@@ -1,15 +1,11 @@
-// Microbenchmarks for the privacy substrate and the extended ML layers:
-// masking/unmasking throughput vs vector dimension and roster size, DP
-// clip+noise, RDP accounting, conv2d/LeNet-5 training steps, and
-// mini-batch vs Lloyd k-means.
+// Microbenchmarks for the privacy substrate and clustering: masking /
+// unmasking throughput vs vector dimension and roster size, DP
+// clip+noise, RDP accounting, and mini-batch vs Lloyd k-means.
 #include <benchmark/benchmark.h>
 
 #include "cluster/kmeans.h"
 #include "cluster/minibatch_kmeans.h"
 #include "common/rng.h"
-#include "data/synthetic.h"
-#include "ml/model.h"
-#include "ml/sgd.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
 
@@ -72,38 +68,6 @@ void BM_RdpAccountantEpsilon(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RdpAccountantEpsilon)->Arg(100)->Arg(1000);
-
-void BM_LeNet5TrainStep(benchmark::State& state) {
-  Rng rng(5);
-  auto model = flips::ml::ModelFactory::lenet5(16, 4, rng);
-  flips::data::ImagePatchGenerator gen(16, 4, Rng(6));
-  const auto batch = gen.sample(static_cast<std::size_t>(state.range(0)));
-  const auto features = flips::ml::Tensor::from_rows(batch.features);
-  flips::ml::SgdOptimizer opt({.learning_rate = 0.01});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.train_step_gradient(features, batch.labels));
-    opt.step(model, 0.01);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_LeNet5TrainStep)->Arg(8)->Arg(32);
-
-void BM_MiniDenseNetTrainStep(benchmark::State& state) {
-  Rng rng(7);
-  auto model = flips::ml::ModelFactory::mini_densenet(8, 3, 2, 4, rng);
-  flips::data::ImagePatchGenerator gen(8, 3, Rng(8));
-  const auto batch = gen.sample(32);
-  const auto features = flips::ml::Tensor::from_rows(batch.features);
-  flips::ml::SgdOptimizer opt({.learning_rate = 0.01});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.train_step_gradient(features, batch.labels));
-    opt.step(model, 0.01);
-  }
-}
-BENCHMARK(BM_MiniDenseNetTrainStep);
 
 std::vector<flips::cluster::Point> bench_lds(std::size_t n) {
   Rng rng(9);

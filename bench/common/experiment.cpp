@@ -264,7 +264,7 @@ SelectorResult run_selector(const ExperimentConfig& config,
   for (std::size_t run = 0; run < config.scale.runs; ++run) {
     const std::uint64_t seed = config.seed + 1000 * run;
     // The engine rides the steppable session API; one run = stepping a
-    // session to completion (bit-identical to the legacy FlJob::run).
+    // session to completion.
     const auto session = make_session(config, kind, seed);
     if (config.observer_factory) {
       for (auto& observer : config.observer_factory(run)) {

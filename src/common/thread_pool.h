@@ -8,7 +8,8 @@
 // for every i in [0, n) with no ordering guarantee — callers that need
 // bit-identical results across thread counts must write to disjoint,
 // index-addressed slots and do any order-sensitive reduction afterwards
-// on one thread (this is how fl::FlJob keeps rounds reproducible).
+// on one thread (this is how fl::FederationSession keeps rounds
+// reproducible).
 #pragma once
 
 #include <atomic>

@@ -85,37 +85,4 @@ std::vector<double> sample_features(const SyntheticSpec& spec,
   return x;
 }
 
-ImagePatchGenerator::ImagePatchGenerator(std::size_t image_size,
-                                         std::size_t num_classes,
-                                         common::Rng rng)
-    : image_size_(image_size), num_classes_(num_classes), rng_(rng) {}
-
-Batch ImagePatchGenerator::sample(std::size_t n) {
-  Batch batch;
-  batch.features.reserve(n);
-  batch.labels.reserve(n);
-  const std::size_t dim = image_size_ * image_size_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto label =
-        static_cast<std::uint32_t>(rng_.uniform_index(num_classes_));
-    std::vector<double> img(dim);
-    for (auto& v : img) v = 0.1 * rng_.normal();
-    // Class-specific 3x3 bright blob; positions spread along the
-    // diagonal so classes stay linearly separable-ish but not trivial.
-    const std::size_t span = image_size_ > 3 ? image_size_ - 3 : 1;
-    const std::size_t cx = (label * span) / (num_classes_ + 1) + 1;
-    const std::size_t cy = image_size_ - 2 - cx % span;
-    for (std::size_t dy = 0; dy < 3; ++dy) {
-      for (std::size_t dx = 0; dx < 3; ++dx) {
-        const std::size_t x = (cx + dx) % image_size_;
-        const std::size_t y = (cy + dy) % image_size_;
-        img[y * image_size_ + x] += 1.0 + 0.2 * rng_.normal();
-      }
-    }
-    batch.features.push_back(std::move(img));
-    batch.labels.push_back(label);
-  }
-  return batch;
-}
-
 }  // namespace flips::data

@@ -62,27 +62,4 @@ using LabelDistribution = std::vector<double>;
                                                   std::uint32_t label,
                                                   common::Rng& rng);
 
-struct Batch {
-  std::vector<std::vector<double>> features;
-  std::vector<std::uint32_t> labels;
-};
-
-/// Tiny image-patch source for the conv-model microbenches: class c is a
-/// bright blob at a class-specific position on a noisy background.
-class ImagePatchGenerator {
- public:
-  ImagePatchGenerator(std::size_t image_size, std::size_t num_classes,
-                      common::Rng rng);
-
-  [[nodiscard]] Batch sample(std::size_t n);
-
-  std::size_t image_size() const { return image_size_; }
-  std::size_t num_classes() const { return num_classes_; }
-
- private:
-  std::size_t image_size_;
-  std::size_t num_classes_;
-  common::Rng rng_;
-};
-
 }  // namespace flips::data

@@ -1,23 +1,19 @@
-// Shared FL job vocabulary (configs, Party, RoundRecord, FlJobResult)
-// plus the legacy blocking FlJob driver. The round pipeline itself —
-// per-round participant selection, local training (τ epochs of SGD
-// with optional FedProx / SCAFFOLD / FedDyn adjustments), straggler
-// simulation, optional DP on the aggregation path, a server optimizer
-// step, and per-round balanced-accuracy eval — lives in
-// fl::FederationSession (fl/session.h), which exposes it one round at
-// a time with observer sinks; FlJob::run() is a thin shim that steps a
-// session to completion for existing call sites.
+// Shared FL job vocabulary: the configs (FlJobConfig and its parts),
+// Party, the per-round RoundRecord and the FlJobResult summary. The
+// federation itself runs in fl::FederationSession (fl/session.h): one
+// party-dispatch kernel (fl/session.cpp) driven by a sync round-barrier
+// driver (fl/session_sync.cpp) or an async FedBuff driver
+// (fl/session_async.cpp), one server step per advance().
 //
 // Selected parties train concurrently on a small worker pool
-// (FlJobConfig::threads); every party draws from a private
-// round-seeded RNG stream. Updates stream into fl::StreamingAggregator
-// as parties finish (block folds in fixed cohort order, overlapped
-// with the training phase); all remaining order-sensitive reductions
-// (SCAFFOLD control-variate updates, loss averaging) run in cohort
-// order on one thread — so round results are bit-identical across
-// thread counts. Delta buffers are leased from a fl::BufferArena and
-// reused across rounds: the steady-state aggregation path performs no
-// heap allocation.
+// (FlJobConfig::threads); every dispatch draws from a private RNG
+// stream. Updates stream into fl::StreamingAggregator as parties finish
+// (block folds in fixed cohort order, overlapped with training); all
+// remaining order-sensitive reductions (SCAFFOLD control-variate
+// updates, loss averaging) run in cohort order on one thread — so
+// results are bit-identical across thread counts. Delta buffers are
+// leased from a fl::BufferArena and reused across rounds: the
+// steady-state aggregation path performs no heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -240,28 +236,6 @@ struct FlJobResult {
   std::optional<double> time_to_target_s;
   double total_time_s = 0.0;
   std::optional<std::size_t> rounds_to_target;
-};
-
-/// Legacy blocking driver, kept as a thin compatibility shim over
-/// fl::FederationSession (fl/session.h): run() constructs a session
-/// around a non-owning alias of the borrowed party vector, steps it to
-/// completion, and returns its result — bit-for-bit what the old
-/// monolithic loop produced. New code should use FederationSession
-/// directly (round-level stepping, observer sinks, owned parties).
-class FlJob {
- public:
-  FlJob(FlJobConfig config, const std::vector<Party>& parties,
-        data::Dataset global_test, ml::Sequential model,
-        std::unique_ptr<ParticipantSelector> selector);
-
-  [[nodiscard]] FlJobResult run();
-
- private:
-  FlJobConfig config_;
-  const std::vector<Party>& parties_;
-  data::Dataset global_test_;
-  ml::Sequential model_;
-  std::unique_ptr<ParticipantSelector> selector_;
 };
 
 }  // namespace flips::fl

@@ -161,10 +161,10 @@ class RoundObserver {
   }
 };
 
-/// The accounting that used to be hard-coded in the FlJob round loop,
-/// expressed as an observer: communication volume, per-party selection
-/// counts (fairness / coverage), wall-time-to-target tracking, and the
-/// peak-accuracy watermark. The session installs one instance
+/// The session's own result accounting, expressed as an observer:
+/// communication volume, per-party selection counts (fairness /
+/// coverage), wall-time-to-target tracking, and the peak-accuracy
+/// watermark. The session installs one instance
 /// internally and folds its state into FlJobResult; external tools can
 /// attach their own to account any session the same way.
 class ResultAccounting final : public RoundObserver {

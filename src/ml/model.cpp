@@ -201,24 +201,16 @@ class DenseLayer final : public Layer {
 };
 
 // ------------------------------------------------------------------
-// Element-wise activations.
+// Element-wise tanh activation.
 
-enum class Activation { kRelu, kTanh };
-
-class ActivationLayer final : public Layer {
+class TanhLayer final : public Layer {
  public:
-  explicit ActivationLayer(Activation kind) : kind_(kind) {}
-
   const Tensor& forward(const Tensor& input) override {
     output_.resize(input.rows(), input.cols());
     const double* __restrict__ x = input.data();
     double* __restrict__ v = output_.data();
     const std::size_t n = output_.size();
-    if (kind_ == Activation::kRelu) {
-      for (std::size_t i = 0; i < n; ++i) v[i] = x[i] > 0.0 ? x[i] : 0.0;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) v[i] = std::tanh(x[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::tanh(x[i]);
     return output_;
   }
 
@@ -231,432 +223,17 @@ class ActivationLayer final : public Layer {
     double* __restrict__ g = grad_input_.data();
     const double* __restrict__ y = output_.data();
     const std::size_t n = grad_input_.size();
-    if (kind_ == Activation::kRelu) {
-      for (std::size_t i = 0; i < n; ++i) g[i] = y[i] > 0.0 ? go[i] : 0.0;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) g[i] = go[i] * (1.0 - y[i] * y[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i) g[i] = go[i] * (1.0 - y[i] * y[i]);
     return grad_input_;
   }
 
   std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<ActivationLayer>(*this);
+    return std::make_unique<TanhLayer>(*this);
   }
 
  private:
-  Activation kind_;
   Tensor output_;
   Tensor grad_input_;
-};
-
-// ------------------------------------------------------------------
-// 2-D convolution over flattened [channel][y][x] rows.
-
-class Conv2dLayer final : public Layer {
- public:
-  Conv2dLayer(std::size_t in_channels, std::size_t out_channels,
-              std::size_t kernel, std::size_t input_size, bool same_padding,
-              common::Rng& rng)
-      : in_ch_(in_channels), out_ch_(out_channels), kernel_(kernel),
-        in_size_(input_size),
-        out_size_(same_padding ? input_size : input_size - kernel + 1),
-        pad_(same_padding ? kernel / 2 : 0),
-        init_(out_channels * in_channels * kernel * kernel + out_channels,
-              0.0) {
-    const double scale =
-        std::sqrt(2.0 / static_cast<double>(in_channels * kernel * kernel));
-    const std::size_t nw = out_channels * in_channels * kernel * kernel;
-    for (std::size_t i = 0; i < nw; ++i) init_[i] = scale * rng.normal();
-  }
-
-  std::size_t output_dim() const { return out_ch_ * out_size_ * out_size_; }
-
-  const Tensor& forward(const Tensor& input) override {
-    input_ = &input;
-    const std::size_t batch = input.rows();
-    output_.resize(batch, output_dim());
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* x = input.row(b);
-      double* y = output_.row(b);
-      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-        for (std::size_t oy = 0; oy < out_size_; ++oy) {
-          for (std::size_t ox = 0; ox < out_size_; ++ox) {
-            double acc = bias_[oc];
-            for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-              for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                const std::ptrdiff_t iy =
-                    static_cast<std::ptrdiff_t>(oy + ky) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_size_)) {
-                  continue;
-                }
-                // The kx span that stays inside the row is contiguous
-                // in both the kernel and the input: walk it with two
-                // advancing pointers.
-                const double* w_row = weights_ +
-                    ((oc * in_ch_ + ic) * kernel_ + ky) * kernel_;
-                const double* x_row = x +
-                    (ic * in_size_ + static_cast<std::size_t>(iy)) * in_size_;
-                for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                  const std::ptrdiff_t ix =
-                      static_cast<std::ptrdiff_t>(ox + kx) -
-                      static_cast<std::ptrdiff_t>(pad_);
-                  if (ix < 0 ||
-                      ix >= static_cast<std::ptrdiff_t>(in_size_)) {
-                    continue;
-                  }
-                  acc += w_row[kx] * x_row[static_cast<std::size_t>(ix)];
-                }
-              }
-            }
-            y[(oc * out_size_ + oy) * out_size_ + ox] = acc;
-          }
-        }
-      }
-    }
-    return output_;
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool need_input_grad) override {
-    const std::size_t batch = grad_output.rows();
-    grad_input_.resize(need_input_grad ? batch : 0,
-                       in_ch_ * in_size_ * in_size_);
-    grad_input_.fill(0.0);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* go = grad_output.row(b);
-      const double* x = input_->row(b);
-      double* gi = need_input_grad ? grad_input_.row(b) : nullptr;
-      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-        for (std::size_t oy = 0; oy < out_size_; ++oy) {
-          for (std::size_t ox = 0; ox < out_size_; ++ox) {
-            const double g = go[(oc * out_size_ + oy) * out_size_ + ox];
-            grad_bias_[oc] += g;
-            for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-              for (std::size_t ky = 0; ky < kernel_; ++ky) {
-                const std::ptrdiff_t iy =
-                    static_cast<std::ptrdiff_t>(oy + ky) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_size_)) {
-                  continue;
-                }
-                const std::size_t row_base =
-                    (ic * in_size_ + static_cast<std::size_t>(iy)) * in_size_;
-                const std::size_t w_base =
-                    ((oc * in_ch_ + ic) * kernel_ + ky) * kernel_;
-                for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                  const std::ptrdiff_t ix =
-                      static_cast<std::ptrdiff_t>(ox + kx) -
-                      static_cast<std::ptrdiff_t>(pad_);
-                  if (ix < 0 ||
-                      ix >= static_cast<std::ptrdiff_t>(in_size_)) {
-                    continue;
-                  }
-                  const std::size_t in_index =
-                      row_base + static_cast<std::size_t>(ix);
-                  grad_weights_[w_base + kx] += g * x[in_index];
-                  if (need_input_grad) {
-                    gi[in_index] += g * weights_[w_base + kx];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-    return grad_input_;
-  }
-
-  std::size_t num_parameters() const override {
-    return out_ch_ * in_ch_ * kernel_ * kernel_ + out_ch_;
-  }
-  void export_initial_parameters(double* dst) override {
-    std::copy(init_.begin(), init_.end(), dst);
-    init_.clear();
-    init_.shrink_to_fit();
-  }
-  void bind(double*& params, double*& grads) override {
-    const std::size_t nw = out_ch_ * in_ch_ * kernel_ * kernel_;
-    weights_ = params;
-    bias_ = params + nw;
-    params += num_parameters();
-    grad_weights_ = grads;
-    grad_bias_ = grads + nw;
-    grads += num_parameters();
-  }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Conv2dLayer>(*this);
-  }
-
- private:
-  std::size_t in_ch_;
-  std::size_t out_ch_;
-  std::size_t kernel_;
-  std::size_t in_size_;
-  std::size_t out_size_;
-  std::size_t pad_;
-  std::vector<double> init_;
-  double* weights_ = nullptr;  ///< [oc][ic][ky][kx]
-  double* bias_ = nullptr;
-  double* grad_weights_ = nullptr;
-  double* grad_bias_ = nullptr;
-  const Tensor* input_ = nullptr;  ///< borrowed, same rule as DenseLayer
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-// ------------------------------------------------------------------
-// 2x2 average pooling.
-
-class AvgPool2dLayer final : public Layer {
- public:
-  AvgPool2dLayer(std::size_t channels, std::size_t input_size)
-      : ch_(channels), in_size_(input_size), out_size_(input_size / 2) {}
-
-  std::size_t output_dim() const { return ch_ * out_size_ * out_size_; }
-
-  const Tensor& forward(const Tensor& input) override {
-    const std::size_t batch = input.rows();
-    output_.resize(batch, output_dim());
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* x = input.row(b);
-      double* y = output_.row(b);
-      for (std::size_t c = 0; c < ch_; ++c) {
-        for (std::size_t oy = 0; oy < out_size_; ++oy) {
-          const double* r0 = x + (c * in_size_ + 2 * oy) * in_size_;
-          const double* r1 = r0 + in_size_;
-          double* out_row = y + (c * out_size_ + oy) * out_size_;
-          for (std::size_t ox = 0; ox < out_size_; ++ox) {
-            out_row[ox] = 0.25 * (r0[2 * ox] + r0[2 * ox + 1] +
-                                  r1[2 * ox] + r1[2 * ox + 1]);
-          }
-        }
-      }
-    }
-    return output_;
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool need_input_grad) override {
-    const std::size_t batch = grad_output.rows();
-    if (!need_input_grad) {
-      grad_input_.resize(0, ch_ * in_size_ * in_size_);
-      return grad_input_;
-    }
-    grad_input_.resize(batch, ch_ * in_size_ * in_size_);
-    grad_input_.fill(0.0);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* go = grad_output.row(b);
-      double* gi = grad_input_.row(b);
-      for (std::size_t c = 0; c < ch_; ++c) {
-        for (std::size_t oy = 0; oy < out_size_; ++oy) {
-          const double* g_row = go + (c * out_size_ + oy) * out_size_;
-          double* r0 = gi + (c * in_size_ + 2 * oy) * in_size_;
-          double* r1 = r0 + in_size_;
-          for (std::size_t ox = 0; ox < out_size_; ++ox) {
-            const double g = 0.25 * g_row[ox];
-            r0[2 * ox] += g;
-            r0[2 * ox + 1] += g;
-            r1[2 * ox] += g;
-            r1[2 * ox + 1] += g;
-          }
-        }
-      }
-    }
-    return grad_input_;
-  }
-
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<AvgPool2dLayer>(*this);
-  }
-
- private:
-  std::size_t ch_;
-  std::size_t in_size_;
-  std::size_t out_size_;
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-// ------------------------------------------------------------------
-// Global average pooling: [ch][y][x] -> [ch].
-
-class GlobalAvgPoolLayer final : public Layer {
- public:
-  GlobalAvgPoolLayer(std::size_t channels, std::size_t input_size)
-      : ch_(channels), in_size_(input_size) {}
-
-  const Tensor& forward(const Tensor& input) override {
-    const std::size_t plane = in_size_ * in_size_;
-    const double inv = 1.0 / static_cast<double>(plane);
-    const std::size_t batch = input.rows();
-    output_.resize(batch, ch_);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* x = input.row(b);
-      double* y = output_.row(b);
-      for (std::size_t c = 0; c < ch_; ++c) {
-        double acc = 0.0;
-        const double* px = x + c * plane;
-        for (std::size_t i = 0; i < plane; ++i) acc += px[i];
-        y[c] = acc * inv;
-      }
-    }
-    return output_;
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool need_input_grad) override {
-    const std::size_t plane = in_size_ * in_size_;
-    const double inv = 1.0 / static_cast<double>(plane);
-    const std::size_t batch = grad_output.rows();
-    if (!need_input_grad) {
-      grad_input_.resize(0, ch_ * plane);
-      return grad_input_;
-    }
-    grad_input_.resize(batch, ch_ * plane);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* go = grad_output.row(b);
-      double* gi = grad_input_.row(b);
-      for (std::size_t c = 0; c < ch_; ++c) {
-        const double g = go[c] * inv;
-        double* pg = gi + c * plane;
-        for (std::size_t i = 0; i < plane; ++i) pg[i] = g;
-      }
-    }
-    return grad_input_;
-  }
-
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<GlobalAvgPoolLayer>(*this);
-  }
-
- private:
-  std::size_t ch_;
-  std::size_t in_size_;
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-// ------------------------------------------------------------------
-// DenseNet-style block: each inner conv sees the concatenation of the
-// block input and all previous inner outputs. Handled as one composite
-// layer so Sequential stays a linear chain; its convs bind into the
-// owning Sequential's flat buffers like any other layer.
-
-class DenseBlockLayer final : public Layer {
- public:
-  DenseBlockLayer(std::size_t in_channels, std::size_t growth,
-                  std::size_t layers, std::size_t image_size,
-                  common::Rng& rng)
-      : in_ch_(in_channels), growth_(growth), size_(image_size) {
-    std::size_t channels = in_channels;
-    for (std::size_t l = 0; l < layers; ++l) {
-      convs_.push_back(std::make_unique<Conv2dLayer>(
-          channels, growth, 3, image_size, /*same_padding=*/true, rng));
-      relus_.emplace_back(Activation::kRelu);
-      channels += growth;
-    }
-  }
-
-  DenseBlockLayer(const DenseBlockLayer& other)
-      : in_ch_(other.in_ch_), growth_(other.growth_), size_(other.size_),
-        relus_(other.relus_), states_(other.states_), grad_(other.grad_),
-        narrowed_(other.narrowed_), tail_(other.tail_) {
-    convs_.reserve(other.convs_.size());
-    for (const auto& conv : other.convs_) {
-      auto cloned = conv->clone();
-      convs_.emplace_back(static_cast<Conv2dLayer*>(cloned.release()));
-    }
-  }
-
-  std::size_t output_channels() const {
-    return in_ch_ + growth_ * convs_.size();
-  }
-
-  const Tensor& forward(const Tensor& input) override {
-    const std::size_t plane = size_ * size_;
-    const std::size_t batch = input.rows();
-    states_.resize(convs_.size() + 1);
-    states_[0] = input;
-    for (std::size_t l = 0; l < convs_.size(); ++l) {
-      const Tensor& fresh = relus_[l].forward(convs_[l]->forward(states_[l]));
-      const std::size_t in_cols = states_[l].cols();
-      Tensor& next = states_[l + 1];
-      next.resize(batch, in_cols + growth_ * plane);
-      for (std::size_t b = 0; b < batch; ++b) {
-        double* dst = next.row(b);
-        std::copy(states_[l].row(b), states_[l].row(b) + in_cols, dst);
-        std::copy(fresh.row(b), fresh.row(b) + growth_ * plane,
-                  dst + in_cols);
-      }
-    }
-    return states_.back();
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool need_input_grad) override {
-    const std::size_t plane = size_ * size_;
-    const std::size_t batch = grad_output.rows();
-    grad_ = grad_output;  // gradient w.r.t. full concatenation
-    for (std::size_t l = convs_.size(); l-- > 0;) {
-      const std::size_t in_channels = in_ch_ + growth_ * l;
-      const std::size_t split = in_channels * plane;
-      // The first conv's input is the block input: its input gradient
-      // is only needed when something upstream consumes ours.
-      const bool conv_needs = l > 0 || need_input_grad;
-      // Split this conv's output gradient (the tail) off the front.
-      tail_.resize(batch, growth_ * plane);
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::copy(grad_.row(b) + split, grad_.row(b) + grad_.cols(),
-                  tail_.row(b));
-      }
-      const Tensor& through =
-          convs_[l]->backward(relus_[l].backward(tail_, true), conv_needs);
-      narrowed_.resize(batch, split);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double* g = grad_.row(b);
-        double* dst = narrowed_.row(b);
-        if (conv_needs) {
-          const double* t = through.row(b);
-          for (std::size_t i = 0; i < split; ++i) dst[i] = g[i] + t[i];
-        } else {
-          std::copy(g, g + split, dst);
-        }
-      }
-      std::swap(grad_, narrowed_);  // scratch ping-pong, no allocation
-    }
-    return grad_;
-  }
-
-  std::size_t num_parameters() const override {
-    std::size_t n = 0;
-    for (const auto& conv : convs_) n += conv->num_parameters();
-    return n;
-  }
-  void export_initial_parameters(double* dst) override {
-    for (auto& conv : convs_) {
-      conv->export_initial_parameters(dst);
-      dst += conv->num_parameters();
-    }
-  }
-  void bind(double*& params, double*& grads) override {
-    for (auto& conv : convs_) conv->bind(params, grads);
-  }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<DenseBlockLayer>(*this);
-  }
-
- private:
-  std::size_t in_ch_;
-  std::size_t growth_;
-  std::size_t size_;
-  std::vector<std::unique_ptr<Conv2dLayer>> convs_;
-  std::vector<ActivationLayer> relus_;
-  std::vector<Tensor> states_;  ///< concatenations, one per stage
-  Tensor grad_;
-  Tensor narrowed_;
-  Tensor tail_;
 };
 
 }  // namespace
@@ -805,48 +382,8 @@ Sequential ModelFactory::mlp(std::size_t input_dim, std::size_t hidden,
                              std::size_t num_classes, common::Rng& rng) {
   Sequential model;
   model.add(std::make_unique<DenseLayer>(input_dim, hidden, rng));
-  model.add(std::make_unique<ActivationLayer>(Activation::kTanh));
+  model.add(std::make_unique<TanhLayer>());
   model.add(std::make_unique<DenseLayer>(hidden, num_classes, rng));
-  return model;
-}
-
-Sequential ModelFactory::lenet5(std::size_t image_size,
-                                std::size_t num_classes, common::Rng& rng) {
-  Sequential model;
-  const std::size_t c1 = image_size - 4;       // 5x5 valid conv
-  const std::size_t p1 = c1 / 2;               // 2x2 avg pool
-  // Small inputs (LeNet expects 32x32; the benches use 16x16 patches)
-  // shrink the second conv kernel so the feature map stays non-empty.
-  const std::size_t k2 = p1 >= 5 ? 5 : (p1 >= 3 ? 3 : 1);
-  const std::size_t c2 = p1 - k2 + 1;          // k2 x k2 valid conv
-  model.add(std::make_unique<Conv2dLayer>(1, 6, 5, image_size, false, rng));
-  model.add(std::make_unique<ActivationLayer>(Activation::kTanh));
-  model.add(std::make_unique<AvgPool2dLayer>(6, c1));
-  model.add(std::make_unique<Conv2dLayer>(6, 16, k2, p1, false, rng));
-  model.add(std::make_unique<ActivationLayer>(Activation::kTanh));
-  std::size_t p2 = c2;
-  if (c2 >= 2) {  // a 2x2 pool on a 1x1 map would erase the features
-    model.add(std::make_unique<AvgPool2dLayer>(16, c2));
-    p2 = c2 / 2;
-  }
-  model.add(std::make_unique<DenseLayer>(16 * p2 * p2, 32, rng));
-  model.add(std::make_unique<ActivationLayer>(Activation::kTanh));
-  model.add(std::make_unique<DenseLayer>(32, num_classes, rng));
-  return model;
-}
-
-Sequential ModelFactory::mini_densenet(std::size_t image_size,
-                                       std::size_t num_classes,
-                                       std::size_t growth,
-                                       std::size_t layers,
-                                       common::Rng& rng) {
-  Sequential model;
-  auto block = std::make_unique<DenseBlockLayer>(1, growth, layers,
-                                                 image_size, rng);
-  const std::size_t channels = block->output_channels();
-  model.add(std::move(block));
-  model.add(std::make_unique<GlobalAvgPoolLayer>(channels, image_size));
-  model.add(std::make_unique<DenseLayer>(channels, num_classes, rng));
   return model;
 }
 

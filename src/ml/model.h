@@ -1,4 +1,4 @@
-// Minimal dense/conv neural-net substrate for the FL simulation. Models
+// Minimal dense neural-net substrate for the FL simulation. Models
 // are `Sequential` stacks of layers trained with softmax cross-entropy.
 //
 // Storage layout: a Sequential owns ONE contiguous parameter buffer and
@@ -106,16 +106,6 @@ struct ModelFactory {
                                         common::Rng& rng);
   static Sequential mlp(std::size_t input_dim, std::size_t hidden,
                         std::size_t num_classes, common::Rng& rng);
-  /// LeNet-5-style conv net over single-channel image_size^2 patches.
-  static Sequential lenet5(std::size_t image_size, std::size_t num_classes,
-                           common::Rng& rng);
-  /// Tiny DenseNet: `layers` 3x3 conv layers, each emitting `growth`
-  /// channels concatenated onto its input, then global-average-pool and
-  /// a linear classifier.
-  static Sequential mini_densenet(std::size_t image_size,
-                                  std::size_t num_classes,
-                                  std::size_t growth, std::size_t layers,
-                                  common::Rng& rng);
 };
 
 }  // namespace flips::ml

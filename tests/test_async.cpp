@@ -1,8 +1,7 @@
 // Event-driven async federation (fl/session.h advance()):
 // staleness-weight math, bounded-staleness drop accounting, arrival
 // ordering, determinism across thread counts under a fixed arrival
-// seed, and the sync-mode advance() alias staying bit-identical to the
-// legacy FlJob::run() shim.
+// seed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include "cluster/kmeans.h"
 #include "common/stats.h"
 #include "data/federated.h"
-#include "fl/job.h"
 #include "fl/session.h"
 #include "selection/factory.h"
 
@@ -22,7 +20,6 @@ using flips::fl::ArrivalOutcome;
 using flips::fl::ArrivalRecord;
 using flips::fl::FederationMode;
 using flips::fl::FederationSession;
-using flips::fl::FlJob;
 using flips::fl::FlJobConfig;
 using flips::fl::FlJobResult;
 using flips::fl::Party;
@@ -293,45 +290,6 @@ TEST(AsyncSession, DeterministicAcrossThreadCounts) {
       EXPECT_EQ(a.upload_bytes, b.upload_bytes);
       EXPECT_EQ(a.download_bytes, b.download_bytes);
     }
-  }
-}
-
-/// Sync mode through the advance() entry point stays bit-identical
-/// to the legacy blocking FlJob::run() shim (the tentpole's
-/// no-regression contract; test_session pins the step loop itself).
-TEST(AsyncSession, SyncAdvanceMatchesLegacyRun) {
-  const auto fed = build_tiny(12, 55);
-  FlJobConfig config;
-  config.rounds = 6;
-  config.parties_per_round = 4;
-  config.local.epochs = 2;
-  config.local.batch_size = 16;
-  config.local.sgd.learning_rate = 0.05;
-  config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
-  config.server.learning_rate = 0.05;
-  config.eval_every = 2;
-  config.seed = 55;
-  config.threads = 4;
-
-  FlJob job(config, fed.parties, fed.test, tiny_model(55),
-            tiny_selector(fed));
-  const FlJobResult legacy = job.run();
-
-  FederationSession session(config, fed.parties, fed.test, tiny_model(55),
-                            tiny_selector(fed));
-  while (!session.done()) session.advance();
-  const FlJobResult stepped = session.result();
-
-  EXPECT_EQ(legacy.final_parameters, stepped.final_parameters);
-  EXPECT_EQ(legacy.peak_accuracy, stepped.peak_accuracy);
-  EXPECT_EQ(legacy.total_bytes, stepped.total_bytes);
-  EXPECT_EQ(legacy.total_time_s, stepped.total_time_s);
-  ASSERT_EQ(legacy.history.size(), stepped.history.size());
-  for (std::size_t r = 0; r < legacy.history.size(); ++r) {
-    EXPECT_EQ(legacy.history[r].balanced_accuracy,
-              stepped.history[r].balanced_accuracy);
-    EXPECT_EQ(legacy.history[r].round_time_s,
-              stepped.history[r].round_time_s);
   }
 }
 

@@ -185,17 +185,4 @@ TEST(Drift, RotatesAffectedPartiesOnly) {
   EXPECT_DOUBLE_EQ(unchanged.mean_shift, 0.0);
 }
 
-TEST(ImagePatchGenerator, ShapesAndLabels) {
-  flips::data::ImagePatchGenerator gen(8, 3, flips::common::Rng(4));
-  const auto batch = gen.sample(10);
-  ASSERT_EQ(batch.features.size(), 10u);
-  ASSERT_EQ(batch.labels.size(), 10u);
-  for (const auto& img : batch.features) {
-    EXPECT_EQ(img.size(), 64u);
-  }
-  for (const auto label : batch.labels) {
-    EXPECT_LT(label, 3u);
-  }
-}
-
 }  // namespace

@@ -8,15 +8,29 @@
 #include "cluster/kmeans.h"
 #include "common/stats.h"
 #include "data/federated.h"
-#include "fl/job.h"
+#include "fl/session.h"
 #include "selection/factory.h"
 
 namespace {
 
-using flips::fl::FlJob;
 using flips::fl::FlJobConfig;
+using flips::fl::FlJobResult;
 using flips::fl::Party;
 using flips::fl::PartyProfile;
+using flips::select::SelectorKind;
+
+/// Steps a session to completion and returns its result.
+FlJobResult run_job(const FlJobConfig& config,
+                    const std::vector<Party>& parties,
+                    const flips::data::Dataset& test,
+                    flips::ml::Sequential model, SelectorKind kind,
+                    const flips::select::SelectorContext& context) {
+  flips::fl::FederationSession session(
+      config, parties, test, std::move(model),
+      flips::select::make_selector(kind, context));
+  while (!session.done()) session.advance();
+  return session.result();
+}
 
 /// One party, one sample with all-zero features, logistic regression:
 /// only the bias moves, and every step is hand-computable.
@@ -52,10 +66,8 @@ TEST(FlJobMath, FedProxLocalStepsHandComputed) {
   flips::select::SelectorContext solo;
   solo.num_parties = 1;
   solo.seed = 1;
-  FlJob job(config, parties, test, model,
-            flips::select::make_selector(
-                flips::select::SelectorKind::kRandom, solo));
-  const auto result = job.run();
+  const auto result =
+      run_job(config, parties, test, model, SelectorKind::kRandom, solo);
 
   // Step 1: b = (0,0), p = (1/2, 1/2), g = (-1/2, 1/2), prox = 0.
   const double lr = 0.1;
@@ -146,9 +158,8 @@ double run_kind(const TinyFederation& fed, flips::select::SelectorKind kind,
   config.target_accuracy = target;
   flips::common::Rng mrng(seed ^ 0x30DE);
   auto model = flips::ml::ModelFactory::mlp(32, 24, 5, mrng);
-  FlJob job(config, fed.parties, fed.test, std::move(model),
-            flips::select::make_selector(kind, fed.context));
-  const auto result = job.run();
+  const auto result = run_job(config, fed.parties, fed.test, std::move(model),
+                              kind, fed.context);
   if (rounds_to_target) {
     *rounds_to_target =
         result.rounds_to_target
@@ -183,10 +194,8 @@ TEST(FlJobAccounting, BytesStragglersAndFairness) {
   auto model = flips::ml::ModelFactory::mlp(32, 8, 5, mrng);
   const std::size_t dim = model.num_parameters();
 
-  FlJob job(config, fed.parties, fed.test, model,
-            flips::select::make_selector(
-                flips::select::SelectorKind::kRandom, fed.context));
-  const auto result = job.run();
+  const auto result = run_job(config, fed.parties, fed.test, model,
+                              SelectorKind::kRandom, fed.context);
 
   ASSERT_EQ(result.history.size(), 30u);
   // Random selector returns exactly Nr, everyone responds: bytes are
@@ -207,10 +216,9 @@ TEST(FlJobAccounting, BytesStragglersAndFairness) {
   // 100% straggling: nobody responds, accuracy never moves.
   auto straggle_config = config;
   straggle_config.stragglers.rate = 1.0;
-  FlJob stuck(straggle_config, fed.parties, fed.test, model,
-              flips::select::make_selector(
-                  flips::select::SelectorKind::kRandom, fed.context));
-  const auto stuck_result = stuck.run();
+  const auto stuck_result =
+      run_job(straggle_config, fed.parties, fed.test, model,
+              SelectorKind::kRandom, fed.context);
   for (const auto& record : stuck_result.history) {
     EXPECT_EQ(record.responded, 0u);
   }
@@ -233,10 +241,9 @@ TEST(FlJobThreads, RoundResultsBitIdenticalAcrossThreadCounts) {
       config.threads = threads;
       flips::common::Rng mrng(61);
       auto model = flips::ml::ModelFactory::mlp(32, 8, 5, mrng);
-      FlJob job(config, fed.parties, fed.test, std::move(model),
-                flips::select::make_selector(
-                    flips::select::SelectorKind::kFlips, fed.context));
-      results.push_back(job.run());
+      results.push_back(run_job(config, fed.parties, fed.test,
+                                std::move(model), SelectorKind::kFlips,
+                                fed.context));
     }
     const auto& one = results[0];
     const auto& four = results[1];
@@ -272,10 +279,9 @@ TEST(FlJobThreads, CodecResultsBitIdenticalAcrossThreadCounts) {
       config.threads = threads;
       flips::common::Rng mrng(71);
       auto model = flips::ml::ModelFactory::mlp(32, 8, 5, mrng);
-      FlJob job(config, fed.parties, fed.test, std::move(model),
-                flips::select::make_selector(
-                    flips::select::SelectorKind::kFlips, fed.context));
-      results.push_back(job.run());
+      results.push_back(run_job(config, fed.parties, fed.test,
+                                std::move(model), SelectorKind::kFlips,
+                                fed.context));
     }
     EXPECT_EQ(results[0].final_parameters, results[1].final_parameters)
         << "codec " << flips::net::to_string(codec);
@@ -296,10 +302,8 @@ TEST(FlJobCodecs, Quant8CutsBytesAndTracksDenseAccuracy) {
     config.codec.codec = codec;
     flips::common::Rng mrng(81);
     auto model = flips::ml::ModelFactory::mlp(32, 8, 5, mrng);
-    FlJob job(config, fed.parties, fed.test, model,
-              flips::select::make_selector(
-                  flips::select::SelectorKind::kFlips, fed.context));
-    return job.run();
+    return run_job(config, fed.parties, fed.test, model,
+                   SelectorKind::kFlips, fed.context);
   };
 
   const auto dense = run_with(flips::net::Codec::kDense64);
@@ -328,10 +332,8 @@ TEST(FlJobPrivacy, DpSpendsEpsilonAndDegradesGracefully) {
 
   flips::common::Rng mrng(41);
   auto model = flips::ml::ModelFactory::mlp(32, 8, 5, mrng);
-  FlJob job(config, fed.parties, fed.test, std::move(model),
-            flips::select::make_selector(
-                flips::select::SelectorKind::kFlips, fed.context));
-  const auto result = job.run();
+  const auto result = run_job(config, fed.parties, fed.test, std::move(model),
+                              SelectorKind::kFlips, fed.context);
   EXPECT_GT(result.epsilon_spent, 0.0);
   EXPECT_LT(result.epsilon_spent, 1e3);
 }
@@ -362,10 +364,8 @@ TEST(FlJobDeadline, TightDeadlineSilencesSlowParties) {
   flips::select::SelectorContext ctx;
   ctx.num_parties = 12;
   ctx.seed = 3;
-  FlJob job(config, parties, data.global_test, std::move(model),
-            flips::select::make_selector(
-                flips::select::SelectorKind::kRandom, ctx));
-  const auto result = job.run();
+  const auto result = run_job(config, parties, data.global_test,
+                              std::move(model), SelectorKind::kRandom, ctx);
 
   std::size_t selected = 0;
   std::size_t responded = 0;

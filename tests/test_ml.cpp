@@ -1,12 +1,11 @@
 // Model substrate: parameter round-trips, value-semantics, numeric
-// gradient checks for the dense and conv stacks, and hand-computed
+// gradient checks for the dense stack, and hand-computed
 // checks pinning the flat (contiguous-Tensor) kernels to the math of
 // the original nested-vector path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "data/synthetic.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
 #include "ml/tensor.h"
@@ -193,24 +192,6 @@ TEST(Gradients, MlpMatchesNumeric) {
     labels.push_back(static_cast<std::uint32_t>(i % 4));
   }
   check_gradients(model, features, labels, 1e-4);
-}
-
-TEST(Gradients, LeNetMatchesNumeric) {
-  Rng rng(4);
-  Sequential model = ModelFactory::lenet5(12, 3, rng);
-  flips::data::ImagePatchGenerator gen(12, 3, Rng(5));
-  const auto batch = gen.sample(4);
-  check_gradients(model, Tensor::from_rows(batch.features), batch.labels,
-                  1e-3);
-}
-
-TEST(Gradients, MiniDenseNetMatchesNumeric) {
-  Rng rng(6);
-  Sequential model = ModelFactory::mini_densenet(6, 3, 2, 2, rng);
-  flips::data::ImagePatchGenerator gen(6, 3, Rng(7));
-  const auto batch = gen.sample(4);
-  check_gradients(model, Tensor::from_rows(batch.features), batch.labels,
-                  1e-3);
 }
 
 TEST(Training, LossDecreasesOnSeparableData) {
