@@ -360,7 +360,6 @@ FederationSession::Dispatch FederationSession::dispatch_party(
       // the party's error-feedback residual untouched).
       responds = false;
       out.fault_failed = true;
-      out.link_failed = true;
       out.wire_bytes = model_bytes_;
     } else {
       fb.duration_s *= link.slowdown;

@@ -154,7 +154,6 @@ class FederationSession {
     bool trained = false;          ///< update produced (and submitted)
     bool churned = false;          ///< unreachable at dispatch
     bool fault_failed = false;     ///< lost to churn / crash / link fault
-    bool link_failed = false;      ///< trained but the uplink was lost
     std::vector<double> scaffold_ci_new;  ///< SCAFFOLD only
   };
   /// An async in-flight slot: occupied from dispatch until its arrival

@@ -193,8 +193,9 @@ void Server::drain() {
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
-    readers_cv_.wait(lock, [&] { return live_readers_ == 0; });
+    readers_cv_.wait(lock, [&] { return connections_.empty(); });
   }
+  reap_exited_readers();
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 }
 
@@ -227,16 +228,25 @@ void Server::accept_loop() {
       late = draining_;
       if (!late) {
         connections_.push_back(conn);
-        ++live_readers_;
+        stat_connections_accepted_.fetch_add(1);
+        conn->reader = std::thread([this, conn] { reader_loop(conn); });
       }
     }
     if (late) {
       ::close(fd);
       continue;
     }
-    stat_connections_accepted_.fetch_add(1);
-    std::thread([this, conn] { reader_loop(conn); }).detach();
+    reap_exited_readers();
   }
+}
+
+void Server::reap_exited_readers() {
+  std::vector<std::shared_ptr<Connection>> exited;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    exited.swap(exited_);
+  }
+  for (const auto& conn : exited) conn->reader.join();
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
@@ -282,12 +292,10 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     conn->fd = -1;
   }
   stat_connections_closed_.fetch_add(1);
-  // Last touch of the server: drain() may return (and the server be
-  // destroyed) as soon as this lock is released.
   std::lock_guard<std::mutex> lock(mu_);
   connections_.erase(
       std::find(connections_.begin(), connections_.end(), conn));
-  --live_readers_;
+  exited_.push_back(std::move(conn));
   readers_cv_.notify_all();
 }
 

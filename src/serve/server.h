@@ -6,12 +6,14 @@
 // Threading model (all shared state under one server mutex; sessions
 // are touched by the scheduler thread only):
 //
-//   acceptor thread     accept() loop; spawns one detached reader per
-//                       conn
+//   acceptor thread     accept() loop; spawns one reader per conn and
+//                       joins readers that have exited since the last
+//                       accept
 //   reader threads      parse frames; enqueue work; answer protocol
 //                       errors and admission rejections immediately;
 //                       on EOF or a bad frame, close the conn's fd and
-//                       exit (drain() waits for the live-reader count)
+//                       exit (drain() waits until no reader is live,
+//                       then joins the rest)
 //   scheduler thread    pops per-tenant queues round-robin, steps the
 //                       SessionPool, writes step/result replies
 //   worker pool         ONE common::ThreadPool every tenant's local
@@ -141,6 +143,9 @@ class Server {
     /// Index into tenants_; set once by the hello handler (the
     /// connection's own reader thread) before any use.
     std::optional<std::size_t> tenant_id;
+    /// Started under mu_, so it is set before the reader can exit;
+    /// joined by reap_exited_readers().
+    std::thread reader;
   };
 
   /// One queued unit of scheduler work for a tenant.
@@ -174,6 +179,8 @@ class Server {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
+  /// Joins the readers that have exited (acceptor thread, or drain()).
+  void reap_exited_readers();
   void scheduler_loop();
   /// Idle sweep (scheduler thread, mu_ held): evicts tenants whose
   /// connection died and whose inactivity exceeds the timeout.
@@ -200,10 +207,12 @@ class Server {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable shutdown_cv_;
-  std::condition_variable readers_cv_;  ///< live_readers_ reached zero
+  std::condition_variable readers_cv_;  ///< a reader exited
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<std::shared_ptr<Connection>> connections_;  ///< open ones
-  std::size_t live_readers_ = 0;    ///< reader threads not yet done
+  /// Connections whose reader is live; a reader moves its connection
+  /// to exited_ as its last step.
+  std::vector<std::shared_ptr<Connection>> connections_;
+  std::vector<std::shared_ptr<Connection>> exited_;  ///< awaiting join
   std::size_t rr_cursor_ = 0;       ///< round-robin tenant cursor
   std::size_t pending_total_ = 0;   ///< queued work across tenants
   bool draining_ = false;           ///< refuse new work
