@@ -176,9 +176,9 @@ class FederationSession {
   /// SCAFFOLD / FedDyn client-state refresh, codec error feedback and
   /// the DP clip. `stream_key` seeds the dispatch's private RNG stream
   /// and `event` keys its fault draws; `churned` is the churn verdict
-  /// the stepping thread took at dispatch time. Touches only state
-  /// owned by `party`, so dispatches of distinct parties run
-  /// concurrently.
+  /// the stepping thread took at dispatch time. Writes only state owned
+  /// by `party` (plus the thread-safe arena), so dispatches of distinct
+  /// parties run concurrently.
   Dispatch dispatch_party(std::uint64_t stream_key, std::uint64_t event,
                           std::size_t party, double lr, bool churned);
   /// Base fold weight of a trained dispatch: its sample count, or 1.0
