@@ -362,14 +362,15 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case net::FrameType::kShutdown: {
-      // Flag first, ack second: a client that has read the ack always
-      // observes shutdown_requested().
+      // Flag and ack in one critical section: a client that has read
+      // the ack observes shutdown_requested(), and drain() (which takes
+      // mu_ first) cannot shut this connection before the ack is out.
       {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
+        send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
       }
       shutdown_cv_.notify_all();
-      send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
       return;
     }
     case net::FrameType::kMetrics: {
