@@ -15,7 +15,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
