@@ -1,11 +1,14 @@
-// Microbenchmarks for the privacy substrate and clustering: masking /
-// unmasking throughput vs vector dimension and roster size, DP
-// clip+noise, RDP accounting, and mini-batch vs Lloyd k-means.
+// Microbenchmarks for the privacy substrate, clustering and the ML
+// kernels: masking / unmasking throughput vs vector dimension and roster
+// size, DP clip+noise, RDP accounting, mini-batch vs Lloyd k-means, and
+// one MLP train step / eval forward at the femnist shape.
 #include <benchmark/benchmark.h>
 
 #include "cluster/kmeans.h"
 #include "cluster/minibatch_kmeans.h"
 #include "common/rng.h"
+#include "ml/model.h"
+#include "ml/sgd.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
 
@@ -102,6 +105,55 @@ void BM_MiniBatchKMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MiniBatchKMeans)->Arg(1'000)->Arg(10'000)->Arg(50'000);
+
+// The femnist-fedavg model (64 -> 24 tanh -> 62) at its local batch
+// size: one forward, backward and SGD step, the unit of local training.
+constexpr std::size_t kFemnistIn = 64;
+constexpr std::size_t kFemnistHidden = 24;
+constexpr std::size_t kFemnistClasses = 62;
+
+flips::ml::Tensor bench_features(std::size_t rows, Rng& rng) {
+  flips::ml::Tensor x(rows, kFemnistIn);
+  for (std::size_t k = 0; k < x.size(); ++k) x.data()[k] = rng.normal();
+  return x;
+}
+
+void BM_MlpTrainStep(benchmark::State& state) {
+  Rng rng(13);
+  auto model = flips::ml::ModelFactory::mlp(kFemnistIn, kFemnistHidden,
+                                            kFemnistClasses, rng);
+  const std::size_t batch = 32;
+  const flips::ml::Tensor x = bench_features(batch, rng);
+  std::vector<std::uint32_t> labels(batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    labels[b] = static_cast<std::uint32_t>(rng.uniform_index(kFemnistClasses));
+  }
+  const flips::ml::SgdOptimizer sgd({.learning_rate = 0.01});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train_step_gradient(x, labels));
+    sgd.step(model, 0.01);
+    benchmark::DoNotOptimize(model.mutable_parameters().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_MlpTrainStep);
+
+// One eval chunk (the session evaluates in fixed 64-row chunks).
+void BM_MlpEvalForward(benchmark::State& state) {
+  Rng rng(17);
+  auto model = flips::ml::ModelFactory::mlp(kFemnistIn, kFemnistHidden,
+                                            kFemnistClasses, rng);
+  const std::size_t rows = 64;
+  const flips::ml::Tensor x = bench_features(rows, rng);
+  for (auto _ : state) {
+    const flips::ml::Tensor& logits = model.forward(x);
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_MlpEvalForward);
 
 }  // namespace
 

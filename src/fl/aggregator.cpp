@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/simd.h"
 #include "obs/metrics.h"
 
 namespace flips::fl {
@@ -140,31 +141,12 @@ template <std::size_t N>
   }
 }
 
-// TSan cannot run target_clones binaries (the IFUNC resolver fires
-// before the TSan runtime is up — instant segfault on gcc 12), so the
-// multiversioning is compiled out under -fsanitize=thread. Results are
-// identical either way: every clone is bit-identical by construction.
-#if defined(__SANITIZE_THREAD__)
-#define FLIPS_FOLD_CLONES
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define FLIPS_FOLD_CLONES
-#endif
-#endif
-#ifndef FLIPS_FOLD_CLONES
-#define FLIPS_FOLD_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#endif
-
 /// Dispatches a run of `count` rows through the fixed-size kernels in
 /// party order (8s, then 4, 2, 1) — the chain through acc stays strict
 /// left-to-right across calls.
 ///
-/// target_clones: the CMakeLists pins -ffp-contract=off for this file,
-/// so the AVX2/AVX-512 clones issue separate vmulpd/vaddpd (no FMA
-/// contraction) and every clone — and every SIMD width — produces
-/// exactly the scalar chain's bits. The clones only buy lane width.
-FLIPS_FOLD_CLONES void
+/// Every clone (common/simd.h) produces exactly the scalar chain's bits.
+FLIPS_TARGET_CLONES void
 fold_rows(double* acc, const double* const* rows,
           const double* weights, std::size_t count, std::size_t dim) {
   while (count >= 8) {

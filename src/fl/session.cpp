@@ -35,11 +35,12 @@ EvalResult evaluate(const ml::Sequential& model, const ml::Tensor& features,
   std::vector<double> totals(num_classes, 0.0);
 
   std::vector<std::uint32_t> preds(n, 0);
-  // Fixed chunk granularity, NOT pool.size()-derived: the ML kernels
-  // build with -ffast-math, where a row's position inside its chunk
-  // decides which SIMD-body/remainder code path computes it. Constant
-  // boundaries keep every row's arithmetic identical for every thread
-  // count; the pool merely distributes the chunks.
+  // Fixed chunk granularity, not pool.size()-derived. Every row's
+  // logits are one fixed chain wherever the row sits in its chunk
+  // (ml/kernels.h), so the chunking cannot change results; a constant
+  // size keeps the work split the same for every thread count and each
+  // full chunk a whole number of the dense kernel's 4-row tiles. The
+  // pool merely distributes the chunks.
   constexpr std::size_t kEvalChunkRows = 64;
   const std::size_t num_chunks = (n + kEvalChunkRows - 1) / kEvalChunkRows;
   // Scratch models are recycled through a small checkout stack so the

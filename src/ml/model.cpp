@@ -3,18 +3,174 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+
+#include "common/simd.h"
+#include "ml/kernels.h"
 
 namespace flips::ml {
+
+// ------------------------------------------------------------------
+// Kernels (ml/kernels.h). This file builds with -ffp-contract=off and
+// without -ffast-math, so each clone below computes exactly the
+// documented scalar chains; only the lane width differs.
+
+namespace {
+
+/// Eight doubles as one value (GNU vector extension): element-wise IEEE
+/// ops, which the compiler maps to one zmm, two ymm or four xmm
+/// registers per clone. Moved to and from memory with memcpy, so no
+/// alignment is assumed.
+using Vec8 = double __attribute__((vector_size(8 * sizeof(double))));
+constexpr std::size_t kVec = 8;
+
+}  // namespace
+
+FLIPS_TARGET_CLONES void dense_forward(const double* x, const double* w,
+                                       const double* b, double* y,
+                                       std::size_t batch, std::size_t in,
+                                       std::size_t out) {
+  std::size_t r = 0;
+  // Wide layers, 4 rows at a time: a 4 x 8 tile of accumulators stays
+  // in registers across the whole input loop, so each weight vector
+  // loaded feeds 4 rows and no partial sum goes through memory. The
+  // last block is shifted back to end at `out` and may recompute a few
+  // outputs of the previous block, with identical bits: every lane runs
+  // the same chain.
+  for (; out >= kVec && r + 4 <= batch; r += 4) {
+    const double* x0 = x + r * in;
+    const double* x1 = x0 + in;
+    const double* x2 = x1 + in;
+    const double* x3 = x2 + in;
+    double* y0 = y + r * out;
+    for (std::size_t block = 0; block < out; block += kVec) {
+      const std::size_t o = std::min(block, out - kVec);
+      Vec8 a0 = {};
+      if (b != nullptr) std::memcpy(&a0, b + o, sizeof(Vec8));
+      Vec8 a1 = a0;
+      Vec8 a2 = a0;
+      Vec8 a3 = a0;
+      for (std::size_t i = 0; i < in; ++i) {
+        Vec8 wv;
+        std::memcpy(&wv, w + i * out + o, sizeof(Vec8));
+        a0 += x0[i] * wv;
+        a1 += x1[i] * wv;
+        a2 += x2[i] * wv;
+        a3 += x3[i] * wv;
+      }
+      std::memcpy(y0 + o, &a0, sizeof(Vec8));
+      std::memcpy(y0 + out + o, &a1, sizeof(Vec8));
+      std::memcpy(y0 + 2 * out + o, &a2, sizeof(Vec8));
+      std::memcpy(y0 + 3 * out + o, &a3, sizeof(Vec8));
+    }
+  }
+  // Narrow layers and the batch % 4 rest: one row at a time, the
+  // accumulators in the output row.
+  for (; r < batch; ++r) {
+    const double* __restrict__ xr = x + r * in;
+    double* __restrict__ yr = y + r * out;
+    if (b != nullptr) {
+      std::copy(b, b + out, yr);
+    } else {
+      std::fill(yr, yr + out, 0.0);
+    }
+    for (std::size_t i = 0; i < in; ++i) {
+      const double xi = xr[i];
+      const double* __restrict__ wi = w + i * out;
+      for (std::size_t o = 0; o < out; ++o) yr[o] += xi * wi[o];
+    }
+  }
+}
+
+FLIPS_TARGET_CLONES void dense_backward_params(const double* x,
+                                               const double* g, double* gw,
+                                               double* gb, std::size_t batch,
+                                               std::size_t in,
+                                               std::size_t out) {
+  const std::size_t tiled = batch - batch % 4;
+  std::size_t r = 0;
+  for (; r < tiled; r += 4) {
+    const double* g0 = g + r * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      gb[o] += (g0[o] + g0[out + o]) + (g0[2 * out + o] + g0[3 * out + o]);
+    }
+  }
+  for (; r < batch; ++r) {
+    for (std::size_t o = 0; o < out; ++o) gb[o] += g[r * out + o];
+  }
+
+  // Weight gradient: each gw[i][o] chain runs over the whole batch in a
+  // register (tiles in row order, then the rest rows), so gw is read and
+  // written once per call. Wide layers run 8 outputs per chain set; the
+  // last block is shifted back to end at `out` and starts from the
+  // values gw held before this row was touched, so the outputs it
+  // shares with the previous block get identical bits, not a second
+  // accumulation.
+  if (out < kVec) {
+    for (std::size_t i = 0; i < in; ++i) {
+      for (std::size_t o = 0; o < out; ++o) {
+        double acc = gw[i * out + o];
+        for (r = 0; r < tiled; r += 4) {
+          const double* xr = x + r * in + i;
+          const double* gr = g + r * out + o;
+          acc += (xr[0] * gr[0] + xr[in] * gr[out]) +
+                 (xr[2 * in] * gr[2 * out] + xr[3 * in] * gr[3 * out]);
+        }
+        for (; r < batch; ++r) acc += x[r * in + i] * g[r * out + o];
+        gw[i * out + o] = acc;
+      }
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < in; ++i) {
+    double* gwi = gw + i * out;
+    Vec8 last;
+    std::memcpy(&last, gwi + out - kVec, sizeof(Vec8));
+    for (std::size_t block = 0; block < out; block += kVec) {
+      const std::size_t o = std::min(block, out - kVec);
+      Vec8 acc = last;
+      if (o == block) std::memcpy(&acc, gwi + o, sizeof(Vec8));
+      for (r = 0; r < tiled; r += 4) {
+        const double* xr = x + r * in + i;
+        const double* gr = g + r * out + o;
+        Vec8 g0, g1, g2, g3;
+        std::memcpy(&g0, gr, sizeof(Vec8));
+        std::memcpy(&g1, gr + out, sizeof(Vec8));
+        std::memcpy(&g2, gr + 2 * out, sizeof(Vec8));
+        std::memcpy(&g3, gr + 3 * out, sizeof(Vec8));
+        acc += (xr[0] * g0 + xr[in] * g1) +
+               (xr[2 * in] * g2 + xr[3 * in] * g3);
+      }
+      for (; r < batch; ++r) {
+        Vec8 gr;
+        std::memcpy(&gr, g + r * out + o, sizeof(Vec8));
+        acc += x[r * in + i] * gr;
+      }
+      std::memcpy(gwi + o, &acc, sizeof(Vec8));
+    }
+  }
+}
+
+FLIPS_TARGET_CLONES void tanh_elements(const double* x, double* y,
+                                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = ml::tanh(x[i]);
+}
+
+FLIPS_TARGET_CLONES void exp_elements(const double* x, double* y,
+                                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = ml::exp(x[i]);
+}
 
 namespace {
 
 // ------------------------------------------------------------------
 // Dense (fully connected) layer: out = W x + b.
 //
-// Weights are stored input-major ([in][out]) so both the forward
-// accumulation and the weight-gradient update walk contiguous memory
-// with an independent accumulator per output unit — loops gcc can
-// vectorize without reassociating a single dot product.
+// Weights are stored input-major ([in][out]) so the forward pass and
+// the weight-gradient update walk contiguous memory with an independent
+// accumulator per output unit. The input gradient runs the forward
+// kernel over a transposed copy of W (weights_t_, refreshed per
+// backward), so its lanes also run across independent outputs.
 
 class DenseLayer final : public Layer {
  public:
@@ -26,143 +182,32 @@ class DenseLayer final : public Layer {
     for (std::size_t i = 0; i < in * out; ++i) init_[i] = scale * rng.normal();
   }
 
-  // Both passes are register-blocked over the batch (4 samples per
-  // block): each loaded weight row is applied to 4 samples, cutting
-  // weight-load and gradient-store traffic 4x, and the 4 independent
-  // accumulator sets hide FP add latency. The o-loops run over a
-  // contiguous weight row, which gcc vectorizes.
-
   const Tensor& forward(const Tensor& input) override {
     input_ = &input;
-    const std::size_t batch = input.rows();
-    output_.resize(batch, out_);
-    const double* __restrict__ w_base = weights_;
-    const double* __restrict__ bias = bias_;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      const double* __restrict__ x0 = input.row(b);
-      const double* __restrict__ x1 = input.row(b + 1);
-      const double* __restrict__ x2 = input.row(b + 2);
-      const double* __restrict__ x3 = input.row(b + 3);
-      double* __restrict__ y0 = output_.row(b);
-      double* __restrict__ y1 = output_.row(b + 1);
-      double* __restrict__ y2 = output_.row(b + 2);
-      double* __restrict__ y3 = output_.row(b + 3);
-      std::copy(bias, bias + out_, y0);
-      std::copy(bias, bias + out_, y1);
-      std::copy(bias, bias + out_, y2);
-      std::copy(bias, bias + out_, y3);
-      for (std::size_t i = 0; i < in_; ++i) {
-        const double xi0 = x0[i];
-        const double xi1 = x1[i];
-        const double xi2 = x2[i];
-        const double xi3 = x3[i];
-        const double* __restrict__ w = w_base + i * out_;
-        for (std::size_t o = 0; o < out_; ++o) {
-          const double wo = w[o];
-          y0[o] += xi0 * wo;
-          y1[o] += xi1 * wo;
-          y2[o] += xi2 * wo;
-          y3[o] += xi3 * wo;
-        }
-      }
-    }
-    for (; b < batch; ++b) {
-      const double* __restrict__ x = input.row(b);
-      double* __restrict__ y = output_.row(b);
-      std::copy(bias, bias + out_, y);
-      for (std::size_t i = 0; i < in_; ++i) {
-        const double xi = x[i];
-        const double* __restrict__ w = w_base + i * out_;
-        for (std::size_t o = 0; o < out_; ++o) y[o] += xi * w[o];
-      }
-    }
+    output_.resize(input.rows(), out_);
+    dense_forward(input.data(), weights_, bias_, output_.data(),
+                  input.rows(), in_, out_);
     return output_;
   }
 
   const Tensor& backward(const Tensor& grad_output,
                          bool need_input_grad) override {
     const std::size_t batch = grad_output.rows();
-    grad_input_.resize(need_input_grad ? batch : 0, in_);
-    double* __restrict__ gb = grad_bias_;
-    double* __restrict__ gw_base = grad_weights_;
-    const double* __restrict__ w_base = weights_;
-    std::size_t b = 0;
-    for (; b + 4 <= batch; b += 4) {
-      const double* __restrict__ g0 = grad_output.row(b);
-      const double* __restrict__ g1 = grad_output.row(b + 1);
-      const double* __restrict__ g2 = grad_output.row(b + 2);
-      const double* __restrict__ g3 = grad_output.row(b + 3);
-      const double* __restrict__ x0 = input_->row(b);
-      const double* __restrict__ x1 = input_->row(b + 1);
-      const double* __restrict__ x2 = input_->row(b + 2);
-      const double* __restrict__ x3 = input_->row(b + 3);
-      // Only touch grad_input_ rows when they exist: with
-      // need_input_grad false the tensor has zero rows, and forming
-      // data() + offset over an empty buffer would be UB.
-      double* __restrict__ gi0 =
-          need_input_grad ? grad_input_.row(b) : nullptr;
-      double* __restrict__ gi1 =
-          need_input_grad ? grad_input_.row(b + 1) : nullptr;
-      double* __restrict__ gi2 =
-          need_input_grad ? grad_input_.row(b + 2) : nullptr;
-      double* __restrict__ gi3 =
-          need_input_grad ? grad_input_.row(b + 3) : nullptr;
-      for (std::size_t o = 0; o < out_; ++o) {
-        gb[o] += (g0[o] + g1[o]) + (g2[o] + g3[o]);
-      }
-      for (std::size_t i = 0; i < in_; ++i) {
-        const double xi0 = x0[i];
-        const double xi1 = x1[i];
-        const double xi2 = x2[i];
-        const double xi3 = x3[i];
-        double* __restrict__ gw = gw_base + i * out_;
-        if (need_input_grad) {
-          const double* __restrict__ w = w_base + i * out_;
-          double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-          for (std::size_t o = 0; o < out_; ++o) {
-            const double wo = w[o];
-            gw[o] +=
-                (xi0 * g0[o] + xi1 * g1[o]) + (xi2 * g2[o] + xi3 * g3[o]);
-            a0 += wo * g0[o];
-            a1 += wo * g1[o];
-            a2 += wo * g2[o];
-            a3 += wo * g3[o];
-          }
-          gi0[i] = a0;
-          gi1[i] = a1;
-          gi2[i] = a2;
-          gi3[i] = a3;
-        } else {
-          for (std::size_t o = 0; o < out_; ++o) {
-            gw[o] +=
-                (xi0 * g0[o] + xi1 * g1[o]) + (xi2 * g2[o] + xi3 * g3[o]);
-          }
-        }
-      }
+    dense_backward_params(input_->data(), grad_output.data(), grad_weights_,
+                          grad_bias_, batch, in_, out_);
+    if (!need_input_grad) {
+      grad_input_.resize(0, in_);
+      return grad_input_;
     }
-    for (; b < batch; ++b) {
-      const double* __restrict__ g = grad_output.row(b);
-      const double* __restrict__ x = input_->row(b);
-      double* __restrict__ gi =
-          need_input_grad ? grad_input_.row(b) : nullptr;
-      for (std::size_t o = 0; o < out_; ++o) gb[o] += g[o];
-      for (std::size_t i = 0; i < in_; ++i) {
-        const double xi = x[i];
-        double* __restrict__ gw = gw_base + i * out_;
-        if (need_input_grad) {
-          const double* __restrict__ w = w_base + i * out_;
-          double acc = 0.0;
-          for (std::size_t o = 0; o < out_; ++o) {
-            gw[o] += xi * g[o];
-            acc += w[o] * g[o];
-          }
-          gi[i] = acc;
-        } else {
-          for (std::size_t o = 0; o < out_; ++o) gw[o] += xi * g[o];
-        }
-      }
+    weights_t_.resize(out_, in_);
+    for (std::size_t i = 0; i < in_; ++i) {
+      const double* w = weights_ + i * out_;
+      for (std::size_t o = 0; o < out_; ++o) weights_t_(o, i) = w[o];
     }
+    grad_input_.resize(batch, in_);
+    // dL/dx = g W^T is dense_forward over W^T with no bias.
+    dense_forward(grad_output.data(), weights_t_.data(), nullptr,
+                  grad_input_.data(), batch, out_, in_);
     return grad_input_;
   }
 
@@ -198,6 +243,7 @@ class DenseLayer final : public Layer {
   const Tensor* input_ = nullptr;
   Tensor output_;
   Tensor grad_input_;
+  Tensor weights_t_;  ///< [out][in] scratch: W^T for the input gradient
 };
 
 // ------------------------------------------------------------------
@@ -207,10 +253,7 @@ class TanhLayer final : public Layer {
  public:
   const Tensor& forward(const Tensor& input) override {
     output_.resize(input.rows(), input.cols());
-    const double* __restrict__ x = input.data();
-    double* __restrict__ v = output_.data();
-    const std::size_t n = output_.size();
-    for (std::size_t i = 0; i < n; ++i) v[i] = std::tanh(x[i]);
+    tanh_elements(input.data(), output_.data(), output_.size());
     return output_;
   }
 
@@ -299,18 +342,23 @@ const Tensor& Sequential::forward(const Tensor& features) {
 
 namespace {
 
-/// Softmax in place, row by row. Numerically stabilized.
+/// Softmax in place, row by row. Numerically stabilized: each row is
+/// shifted by its max, then one exp pass covers the whole tensor. The
+/// row sum is one scalar chain in column order.
 void softmax_rows(Tensor& logits) {
   const std::size_t cols = logits.cols();
+  if (cols == 0) return;
   for (std::size_t b = 0; b < logits.rows(); ++b) {
     double* row = logits.row(b);
-    double max = cols == 0 ? 0.0 : row[0];
+    double max = row[0];
     for (std::size_t c = 1; c < cols; ++c) max = std::max(max, row[c]);
+    for (std::size_t c = 0; c < cols; ++c) row[c] -= max;
+  }
+  exp_elements(logits.data(), logits.data(), logits.size());
+  for (std::size_t b = 0; b < logits.rows(); ++b) {
+    double* row = logits.row(b);
     double sum = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - max);
-      sum += row[c];
-    }
+    for (std::size_t c = 0; c < cols; ++c) sum += row[c];
     const double inv = 1.0 / sum;
     for (std::size_t c = 0; c < cols; ++c) row[c] *= inv;
   }

@@ -1,11 +1,21 @@
 // Model substrate: parameter round-trips, value-semantics, numeric
-// gradient checks for the dense stack, and hand-computed
-// checks pinning the flat (contiguous-Tensor) kernels to the math of
-// the original nested-vector path.
+// gradient checks for the dense stack, hand-computed checks pinning the
+// flat (contiguous-Tensor) kernels to the math of the original
+// nested-vector path, and lane-invariance checks: every kernel in
+// ml/kernels.h must equal a naive scalar reference bit for bit, whichever
+// clone (SSE2, AVX2, AVX-512) the host runs.
+//
+// Builds with -ffp-contract=off (tests/CMakeLists.txt), like the kernels,
+// so the scalar references here round exactly as documented.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "ml/kernels.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
 #include "ml/tensor.h"
@@ -226,6 +236,204 @@ TEST(Sgd, LearningRateDecaySchedule) {
   EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(10), 0.1);
   EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(11), 0.05);
   EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(21), 0.025);
+}
+
+
+// ------------------------------------------------------------------
+// Lane invariance: the kernels against naive scalar loops written in
+// the summation order ml/kernels.h documents. Batch sizes 1-9 cover
+// the 4-row tiles and every remainder; widths 5, 24, 62 and 65 (and
+// in = 3, 17, 24 for the input gradient, the forward kernel over W^T
+// with `in` as its width) cover narrow layers, full vectors and
+// remainders at 2, 4 and 8 lanes.
+
+std::vector<double> random_values(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const std::vector<double>& actual,
+                      const std::vector<double>& expected,
+                      const char* what, std::size_t batch, std::size_t in,
+                      std::size_t out) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t k = 0; k < actual.size(); ++k) {
+    ASSERT_EQ(bits(actual[k]), bits(expected[k]))
+        << what << " differs at " << k << " (batch " << batch << ", in "
+        << in << ", out " << out << "): " << actual[k] << " vs "
+        << expected[k];
+  }
+}
+
+TEST(LaneInvariance, DenseKernelsMatchScalarReference) {
+  Rng rng(41);
+  for (const std::size_t out : {5u, 24u, 62u, 65u}) {
+    for (const std::size_t in : {3u, 17u, 24u}) {
+      for (std::size_t batch = 1; batch <= 9; ++batch) {
+        const auto x = random_values(batch * in, rng);
+        const auto w = random_values(in * out, rng);
+        const auto b = random_values(out, rng);
+        const auto g = random_values(batch * out, rng);
+        // Accumulators start non-zero: the kernels add into them.
+        const auto gw0 = random_values(in * out, rng);
+        const auto gb0 = random_values(out, rng);
+
+        std::vector<double> y(batch * out);
+        flips::ml::dense_forward(x.data(), w.data(), b.data(), y.data(),
+                                 batch, in, out);
+        std::vector<double> y_ref(batch * out);
+        for (std::size_t r = 0; r < batch; ++r) {
+          for (std::size_t o = 0; o < out; ++o) {
+            double acc = b[o];
+            for (std::size_t i = 0; i < in; ++i) {
+              acc += x[r * in + i] * w[i * out + o];
+            }
+            y_ref[r * out + o] = acc;
+          }
+        }
+        expect_same_bits(y, y_ref, "forward", batch, in, out);
+
+        std::vector<double> gw = gw0;
+        std::vector<double> gb = gb0;
+        flips::ml::dense_backward_params(x.data(), g.data(), gw.data(),
+                                         gb.data(), batch, in, out);
+        std::vector<double> gw_ref = gw0;
+        std::vector<double> gb_ref = gb0;
+        const auto xg = [&](std::size_t r, std::size_t i, std::size_t o) {
+          return x[r * in + i] * g[r * out + o];
+        };
+        std::size_t r = 0;
+        for (; r + 4 <= batch; r += 4) {
+          for (std::size_t o = 0; o < out; ++o) {
+            const auto go = [&](std::size_t k) { return g[k * out + o]; };
+            gb_ref[o] += (go(r) + go(r + 1)) + (go(r + 2) + go(r + 3));
+            for (std::size_t i = 0; i < in; ++i) {
+              gw_ref[i * out + o] += (xg(r, i, o) + xg(r + 1, i, o)) +
+                                     (xg(r + 2, i, o) + xg(r + 3, i, o));
+            }
+          }
+        }
+        for (; r < batch; ++r) {
+          for (std::size_t o = 0; o < out; ++o) {
+            gb_ref[o] += g[r * out + o];
+            for (std::size_t i = 0; i < in; ++i) {
+              gw_ref[i * out + o] += xg(r, i, o);
+            }
+          }
+        }
+        expect_same_bits(gw, gw_ref, "weight gradient", batch, in, out);
+        expect_same_bits(gb, gb_ref, "bias gradient", batch, in, out);
+
+        std::vector<double> wt(out * in);
+        for (std::size_t i = 0; i < in; ++i) {
+          for (std::size_t o = 0; o < out; ++o) {
+            wt[o * in + i] = w[i * out + o];
+          }
+        }
+        std::vector<double> gi(batch * in, -1.0);
+        flips::ml::dense_forward(g.data(), wt.data(), nullptr, gi.data(),
+                                 batch, out, in);
+        std::vector<double> gi_ref(batch * in);
+        for (std::size_t rr = 0; rr < batch; ++rr) {
+          for (std::size_t i = 0; i < in; ++i) {
+            double acc = 0.0;
+            for (std::size_t o = 0; o < out; ++o) {
+              acc += w[i * out + o] * g[rr * out + o];
+            }
+            gi_ref[rr * in + i] = acc;
+          }
+        }
+        expect_same_bits(gi, gi_ref, "input gradient", batch, in, out);
+      }
+    }
+  }
+}
+
+// Element i of the vector loops equals the scalar function, at every
+// length 1-17 (full vectors plus each remainder) and at an unaligned
+// start.
+TEST(LaneInvariance, ElementwiseLoopsMatchScalarFunctions) {
+  Rng rng(43);
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (std::size_t offset = 0; offset <= 1; ++offset) {
+      std::vector<double> x(n + offset);
+      for (auto& v : x) v = 8.0 * rng.normal();
+      std::vector<double> y(n + offset, 0.0);
+      flips::ml::tanh_elements(x.data() + offset, y.data() + offset, n);
+      std::vector<double> e(n + offset, 0.0);
+      flips::ml::exp_elements(x.data() + offset, e.data() + offset, n);
+      for (std::size_t i = offset; i < n + offset; ++i) {
+        EXPECT_EQ(bits(y[i]), bits(flips::ml::tanh(x[i])))
+            << "tanh, n " << n << ", element " << i;
+        EXPECT_EQ(bits(e[i]), bits(flips::ml::exp(x[i])))
+            << "exp, n " << n << ", element " << i;
+      }
+    }
+  }
+}
+
+/// Distance in representable doubles; 0 for equal values (+0 == -0).
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double v) {
+    const auto i = std::bit_cast<std::int64_t>(v);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  // Subtract as unsigned: the gap between opposite-sign values can
+  // exceed the int64 range.
+  const auto ia = static_cast<std::uint64_t>(ordered(a));
+  const auto ib = static_cast<std::uint64_t>(ordered(b));
+  return ordered(a) > ordered(b) ? ia - ib : ib - ia;
+}
+
+/// A grid over [lo, hi] plus tiny magnitudes down to subnormals.
+std::vector<double> accuracy_grid(double lo, double hi, double step) {
+  std::vector<double> grid;
+  for (double x = lo; x <= hi; x += step) grid.push_back(x);
+  for (int e = 20; e <= 1074; e += 3) {
+    for (const double m : {1.0, 1.37, 1.9}) {
+      grid.push_back(std::ldexp(m, -e));
+      grid.push_back(-std::ldexp(m, -e));
+    }
+  }
+  return grid;
+}
+
+TEST(StrictMath, ExpWithinTwoUlpOfLibm) {
+  for (const double x : accuracy_grid(-745.0, 709.7, 0.0137)) {
+    EXPECT_LE(ulp_distance(flips::ml::exp(x), std::exp(x)), 2u)
+        << "x = " << x;
+  }
+  EXPECT_EQ(flips::ml::exp(0.0), 1.0);
+  EXPECT_EQ(flips::ml::exp(-0.0), 1.0);
+  EXPECT_EQ(flips::ml::exp(710.0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(flips::ml::exp(std::numeric_limits<double>::infinity()),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(flips::ml::exp(-746.0), 0.0);
+  EXPECT_EQ(flips::ml::exp(-std::numeric_limits<double>::infinity()), 0.0);
+  EXPECT_TRUE(std::isnan(
+      flips::ml::exp(std::numeric_limits<double>::quiet_NaN())));
+}
+
+TEST(StrictMath, TanhWithinTwoUlpOfLibm) {
+  for (const double x : accuracy_grid(-30.0, 30.0, 0.00037)) {
+    EXPECT_LE(ulp_distance(flips::ml::tanh(x), std::tanh(x)), 2u)
+        << "x = " << x;
+  }
+  // Sign of zero kept; tanh(x) == x far below 1 ulp of x^3/3.
+  EXPECT_EQ(bits(flips::ml::tanh(-0.0)), bits(-0.0));
+  EXPECT_EQ(flips::ml::tanh(1e-300), 1e-300);
+  EXPECT_EQ(flips::ml::tanh(-5e-324), -5e-324);
+  // Saturation is exact.
+  for (const double x : {20.0, 21.5, 22.0, 40.0, 1e300}) {
+    EXPECT_EQ(flips::ml::tanh(x), 1.0) << x;
+    EXPECT_EQ(flips::ml::tanh(-x), -1.0) << x;
+  }
+  EXPECT_EQ(flips::ml::tanh(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_TRUE(std::isnan(
+      flips::ml::tanh(std::numeric_limits<double>::quiet_NaN())));
 }
 
 }  // namespace
