@@ -10,21 +10,16 @@
 #include <iostream>
 
 #include "common/experiment.h"
+#include "common/scenario.h"
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 100;
-  default_scale.runs = 2;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
-
-  flips::bench::ExperimentConfig config;
-  config.spec = flips::data::DatasetCatalog::ecg();
-  config.alpha = 0.3;
-  config.participation = 0.2;
-  config.server_opt = flips::fl::ServerOpt::kFedAvg;  // isolate client algo
-  config.target_accuracy = 0.6;
-  options.apply(config);  // scale / seed / threads / codec in one place
+  // Spec defaults: ECG, alpha 0.3, 20 % participation and a FedAvg
+  // server, which isolates the client algorithm.
+  flips::ScenarioSpec defaults;
+  defaults.target_accuracy = 0.6;
+  defaults.runs = 2;
+  auto config = flips::to_experiment_config(
+      flips::parse_scenario_args(argc, argv, defaults).spec);
 
   std::cout << "=== Selection vs drift-correction (ECG-style, alpha=0.3, "
                "FedAvg server) ===\n\n";

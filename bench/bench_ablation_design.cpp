@@ -5,11 +5,10 @@
 //      normalized proportions vs Hellinger (sqrt-proportion) space;
 //   C. cluster-count sensitivity (k sweep around the elbow's choice);
 //   D. the Power-of-Choice extension vs FLIPS and random.
-#include <cmath>
 #include <iostream>
 
-#include "cluster/kmeans.h"
 #include "common/experiment.h"
+#include "common/scenario.h"
 #include "common/stats.h"
 #include "data/federated.h"
 #include "fl/session.h"
@@ -17,8 +16,6 @@
 #include "selection/flips_selector.h"
 
 namespace {
-
-using flips::bench::BenchOptions;
 
 struct Fed {
   std::vector<flips::fl::Party> parties;
@@ -51,42 +48,14 @@ Fed build(std::uint64_t seed, std::size_t parties_n) {
   return fed;
 }
 
-enum class LdSpace { kRawCounts, kProportions, kHellinger };
+using flips::bench::cluster_label_distributions;
+using flips::bench::LdSpace;
 
-std::vector<std::size_t> cluster_lds(const Fed& fed, std::size_t k,
-                                     LdSpace space, std::uint64_t seed) {
-  std::vector<flips::cluster::Point> points;
-  for (const auto& ld : fed.lds) {
-    flips::cluster::Point p;
-    switch (space) {
-      case LdSpace::kRawCounts:
-        p.assign(ld.begin(), ld.end());
-        break;
-      case LdSpace::kProportions:
-        p = flips::common::normalized(ld);
-        break;
-      case LdSpace::kHellinger:
-        p = flips::common::normalized(ld);
-        for (auto& v : p) v = std::sqrt(v);
-        break;
-    }
-    points.push_back(std::move(p));
-  }
-  flips::cluster::KMeansConfig kc;
-  kc.k = std::min(k, points.size());
-  kc.restarts = 3;
-  flips::common::Rng rng(seed ^ 0xC1);
-  return flips::cluster::kmeans(points, kc, rng).assignments;
-}
-
-double run_flips(const Fed& fed, const std::vector<std::size_t>& clusters,
-                 std::size_t k, bool overprovision, double straggler_rate,
-                 std::uint64_t seed, std::size_t rounds) {
-  flips::select::FlipsSelectorConfig sc;
-  sc.overprovision = overprovision;
-  auto selector =
-      std::make_unique<flips::select::FlipsSelector>(clusters, k, sc);
-
+/// Peak accuracy of one FedYogi job over `fed` driven by `selector`.
+double run_job(const Fed& fed,
+               std::unique_ptr<flips::fl::ParticipantSelector> selector,
+               double straggler_rate, std::uint64_t seed,
+               std::size_t rounds) {
   flips::fl::FlJobConfig config;
   config.rounds = rounds;
   config.parties_per_round = fed.parties.size() / 5;
@@ -117,30 +86,38 @@ double avg2(F&& f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 80;
-  const BenchOptions options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
-  const std::size_t parties = options.scale.num_parties;
-  const std::size_t rounds = options.scale.rounds;
+  flips::ScenarioSpec defaults;
+  defaults.rounds = 80;
+  const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
+  const std::size_t parties = spec.parties;
+  const std::size_t rounds = spec.rounds;
 
   std::cout << "FLIPS design ablations (ECG stand-in, alpha=0.3, FedYogi, "
             << parties << " parties, " << rounds << " rounds)\n";
+
+  // FLIPS over k clusters of the label distributions in `space`, mean
+  // peak accuracy over two federations.
+  auto flips_acc = [&](std::size_t k, LdSpace space, bool overprovision,
+                       double straggler_rate) {
+    return avg2([&](std::uint64_t s) {
+      const Fed fed = build(s, parties);
+      flips::select::FlipsSelectorConfig sc;
+      sc.overprovision = overprovision;
+      return run_job(fed,
+                     std::make_unique<flips::select::FlipsSelector>(
+                         cluster_label_distributions(fed.lds, k, space,
+                                                     s ^ 0xC1),
+                         k, sc),
+                     straggler_rate, s, rounds);
+    });
+  };
 
   // A. Straggler over-provisioning.
   std::cout << "\n[A] straggler over-provisioning (peak balanced acc %)\n"
                "  rate   with    without\n";
   for (const double rate : {0.0, 0.1, 0.2, 0.3}) {
-    const double with_op = avg2([&](std::uint64_t s) {
-      const Fed fed = build(s, parties);
-      const auto clusters = cluster_lds(fed, 20, LdSpace::kHellinger, s);
-      return run_flips(fed, clusters, 20, true, rate, s, rounds);
-    });
-    const double without = avg2([&](std::uint64_t s) {
-      const Fed fed = build(s, parties);
-      const auto clusters = cluster_lds(fed, 20, LdSpace::kHellinger, s);
-      return run_flips(fed, clusters, 20, false, rate, s, rounds);
-    });
+    const double with_op = flips_acc(20, LdSpace::kHellinger, true, rate);
+    const double without = flips_acc(20, LdSpace::kHellinger, false, rate);
     printf("  %3.0f%%   %5.1f   %5.1f\n", 100.0 * rate, 100.0 * with_op,
            100.0 * without);
   }
@@ -151,24 +128,15 @@ int main(int argc, char** argv) {
        {std::pair{LdSpace::kRawCounts, "raw counts  "},
         std::pair{LdSpace::kProportions, "proportions "},
         std::pair{LdSpace::kHellinger, "hellinger   "}}) {
-    const double acc = avg2([&, space = space](std::uint64_t s) {
-      const Fed fed = build(s, parties);
-      const auto clusters = cluster_lds(fed, 20, space, s);
-      return run_flips(fed, clusters, 20, true, 0.0, s, rounds);
-    });
-    printf("  %s  %5.1f %%\n", name, 100.0 * acc);
+    printf("  %s  %5.1f %%\n", name, 100.0 * flips_acc(20, space, true, 0.0));
   }
 
   // C. Cluster-count sensitivity.
   std::cout << "\n[C] cluster count k (paper's elbow picks ~10 at its "
                "scale; the reduced-scale federations calibrate at 20)\n";
   for (const std::size_t k : {5u, 10u, 20u, 40u}) {
-    const double acc = avg2([&](std::uint64_t s) {
-      const Fed fed = build(s, parties);
-      const auto clusters = cluster_lds(fed, k, LdSpace::kHellinger, s);
-      return run_flips(fed, clusters, k, true, 0.0, s, rounds);
-    });
-    printf("  k=%-3zu  %5.1f %%\n", k, 100.0 * acc);
+    printf("  k=%-3zu  %5.1f %%\n", k,
+           100.0 * flips_acc(k, LdSpace::kHellinger, true, 0.0));
   }
 
   // D. Power-of-Choice extension vs FLIPS vs random.
@@ -183,30 +151,13 @@ int main(int argc, char** argv) {
       flips::select::SelectorContext ctx;
       ctx.num_parties = fed.parties.size();
       ctx.seed = s ^ 0x5E1E;
-      ctx.cluster_of = cluster_lds(fed, 20, LdSpace::kHellinger, s);
+      ctx.cluster_of = cluster_label_distributions(
+          fed.lds, 20, LdSpace::kHellinger, s ^ 0xC1);
       ctx.num_clusters = 20;
       ctx.latencies = fed.latencies;
       ctx.rounds_hint = rounds;
-
-      flips::fl::FlJobConfig config;
-      config.rounds = rounds;
-      config.parties_per_round = fed.parties.size() / 5;
-      config.local.epochs = 2;
-      config.local.sgd.learning_rate = 0.05;
-      config.local.sgd.lr_decay_factor = 0.5;
-      config.local.sgd.lr_decay_rounds = 20;
-      config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
-      config.server.learning_rate = 0.05;
-      config.seed = s;
-      config.eval_every = 2;
-
-      flips::common::Rng mrng(s ^ 0x30DE);
-      auto model = flips::ml::ModelFactory::mlp(32, 24, 5, mrng);
-      flips::fl::FederationSession session(
-          config, fed.parties, fed.test, std::move(model),
-          flips::select::make_selector(kind, ctx));
-      while (!session.done()) session.advance();
-      return session.result().peak_accuracy;
+      return run_job(fed, flips::select::make_selector(kind, ctx), 0.0, s,
+                     rounds);
     });
     printf("  %-8s  %5.1f %%\n", flips::select::to_string(kind),
            100.0 * acc);

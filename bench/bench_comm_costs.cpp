@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "common/experiment.h"
+#include "common/scenario.h"
 
 namespace {
 
@@ -20,18 +21,13 @@ using flips::select::SelectorKind;
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 120;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
-
-  ExperimentConfig config;
-  config.spec = flips::data::DatasetCatalog::ecg();
-  config.alpha = 0.3;
-  config.participation = 0.2;
-  config.server_opt = flips::fl::ServerOpt::kFedYogi;
-  config.target_accuracy = 0.6;
-  options.apply(config);  // scale / seed / threads / codec in one place
+  flips::ScenarioSpec defaults;  // ECG, alpha 0.3, 20 % participation
+  defaults.server_opt = "fedyogi";
+  defaults.target_accuracy = 0.6;
+  defaults.rounds = 120;
+  defaults.runs = 3;
+  const ExperimentConfig config = flips::to_experiment_config(
+      flips::parse_scenario_args(argc, argv, defaults).spec);
 
   std::cout << "=== Communication cost to reach 60% balanced accuracy "
                "(ECG-style, alpha=0.3, FedYogi) ===\n";
@@ -46,8 +42,21 @@ int main(int argc, char** argv) {
   struct Row {
     std::string name;
     std::optional<double> rounds;
-    double gib_to_target = 0.0;
+    double peak = 0.0;  ///< %
     double gib_total = 0.0;
+    double gib_per_round = 0.0;
+    double gib_to_target = 0.0;  ///< total moved (a lower bound) if never
+  };
+  // Bytes are uniform per round (fixed Nr), so bytes-to-target scales
+  // linearly with rounds-to-target.
+  auto to_row = [&](std::string name,
+                    const flips::bench::SelectorResult& result) {
+    Row row{std::move(name), result.rounds_to_target,
+            result.peak_accuracy * 100.0, result.total_gib,
+            result.total_gib / static_cast<double>(config.scale.rounds)};
+    row.gib_to_target =
+        row.rounds ? *row.rounds * row.gib_per_round : row.gib_total;
+    return row;
   };
   std::vector<Row> rows;
 
@@ -59,17 +68,7 @@ int main(int argc, char** argv) {
         SelectorKind::kGradClus, SelectorKind::kTifl}) {
     const auto result = run_selector(config, kind);
     if (kind == SelectorKind::kFlips) flips_full_result = result;
-    Row row;
-    row.name = result.selector;
-    row.rounds = result.rounds_to_target;
-    row.gib_total = result.total_gib;
-    // Bytes are uniform per round (fixed Nr), so bytes-to-target scales
-    // linearly with rounds-to-target.
-    const double per_round =
-        result.total_gib / static_cast<double>(config.scale.rounds);
-    row.gib_to_target = row.rounds ? *row.rounds * per_round
-                                   : result.total_gib;  // lower bound
-    rows.push_back(row);
+    rows.push_back(to_row(result.selector, result));
   }
 
   const Row& flips_row = rows.front();
@@ -78,9 +77,10 @@ int main(int argc, char** argv) {
     if (row.name != flips_row.name && flips_row.rounds && row.gib_to_target > 0.0) {
       const double s =
           100.0 * (1.0 - flips_row.gib_to_target / row.gib_to_target);
-      savings = row.rounds ? "" : ">";
-      savings += std::to_string(static_cast<int>(s + 0.5));
-      savings += "% less w/ FLIPS";
+      char buf[48];
+      std::snprintf(buf, sizeof buf, "%s%d%% less w/ FLIPS",
+                    row.rounds ? "" : ">", static_cast<int>(s + 0.5));
+      savings = buf;
     }
     flips::bench::print_table_row(
         {row.name,
@@ -106,38 +106,22 @@ int main(int argc, char** argv) {
       {"codec", "rounds-to-target", "peak-acc %", "MiB/round",
        "GiB-to-target", "reduction"});
 
-  struct CodecRow {
-    std::string name;
-    std::optional<double> rounds;
-    double peak = 0.0;
-    double mib_per_round = 0.0;
-    double gib_to_target = 0.0;
-  };
-  std::vector<CodecRow> codec_rows;
+  std::vector<Row> codec_rows;
   for (const flips::net::Codec codec :
        {flips::net::Codec::kDense64, flips::net::Codec::kQuant8,
         flips::net::Codec::kTopK}) {
     auto arm = config;
     arm.codec.codec = codec;
-    // The main table already ran FLIPS under options.codec (dense64
-    // unless --codec overrode it) — reuse that result instead of
+    // The main table already ran FLIPS under config.codec (dense64
+    // unless --set codec= overrode it) — reuse that result instead of
     // re-simulating the identical arm.
-    const auto result = codec == options.codec.codec && flips_full_result
+    const auto result = codec == config.codec.codec && flips_full_result
                             ? *flips_full_result
                             : run_selector(arm, SelectorKind::kFlips);
-    CodecRow row;
-    row.name = flips::net::to_string(codec);
-    row.rounds = result.rounds_to_target;
-    row.peak = result.peak_accuracy * 100.0;
-    const double per_round =
-        result.total_gib / static_cast<double>(config.scale.rounds);
-    row.mib_per_round = per_round * 1024.0;
-    row.gib_to_target =
-        row.rounds ? *row.rounds * per_round : result.total_gib;
-    codec_rows.push_back(row);
+    codec_rows.push_back(to_row(flips::net::to_string(codec), result));
   }
-  const CodecRow& dense_row = codec_rows.front();
-  for (const CodecRow& row : codec_rows) {
+  const Row& dense_row = codec_rows.front();
+  for (const Row& row : codec_rows) {
     // "-" when the ratio is unknowable (dense never reached the
     // target, so its GiB-to-target is itself a lower bound).
     std::string reduction =
@@ -155,7 +139,8 @@ int main(int argc, char** argv) {
     char peak_buf[32];
     std::snprintf(peak_buf, sizeof peak_buf, "%.1f", row.peak);
     char mib_buf[32];
-    std::snprintf(mib_buf, sizeof mib_buf, "%.2f", row.mib_per_round);
+    std::snprintf(mib_buf, sizeof mib_buf, "%.2f",
+                  row.gib_per_round * 1024.0);
     char gib_buf[32];
     std::snprintf(gib_buf, sizeof gib_buf, "%.4f", row.gib_to_target);
     flips::bench::print_table_row(

@@ -3,7 +3,7 @@
 // resources — and §7's senior-care deployment mix).
 //
 // Where the paper *emulates* stragglers by dropping a fixed fraction
-// (reproduced in the table benches), this bench derives stragglers from
+// (reproduced by flips_tables), this bench derives stragglers from
 // device physics: wearables and budget phones miss tight aggregation
 // deadlines. It sweeps the deadline and reports response rate, simulated
 // time-to-target, and accuracy for FLIPS vs random — showing FLIPS's
@@ -13,9 +13,9 @@
 #include <iostream>
 #include <utility>
 
-#include "cluster/kmeans.h"
 #include "common/experiment.h"
 #include "common/perf.h"
+#include "common/scenario.h"
 #include "common/stats.h"
 #include "data/federated.h"
 #include "fl/session.h"
@@ -31,20 +31,20 @@ struct Fleet {
   std::size_t k = 0;
 };
 
-Fleet build_fleet(const flips::bench::BenchOptions& options) {
+Fleet build_fleet(const flips::ScenarioSpec& spec) {
   flips::data::FederatedDataConfig dc;
   dc.spec = flips::data::DatasetCatalog::ecg();
-  dc.num_parties = options.scale.num_parties;
-  dc.samples_per_party = options.scale.samples_per_party;
+  dc.num_parties = spec.parties;
+  dc.samples_per_party = spec.samples_per_party;
   dc.alpha = 0.3;
   dc.test_per_class = 80;
-  dc.seed = options.seed;
+  dc.seed = spec.seed;
   const auto data = flips::data::build_federated_data(dc);
 
   Fleet fleet;
   fleet.test = data.global_test;
 
-  flips::common::Rng rng(options.seed ^ 0xF1EE7);
+  flips::common::Rng rng(spec.seed ^ 0xF1EE7);
   const flips::net::FleetBuilder devices(flips::net::FleetMix::senior_care());
   for (std::size_t p = 0; p < data.party_data.size(); ++p) {
     auto device = devices.sample(rng);
@@ -54,32 +54,79 @@ Fleet build_fleet(const flips::bench::BenchOptions& options) {
                                flips::fl::PartyProfile::from_device(device));
   }
 
-  std::vector<flips::cluster::Point> points;
-  for (const auto& ld : data.label_distributions) {
-    points.push_back(flips::common::normalized(ld));
-  }
   fleet.k = 10;
-  flips::cluster::KMeansConfig kc;
-  kc.k = fleet.k;
-  kc.restarts = 3;
-  flips::common::Rng cluster_rng(options.seed ^ 0xC1);
-  fleet.clusters =
-      flips::cluster::kmeans(points, kc, cluster_rng).assignments;
+  fleet.clusters = flips::bench::cluster_label_distributions(
+      data.label_distributions, fleet.k, flips::bench::LdSpace::kProportions,
+      spec.seed ^ 0xC1);
   return fleet;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.num_parties = 60;
-  default_scale.rounds = 80;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;
+  defaults.parties = 60;
+  defaults.rounds = 80;
+  const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
 
-  const Fleet fleet = build_fleet(options);
+  const Fleet fleet = build_fleet(spec);
   const std::size_t nr =
       std::max<std::size_t>(2, fleet.parties.size() / 5);
+  // Async arm knobs (see below).
+  const std::size_t buffer_k = std::max<std::size_t>(1, nr / 2);
+  const std::size_t max_staleness = 4;
+
+  // One job shape for every arm; the async step budget matches the
+  // sync arm's total folded updates (rounds x Nr / K steps).
+  auto arm_config = [&](flips::fl::FederationMode mode, std::size_t threads,
+                        const flips::net::FaultConfig& faults = {}) {
+    flips::fl::FlJobConfig job_config;
+    job_config.mode = mode;
+    job_config.rounds = mode == flips::fl::FederationMode::kAsync
+                            ? spec.rounds * nr / buffer_k
+                            : spec.rounds;
+    job_config.parties_per_round = nr;
+    job_config.async.buffer_k = buffer_k;
+    job_config.async.max_staleness = max_staleness;
+    job_config.local.epochs = 2;
+    job_config.local.sgd.learning_rate = 0.05;
+    job_config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
+    job_config.server.learning_rate = 0.05;
+    job_config.seed = spec.seed;
+    job_config.threads = threads;
+    job_config.eval_every = 2;
+    job_config.target_accuracy = 0.6;
+    job_config.faults = faults;
+    return job_config;
+  };
+
+  auto run_arm = [&](const flips::fl::FlJobConfig& job_config,
+                     flips::select::SelectorKind kind =
+                         flips::select::SelectorKind::kFlips) {
+    flips::select::SelectorContext ctx;
+    ctx.num_parties = fleet.parties.size();
+    ctx.seed = spec.seed ^ 0x5E1E;
+    ctx.cluster_of = fleet.clusters;
+    ctx.num_clusters = fleet.k;
+    flips::common::Rng model_rng(spec.seed ^ 0x30DE);
+    flips::fl::FederationSession session(
+        job_config, fleet.parties, fleet.test,
+        flips::ml::ModelFactory::mlp(32, 24, 5, model_rng),
+        flips::select::make_selector(kind, ctx));
+    while (!session.done()) session.advance();
+    return session.result();
+  };
+
+  // Appends piecewise: gcc 12's -Wrestrict false-positives on
+  // `"literal" + std::to_string(...)` once this is inlined.
+  auto time_cell = [](const flips::fl::FlJobResult& result) {
+    if (result.time_to_target_s) {
+      return std::to_string(*result.time_to_target_s);
+    }
+    std::string cell = ">";
+    cell += std::to_string(result.total_time_s);
+    return cell;
+  };
 
   std::cout << "=== Deadline stragglers on a senior-care fleet (45% "
                "wearables / 40% phones / 15% gateways+workstations) ===\n\n";
@@ -91,55 +138,23 @@ int main(int argc, char** argv) {
   for (const double deadline : {0.5, 2.0, 8.0, 0.0 /* = unbounded */}) {
     for (const auto kind : {flips::select::SelectorKind::kFlips,
                             flips::select::SelectorKind::kRandom}) {
-      flips::fl::FlJobConfig job_config;
-      job_config.rounds = options.scale.rounds;
-      job_config.parties_per_round = nr;
-      job_config.local.epochs = 2;
-      job_config.local.sgd.learning_rate = 0.05;
-      job_config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
-      job_config.server.learning_rate = 0.05;
+      auto job_config =
+          arm_config(flips::fl::FederationMode::kSync, spec.threads);
       job_config.stragglers.mode = flips::fl::StragglerMode::kDeadline;
       job_config.stragglers.deadline_s = deadline;
-      job_config.seed = options.seed;
-      job_config.eval_every = 2;
-      job_config.target_accuracy = 0.6;
-
-      flips::select::SelectorContext ctx;
-      ctx.num_parties = fleet.parties.size();
-      ctx.seed = options.seed ^ 0x5E1E;
-      ctx.cluster_of = fleet.clusters;
-      ctx.num_clusters = fleet.k;
-
-      flips::common::Rng model_rng(options.seed ^ 0x30DE);
-      auto model = flips::ml::ModelFactory::mlp(32, 24, 5, model_rng);
-
-      flips::fl::FederationSession session(
-          job_config, fleet.parties, fleet.test, std::move(model),
-          flips::select::make_selector(kind, ctx));
-      while (!session.done()) session.advance();
-      const auto result = session.result();
+      const auto result = run_arm(job_config, kind);
 
       double responded = 0.0;
       double selected = 0.0;
-      double peak = 0.0;
       for (const auto& record : result.history) {
         responded += static_cast<double>(record.responded);
         selected += static_cast<double>(record.selected);
-        peak = std::max(peak, record.balanced_accuracy);
-      }
-
-      std::string time_cell;
-      if (result.time_to_target_s) {
-        time_cell = std::to_string(*result.time_to_target_s);
-      } else {
-        time_cell = ">";
-        time_cell += std::to_string(result.total_time_s);
       }
       flips::bench::print_table_row(
           {deadline > 0.0 ? std::to_string(deadline) + " s" : "unbounded",
            flips::select::to_string(kind),
            std::to_string(responded / selected),
-           std::to_string(peak * 100.0), time_cell});
+           std::to_string(result.peak_accuracy * 100.0), time_cell(result)});
     }
   }
 
@@ -156,62 +171,34 @@ int main(int argc, char** argv) {
   // time. Async (FedBuff-style) steps the server every K arrivals and
   // drops updates staler than S, so fast gateways keep folding while
   // wearables trickle in. Same fleet, same selector, same simulated
-  // clock; the async step budget matches the sync arm's total folded
-  // updates (rounds x Nr / K steps).
-  const std::size_t buffer_k = std::max<std::size_t>(1, nr / 2);
-  const std::size_t max_staleness = 4;
-
-  auto arm_config = [&](flips::fl::FederationMode mode,
-                        std::size_t threads) {
-    flips::fl::FlJobConfig job_config;
-    job_config.mode = mode;
-    job_config.rounds = mode == flips::fl::FederationMode::kAsync
-                            ? options.scale.rounds * nr / buffer_k
-                            : options.scale.rounds;
-    job_config.parties_per_round = nr;
-    job_config.async.buffer_k = buffer_k;
-    job_config.async.max_staleness = max_staleness;
-    job_config.local.epochs = 2;
-    job_config.local.sgd.learning_rate = 0.05;
-    job_config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
-    job_config.server.learning_rate = 0.05;
-    job_config.seed = options.seed;
-    job_config.threads = threads;
-    job_config.eval_every = 2;
-    job_config.target_accuracy = 0.6;
-    return job_config;
-  };
-
-  auto run_arm = [&](const flips::fl::FlJobConfig& job_config) {
-    flips::select::SelectorContext ctx;
-    ctx.num_parties = fleet.parties.size();
-    ctx.seed = options.seed ^ 0x5E1E;
-    ctx.cluster_of = fleet.clusters;
-    ctx.num_clusters = fleet.k;
-    flips::common::Rng model_rng(options.seed ^ 0x30DE);
-    flips::fl::FederationSession session(
-        job_config, fleet.parties, fleet.test,
-        flips::ml::ModelFactory::mlp(32, 24, 5, model_rng),
-        flips::select::make_selector(flips::select::SelectorKind::kFlips,
-                                     ctx));
-    while (!session.done()) session.advance();
-    return session.result();
-  };
-
-  const auto sync_result =
-      run_arm(arm_config(flips::fl::FederationMode::kSync, options.threads));
-  const auto async_result =
-      run_arm(arm_config(flips::fl::FederationMode::kAsync, options.threads));
-
+  // clock.
+  //
   // Bit-identity gate: both modes must be pure functions of the seed —
   // rerunning with a different worker count reproduces the exact
   // parameter vector. CI fails the perf job when this prints "no".
-  const std::size_t alt_threads = options.threads == 1 ? 4 : 1;
-  const bool bit_identical =
-      run_arm(arm_config(flips::fl::FederationMode::kSync, alt_threads))
-              .final_parameters == sync_result.final_parameters &&
-      run_arm(arm_config(flips::fl::FederationMode::kAsync, alt_threads))
-              .final_parameters == async_result.final_parameters;
+  struct ModePair {
+    flips::fl::FlJobResult sync, async;
+    bool identical = false;
+  };
+  const std::size_t alt_threads = spec.threads == 1 ? 4 : 1;
+  auto run_modes = [&](const flips::net::FaultConfig& faults) {
+    using flips::fl::FederationMode;
+    ModePair out{run_arm(arm_config(FederationMode::kSync, spec.threads,
+                                    faults)),
+                 run_arm(arm_config(FederationMode::kAsync, spec.threads,
+                                    faults))};
+    out.identical =
+        run_arm(arm_config(FederationMode::kSync, alt_threads, faults))
+                .final_parameters == out.sync.final_parameters &&
+        run_arm(arm_config(FederationMode::kAsync, alt_threads, faults))
+                .final_parameters == out.async.final_parameters;
+    return out;
+  };
+
+  const ModePair plain = run_modes({});
+  const bool bit_identical = plain.identical;
+  const auto& sync_result = plain.sync;
+  const auto& async_result = plain.async;
 
   std::size_t dropped_stale = 0;
   for (const auto& record : async_result.history) {
@@ -223,12 +210,6 @@ int main(int argc, char** argv) {
       "async vs sync (flips selector, no deadline)",
       {"mode", "peak-acc %", "sim-time-to-60% (s)", "dropped-stale",
        "bit-identical"});
-  auto time_cell = [](const flips::fl::FlJobResult& result) {
-    if (result.time_to_target_s) {
-      return std::to_string(*result.time_to_target_s);
-    }
-    return ">" + std::to_string(result.total_time_s);
-  };
   flips::bench::print_table_row(
       {"sync", std::to_string(sync_result.peak_accuracy * 100.0),
        time_cell(sync_result), "0", bit_identical ? "yes" : "no"});
@@ -270,22 +251,10 @@ int main(int argc, char** argv) {
   faults.max_retries = 2;
   faults.min_quorum = 0.5;
 
-  auto fault_arm = [&](flips::fl::FederationMode mode,
-                       std::size_t threads) {
-    auto job_config = arm_config(mode, threads);
-    job_config.faults = faults;
-    return job_config;
-  };
-
-  const auto sync_faulted =
-      run_arm(fault_arm(flips::fl::FederationMode::kSync, options.threads));
-  const auto async_faulted =
-      run_arm(fault_arm(flips::fl::FederationMode::kAsync, options.threads));
-  const bool fault_identical =
-      run_arm(fault_arm(flips::fl::FederationMode::kSync, alt_threads))
-              .final_parameters == sync_faulted.final_parameters &&
-      run_arm(fault_arm(flips::fl::FederationMode::kAsync, alt_threads))
-              .final_parameters == async_faulted.final_parameters;
+  const ModePair faulted = run_modes(faults);
+  const auto& sync_faulted = faulted.sync;
+  const auto& async_faulted = faulted.async;
+  const bool fault_identical = faulted.identical;
 
   auto fault_tallies = [](const flips::fl::FlJobResult& result) {
     std::size_t crashed = 0;

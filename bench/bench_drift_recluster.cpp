@@ -20,8 +20,8 @@
 #include <iostream>
 #include <memory>
 
-#include "cluster/kmeans.h"
 #include "common/experiment.h"
+#include "common/scenario.h"
 #include "common/stats.h"
 #include "core/private_clustering.h"
 #include "ctrl/recluster_observer.h"
@@ -37,11 +37,6 @@ struct Phase {
   std::vector<double> accuracy;  ///< per round
 };
 
-struct DriftRun {
-  Phase before;
-  Phase after;
-};
-
 flips::fl::FlJobConfig job_config(std::size_t rounds, std::size_t nr,
                                   std::uint64_t seed) {
   flips::fl::FlJobConfig job;
@@ -54,21 +49,6 @@ flips::fl::FlJobConfig job_config(std::size_t rounds, std::size_t nr,
   job.seed = seed;
   job.eval_every = 2;
   return job;
-}
-
-std::vector<std::size_t> cluster_parties(
-    const std::vector<flips::data::LabelDistribution>& lds, std::size_t k,
-    std::uint64_t seed) {
-  std::vector<flips::cluster::Point> points;
-  points.reserve(lds.size());
-  for (const auto& ld : lds) {
-    points.push_back(flips::common::normalized(ld));
-  }
-  flips::common::Rng rng(seed);
-  flips::cluster::KMeansConfig kc;
-  kc.k = k;
-  kc.restarts = 3;
-  return flips::cluster::kmeans(points, kc, rng).assignments;
 }
 
 /// Runs `rounds` of FL through a steppable FederationSession and
@@ -102,24 +82,23 @@ Phase run_phase(const std::vector<flips::fl::Party>& parties,
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.num_parties = 60;
-  default_scale.rounds = 60;  // per phase
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;
+  defaults.parties = 60;
+  defaults.rounds = 60;  // per phase
+  const auto args = flips::parse_scenario_args(argc, argv, defaults);
+  const flips::ScenarioSpec& spec = args.spec;
 
   const std::size_t k = 10;
-  const std::size_t nr =
-      std::max<std::size_t>(2, options.scale.num_parties / 5);
+  const std::size_t nr = std::max<std::size_t>(2, spec.parties / 5);
 
   // Build the pre-drift federation.
   flips::data::FederatedDataConfig dc;
   dc.spec = flips::data::DatasetCatalog::ecg();
-  dc.num_parties = options.scale.num_parties;
-  dc.samples_per_party = options.scale.samples_per_party;
+  dc.num_parties = spec.parties;
+  dc.samples_per_party = spec.samples_per_party;
   dc.alpha = 0.3;
   dc.test_per_class = 80;
-  dc.seed = options.seed;
+  dc.seed = spec.seed;
   const auto data = flips::data::build_federated_data(dc);
 
   std::vector<flips::fl::Party> parties;
@@ -128,15 +107,16 @@ int main(int argc, char** argv) {
   }
 
   // Phase 1: joint pre-drift training with FLIPS selection.
-  flips::common::Rng model_rng(options.seed ^ 0x30DE);
+  flips::common::Rng model_rng(spec.seed ^ 0x30DE);
   auto initial = flips::ml::ModelFactory::mlp(dc.spec.feature_dim, 24,
                                               dc.spec.num_classes, model_rng);
-  const auto pre_clusters =
-      cluster_parties(data.label_distributions, k, options.seed);
+  const auto pre_clusters = flips::bench::cluster_label_distributions(
+      data.label_distributions, k, flips::bench::LdSpace::kProportions,
+      spec.seed);
 
   flips::select::SelectorContext ctx;
   ctx.num_parties = parties.size();
-  ctx.seed = options.seed;
+  ctx.seed = spec.seed;
   ctx.cluster_of = pre_clusters;
   ctx.num_clusters = k;
 
@@ -144,7 +124,7 @@ int main(int argc, char** argv) {
   const Phase phase1 = run_phase(
       parties, data.global_test, initial,
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
-      options.scale.rounds, nr, options.seed, &checkpoint);
+      spec.rounds, nr, spec.seed, &checkpoint);
 
   // Drift event: HALF the parties rotate their label prior by 2 classes.
   // Partial drift matters: rotating everyone by the same amount is a
@@ -155,7 +135,7 @@ int main(int argc, char** argv) {
   flips::data::DriftConfig drift;
   drift.affected_fraction = 0.5;
   drift.label_rotation = 2;
-  drift.seed = options.seed ^ 0xD21F;
+  drift.seed = spec.seed ^ 0xD21F;
   const auto drifted = apply_label_drift(dc.spec, data.party_data, drift);
 
   std::vector<flips::fl::Party> drifted_parties;
@@ -167,7 +147,7 @@ int main(int argc, char** argv) {
         flips::data::label_distribution(drifted.party_data[p]));
   }
 
-  std::cout << "=== Drift at round " << options.scale.rounds << " ("
+  std::cout << "=== Drift at round " << spec.rounds << " ("
             << drift.affected_fraction * 100.0
             << "% of parties, label rotation " << drift.label_rotation
             << ", mean LD shift " << drifted.mean_shift << ") ===\n\n";
@@ -184,13 +164,14 @@ int main(int argc, char** argv) {
   const Phase stale = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
-      options.scale.rounds, nr, options.seed + 1, &ignore);
+      spec.rounds, nr, spec.seed + 1, &ignore);
 
-  ctx.cluster_of = cluster_parties(drifted_lds, k, options.seed + 7);
+  ctx.cluster_of = flips::bench::cluster_label_distributions(
+      drifted_lds, k, flips::bench::LdSpace::kProportions, spec.seed + 7);
   const Phase refreshed = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
-      options.scale.rounds, nr, options.seed + 1, &ignore);
+      spec.rounds, nr, spec.seed + 1, &ignore);
 
   // Service arm: the streaming control plane holds the pre-drift
   // clustering (epoch 1); during phase 2 parties re-report their label
@@ -202,7 +183,7 @@ int main(int argc, char** argv) {
   attestation->register_platform_key(enclave->platform_key());
   flips::core::ClusteringConfig cc;
   cc.k_override = k;
-  cc.seed = options.seed;
+  cc.seed = spec.seed;
   flips::core::PrivateClusteringService service(cc, enclave, attestation);
   for (std::size_t p = 0; p < parties.size(); ++p) {
     service.submit_label_distribution(p, data.label_distributions[p]);
@@ -210,7 +191,7 @@ int main(int argc, char** argv) {
   service.finalize();
 
   flips::select::FlipsSelectorConfig fsc;
-  fsc.seed = options.seed;
+  fsc.seed = spec.seed;
   auto service_selector = std::make_unique<flips::select::FlipsSelector>(
       std::vector<std::size_t>{}, 0, fsc);
   flips::select::FlipsSelector* service_sel = service_selector.get();
@@ -238,8 +219,8 @@ int main(int argc, char** argv) {
       });
   const Phase service_phase = run_phase(
       drifted_parties, data.global_test, resume_model(),
-      std::move(service_selector), options.scale.rounds, nr,
-      options.seed + 1, &ignore, &recluster_observer);
+      std::move(service_selector), spec.rounds, nr,
+      spec.seed + 1, &ignore, &recluster_observer);
   const std::size_t trigger_round = recluster_observer.trigger_round();
   const std::size_t recluster_round =
       recluster_observer.first_recluster_round();
@@ -258,7 +239,7 @@ int main(int argc, char** argv) {
   const Phase random_phase = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kRandom, ctx),
-      options.scale.rounds, nr, options.seed + 1, &ignore);
+      spec.rounds, nr, spec.seed + 1, &ignore);
 
   flips::bench::print_table_header(
       "post-drift recovery",
@@ -303,7 +284,7 @@ int main(int argc, char** argv) {
                "provably mis-group the drifted sub-modes) and grows with "
                "federation size — use --paper-scale to widen the gap.\n";
 
-  if (options.csv) {
+  if (args.csv) {
     for (std::size_t r = 0; r < refreshed.accuracy.size(); ++r) {
       std::cout << "csv,drift," << r + 1 << "," << stale.accuracy[r] << ","
                 << refreshed.accuracy[r] << ","

@@ -12,20 +12,17 @@
 #include <iostream>
 
 #include "common/experiment.h"
+#include "common/scenario.h"
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 120;
-  default_scale.runs = 2;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
-
-  flips::bench::ExperimentConfig config;
-  config.spec = flips::data::DatasetCatalog::ecg();
-  config.alpha = 0.3;
-  config.participation = 0.15;
-  config.target_accuracy = 0.6;
-  options.apply(config);  // scale / seed / threads / codec in one place
+  flips::ScenarioSpec defaults;  // ECG, alpha 0.3
+  defaults.participation = 0.15;
+  defaults.server_opt = "fedyogi";
+  defaults.target_accuracy = 0.6;
+  defaults.rounds = 120;
+  defaults.runs = 2;
+  const auto config = flips::to_experiment_config(
+      flips::parse_scenario_args(argc, argv, defaults).spec);
 
   std::cout << "=== Selection fairness (ECG-style, alpha=0.3, 15% "
                "participation, FedYogi) ===\n\n";

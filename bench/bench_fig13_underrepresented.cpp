@@ -5,19 +5,16 @@
 #include <iostream>
 
 #include "common/experiment.h"
+#include "common/scenario.h"
 
 namespace {
 
-void run_dataset(const char* title, const flips::data::SyntheticSpec& spec,
-                 std::uint32_t rare_label, const char* rare_name,
-                 const flips::bench::BenchOptions& options) {
-  flips::bench::ExperimentConfig config;
-  config.spec = spec;
-  config.alpha = 0.3;
-  config.participation = 0.2;
-  config.server_opt = flips::fl::ServerOpt::kFedYogi;
-  config.target_accuracy = 0.0;
-  options.apply(config);  // scale / seed / threads / codec in one place
+void run_dataset(const char* title, flips::ScenarioSpec scenario,
+                 const char* dataset, std::uint32_t rare_label,
+                 const char* rare_name) {
+  scenario.dataset = dataset;
+  const auto config = flips::to_experiment_config(scenario);
+  const auto& spec = config.spec;
 
   std::cout << "\n-- " << title << ": accuracy of under-represented label '"
             << rare_name << "' (prior "
@@ -29,8 +26,8 @@ void run_dataset(const char* title, const flips::data::SyntheticSpec& spec,
                                 SelectorKind::kTifl};
   // Average the per-label curve over several federations: single-run
   // rare-label accuracy on a small test set is noisy.
-  const std::uint64_t seeds[] = {options.seed, options.seed + 1000,
-                                 options.seed + 2000};
+  const std::uint64_t seeds[] = {scenario.seed, scenario.seed + 1000,
+                                 scenario.seed + 2000};
   std::vector<std::vector<double>> curves;
   for (const auto kind : kinds) {
     std::cout << "\t" << flips::select::to_string(kind);
@@ -70,10 +67,11 @@ void run_dataset(const char* title, const flips::data::SyntheticSpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 100;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;  // alpha 0.3, 20 % participation
+  defaults.server_opt = "fedyogi";
+  defaults.target_accuracy = 0.0;
+  const auto scenario =
+      flips::parse_scenario_args(argc, argv, defaults).spec;
 
   std::cout << "Figure 13 reproduction: under-represented label "
                "convergence, FedYogi, alpha=0.3, 20% participation\n";
@@ -81,10 +79,8 @@ int main(int argc, char** argv) {
   // ECG: class S (supraventricular ectopic, prior 2.5 %) stands in for
   // "arrhythmia detection accuracy"; class F is rarer still but has too
   // few synthetic samples at reduced scale for a stable curve.
-  run_dataset("MIT-BIH ECG", flips::data::DatasetCatalog::ecg(), 1, "S",
-              options);
+  run_dataset("MIT-BIH ECG", scenario, "ecg", 1, "S");
   // HAM10000: vasc (vascular lesion), prior 1.4 %.
-  run_dataset("HAM10000", flips::data::DatasetCatalog::ham10000(), 5, "vasc",
-              options);
+  run_dataset("HAM10000", scenario, "ham", 5, "vasc");
   return 0;
 }

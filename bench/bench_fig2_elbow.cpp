@@ -8,26 +8,25 @@
 #include <iostream>
 
 #include "cluster/dbi.h"
-#include "common/experiment.h"
+#include "common/scenario.h"
 #include "common/stats.h"
 #include "data/federated.h"
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.num_parties = 200;  // clustering is cheap; use paper scale
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;
+  defaults.parties = 200;  // clustering is cheap; use paper scale
+  const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
 
   constexpr std::size_t kTrueModes = 10;
 
   flips::data::FederatedDataConfig dc;
   dc.spec = flips::data::DatasetCatalog::ecg();
-  dc.num_parties = options.scale.num_parties;
+  dc.num_parties = spec.parties;
   dc.samples_per_party = 120;
   dc.alpha = 0.3;
   dc.scheme = flips::data::PartitionScheme::kPlantedModes;
   dc.num_modes = kTrueModes;
-  dc.seed = options.seed;
+  dc.seed = spec.seed;
   const auto fed = flips::data::build_federated_data(dc);
 
   std::vector<flips::cluster::Point> points;
@@ -40,12 +39,12 @@ int main(int argc, char** argv) {
   okc.k_min = 2;
   okc.k_max = 30;
   okc.repeats = 20;  // T in the paper
-  flips::common::Rng rng(options.seed);
+  flips::common::Rng rng(spec.seed);
   const auto elbow = flips::cluster::optimal_k_elbow(points, okc, rng);
   const auto eq3 = flips::cluster::optimal_k_eq3(points, okc, rng);
 
   std::cout << "Figure 2 reproduction: DBI vs cluster size ("
-            << options.scale.num_parties << " parties, " << kTrueModes
+            << spec.parties << " parties, " << kTrueModes
             << " planted label-distribution modes, T=" << okc.repeats
             << ")\n\n";
   std::cout << "  k    mean DBI\n";

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "common/experiment.h"
+#include "common/scenario.h"
 #include "common/rng.h"
 #include "fl/job.h"
 #include "net/codec.h"
@@ -27,24 +28,15 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-flips::bench::ExperimentConfig base_config(
-    const flips::bench::BenchOptions& options) {
-  flips::bench::ExperimentConfig config;
-  config.spec = flips::data::DatasetCatalog::ecg();
-  config.alpha = 0.3;
-  options.apply(config);  // scale / seed / threads / codec in one place
-  config.target_accuracy = 0.6;
-  return config;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.rounds = 80;
-  default_scale.runs = 2;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;  // ECG, alpha 0.3
+  defaults.server_opt = "fedyogi";
+  defaults.target_accuracy = 0.6;
+  defaults.rounds = 80;
+  defaults.runs = 2;
+  const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
 
   // ---- Part 1: mechanism cost per aggregation round ----------------------
   std::cout << "=== Aggregation-path cost per round (model dim 10k, cohort "
@@ -54,7 +46,7 @@ int main(int argc, char** argv) {
 
   const std::size_t dim = 10'000;
   const std::size_t cohort = 20;
-  flips::common::Rng rng(options.seed);
+  flips::common::Rng rng(spec.seed);
   std::vector<std::vector<double>> updates(cohort,
                                            std::vector<double>(dim));
   for (auto& u : updates) {
@@ -102,7 +94,7 @@ int main(int argc, char** argv) {
     flips::net::EncodedUpdate enc;
     flips::net::CodecWorkspace ws;
     const flips::privacy::MaskingSession session(7, roster, dim);
-    flips::common::Rng enc_rng(options.seed ^ 0x51AB);
+    flips::common::Rng enc_rng(spec.seed ^ 0x51AB);
     std::vector<std::int64_t> masked_sum(dim, 0);
     std::vector<std::int64_t> plain_sum(dim, 0);
     std::size_t wire_bytes = 0;
@@ -158,7 +150,7 @@ int main(int argc, char** argv) {
                    "rounds-to-60%"});
 
   for (const double sigma : {0.0, 0.01, 0.05, 0.2}) {
-    auto config = base_config(options);
+    auto config = flips::to_experiment_config(spec);
     if (sigma > 0.0) {
       config.privacy.mechanism = flips::fl::PrivacyMechanism::kDp;
       config.privacy.dp.clip_norm = 5.0;

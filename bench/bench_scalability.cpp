@@ -17,12 +17,14 @@
 //      fed from the service's MembershipView.
 //
 // Emits stable `perf,<name>,<seconds>,-1` lines (same schema as the
-// table benches) so the CI perf rail can scrape control-plane scaling:
+// engine's per-selector lines) so the CI perf rail can scrape
+// control-plane scaling:
 //   ctrl-ingest-<N>, ctrl-lloyd-<N>, ctrl-auto-<N>, ctrl-select-<N>.
 //
-// Flags: `--parties N` pins a single size (CI smoke uses 10000, past
-// the threshold); default sweeps 1k/5k/20k (+100k with --paper-scale).
-// `--threads T` sets the ingestion fan-in (0 = all cores). Unlike the
+// Flags: `--set parties=N` pins a single size (CI smoke uses 10000,
+// past the threshold); default sweeps 1k/5k/20k (+100k with
+// --paper-scale). `--set threads=T` sets the ingestion fan-in (0 = all
+// cores). Unlike the
 // FL benches' bit-identical --threads contract, the fan-in changes
 // reservoir insertion order and therefore k-means++ seeding: cluster
 // *structure* (not quality) can differ across thread counts; a fixed
@@ -38,6 +40,7 @@
 
 #include "common/experiment.h"
 #include "common/perf.h"
+#include "common/scenario.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/private_clustering.h"
@@ -155,21 +158,24 @@ void perf_line(const std::string& name, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.num_parties = 0;  // 0 = sweep the default sizes
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  // The multi-tenant arm below runs this scenario at a fixed toy scale.
+  flips::ScenarioSpec defaults;
+  defaults.parties = 0;  // 0 = sweep the default sizes
+  defaults.server_opt = "fedyogi";
+  defaults.target_accuracy = 0.6;
+  const auto args = flips::parse_scenario_args(argc, argv, defaults);
+  const flips::ScenarioSpec& spec = args.spec;
   const std::size_t threads =
-      flips::common::ThreadPool::resolve_threads(options.threads);
+      flips::common::ThreadPool::resolve_threads(spec.threads);
 
-  // --paper-scale wins over the parser's generic num_parties=200 side
-  // effect (this bench's sizes are its own axis): it extends the sweep
-  // to 100k. Otherwise an explicit --parties N pins a single size.
+  // --paper-scale wins over its generic parties=200 (this bench's sizes
+  // are its own axis): it extends the sweep to 100k. Otherwise an
+  // explicit parties=N pins a single size.
   std::vector<std::size_t> sizes;
-  if (options.paper_scale) {
+  if (args.paper_scale) {
     sizes = {1'000, 5'000, 20'000, 100'000};
-  } else if (options.scale.num_parties > 0) {
-    sizes.push_back(options.scale.num_parties);
+  } else if (spec.parties > 0) {
+    sizes.push_back(spec.parties);
   } else {
     sizes = {1'000, 5'000, 20'000};
   }
@@ -187,24 +193,24 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::size_t>> assignments_by_size;
 
   for (const std::size_t n : sizes) {
-    const auto lds = planted_lds(n, kModes, kDim, options.seed);
+    const auto lds = planted_lds(n, kModes, kDim, spec.seed);
 
     // Reference service pinned to full Lloyd regardless of size.
     auto lloyd_service = make_service(
-        n, std::numeric_limits<std::size_t>::max(), options.seed);
+        n, std::numeric_limits<std::size_t>::max(), spec.seed);
     ingest(*lloyd_service, lds, threads);
     const auto t_lloyd = Clock::now();
     lloyd_service->finalize();
     const double lloyd_s = seconds_since(t_lloyd);
 
     // Threshold-scaled service — the production configuration.
-    auto auto_service = make_service(n, kLloydThreshold, options.seed);
+    auto auto_service = make_service(n, kLloydThreshold, spec.seed);
     const double ingest_s = ingest(*auto_service, lds, threads);
     const auto t_auto = Clock::now();
     auto_service->finalize();
     const double auto_s = seconds_since(t_auto);
 
-    flips::common::Rng pair_rng(options.seed + 2);
+    flips::common::Rng pair_rng(spec.seed + 2);
     const double agreement =
         rand_index(lloyd_service->result().assignments,
                    auto_service->result().assignments, pair_rng);
@@ -213,7 +219,7 @@ int main(int argc, char** argv) {
     // Late joiners: incremental nearest-centroid assignment, no
     // re-clustering, epoch unchanged.
     const std::size_t late = 100;
-    const auto late_lds = planted_lds(late, kModes, kDim, options.seed + 9);
+    const auto late_lds = planted_lds(late, kModes, kDim, spec.seed + 9);
     const auto t_late = Clock::now();
     for (std::size_t i = 0; i < late; ++i) {
       auto_service->submit_label_distribution(n + i, late_lds[i]);
@@ -279,15 +285,13 @@ int main(int argc, char** argv) {
       {"sessions", "solo (s)", "interleaved (s)", "overhead",
        "bit-identical"});
   {
-    flips::bench::ExperimentConfig mt;
-    mt.spec = flips::data::DatasetCatalog::ecg();
-    mt.scale.num_parties = 24;
-    mt.scale.samples_per_party = 40;
-    mt.scale.rounds = 12;
-    mt.scale.runs = 1;
-    mt.seed = options.seed;
-    mt.threads = options.threads;
-    flips::common::ThreadPool workers(options.threads);
+    flips::ScenarioSpec mt_spec = spec;
+    mt_spec.parties = 24;
+    mt_spec.samples_per_party = 40;
+    mt_spec.rounds = 12;
+    mt_spec.runs = 1;
+    const auto mt = flips::to_experiment_config(mt_spec);
+    flips::common::ThreadPool workers(spec.threads);
 
     for (const std::size_t tenants : {std::size_t{2}, std::size_t{4}}) {
       // Solo references: each tenant run to completion on its own
@@ -297,7 +301,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < tenants; ++s) {
         solo.push_back(flips::bench::make_session(
             mt, flips::select::SelectorKind::kFlips,
-            options.seed + 1000 * s, &workers));
+            spec.seed + 1000 * s, &workers));
       }
       const auto t_solo = Clock::now();
       for (auto& session : solo) {
@@ -314,7 +318,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < tenants; ++s) {
         pool.add(flips::bench::make_session(
             mt, flips::select::SelectorKind::kFlips,
-            options.seed + 1000 * s, &workers));
+            spec.seed + 1000 * s, &workers));
       }
       const auto t_pool = Clock::now();
       pool.run_all();

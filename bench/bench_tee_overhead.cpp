@@ -11,40 +11,32 @@
 #include <iostream>
 
 #include "common/experiment.h"
-#include "common/stats.h"
+#include "common/scenario.h"
 #include "core/private_clustering.h"
 #include "data/federated.h"
 
 int main(int argc, char** argv) {
-  flips::bench::Scale default_scale;
-  default_scale.num_parties = 200;
-  const auto options =
-      flips::bench::parse_bench_options(argc, argv, default_scale);
+  flips::ScenarioSpec defaults;
+  defaults.parties = 200;
+  const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
 
   flips::data::FederatedDataConfig dc;
   dc.spec = flips::data::DatasetCatalog::ham10000();
-  dc.num_parties = options.scale.num_parties;
+  dc.num_parties = spec.parties;
   dc.samples_per_party = 120;
   dc.alpha = 0.3;
-  dc.seed = options.seed;
+  dc.seed = spec.seed;
   const auto fed = flips::data::build_federated_data(dc);
 
   using Clock = std::chrono::steady_clock;
 
   // Native clustering baseline (same kernel the enclave runs).
-  std::vector<flips::cluster::Point> points;
-  for (const auto& ld : fed.label_distributions) {
-    points.push_back(flips::common::normalized(ld));
-  }
-  flips::cluster::KMeansConfig kc;
-  kc.k = 10;
-  kc.restarts = 3;
-  flips::common::Rng rng(options.seed);
   const auto t0 = Clock::now();
-  const auto native = flips::cluster::kmeans(points, kc, rng);
+  (void)flips::bench::cluster_label_distributions(
+      fed.label_distributions, 10, flips::bench::LdSpace::kProportions,
+      spec.seed);
   const double native_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  (void)native;
 
   // Full TEE path: attestation + secure channels + in-enclave clustering.
   auto enclave = std::make_shared<flips::tee::Enclave>(
@@ -69,7 +61,7 @@ int main(int argc, char** argv) {
   const double enclave_sim_ms = enclave->simulated_execution_seconds() * 1e3;
 
   std::cout << "TEE clustering overhead (§5.1 reproduction, "
-            << options.scale.num_parties << " parties)\n\n";
+            << spec.parties << " parties)\n\n";
   printf("  native k-means clustering:          %8.2f ms\n", native_ms);
   printf("  in-enclave clustering (raw):        %8.2f ms\n", enclave_raw_ms);
   printf("  in-enclave clustering (simulated):  %8.2f ms  (factor %.3f)\n",

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <deque>
 #include <iomanip>
 #include <iostream>
@@ -22,8 +21,7 @@ namespace {
 
 /// Platform heterogeneity profile used across all benches: 60 % nominal
 /// devices, 30 % 2× slower, 10 % 4× slower (TiFL/Oort react to these).
-double speed_factor_for(std::size_t party, flips::common::Rng& rng) {
-  (void)party;
+double speed_factor(flips::common::Rng& rng) {
   const double u = rng.uniform();
   if (u < 0.6) return 1.0;
   if (u < 0.9) return 2.0;
@@ -64,7 +62,7 @@ Federation build_federation(const ExperimentConfig& config,
     if (fault_fleet) {
       profile = flips::fl::PartyProfile::from_device(fleet.sample(profile_rng));
     } else {
-      profile.speed_factor = speed_factor_for(p, profile_rng);
+      profile.speed_factor = speed_factor(profile_rng);
     }
     out.parties.emplace_back(p, fed.party_data[p], profile);
     // TiFL's profiling pass: latency proportional to per-round work.
@@ -73,31 +71,20 @@ Federation build_federation(const ExperimentConfig& config,
   }
   out.global_test = fed.global_test;
 
-  // FLIPS clustering on label distributions in Hellinger space
-  // (Euclidean over sqrt-proportions): a proper distribution distance
-  // that keeps rare-label parties distinguishable. The middleware path
-  // runs the same kernel inside the TEE; benches call it directly to
-  // keep the hot loop lean.
-  std::vector<flips::cluster::Point> points;
-  points.reserve(fed.label_distributions.size());
-  for (const auto& ld : fed.label_distributions) {
-    auto p = flips::common::normalized(ld);
-    for (auto& v : p) v = std::sqrt(v);
-    points.push_back(std::move(p));
-  }
-  flips::cluster::KMeansConfig kc;
-  kc.k = std::min(config.flips_clusters, points.size());
-  kc.restarts = 3;
-  flips::common::Rng cluster_rng(seed ^ 0xC1u);
-  const auto result = flips::cluster::kmeans(points, kc, cluster_rng);
-  out.flips_clusters = result.assignments;
-  out.num_flips_clusters = kc.k;
+  // FLIPS clustering in Hellinger space. The middleware path runs the
+  // same kernel inside the TEE; benches call it directly to keep the
+  // hot loop lean.
+  out.flips_clusters = cluster_label_distributions(
+      fed.label_distributions, config.flips_clusters, LdSpace::kHellinger,
+      seed ^ 0xC1u);
+  out.num_flips_clusters =
+      std::min(config.flips_clusters, fed.label_distributions.size());
   out.label_distributions = fed.label_distributions;
   return out;
 }
 
 // The federation depends only on (spec, scale, alpha, clusters, seed) —
-// not on the selector or straggler rate — so the table benches rebuild
+// not on the selector or straggler rate — so flips_tables rebuilds
 // the SAME federation for every selector cell of a setting. Building it
 // (synthetic sampling + Hellinger k-means) costs more than many FL
 // rounds; a small keyed cache removes that without changing results.
@@ -251,12 +238,9 @@ SelectorResult run_selector(const ExperimentConfig& config,
                             flips::select::SelectorKind kind) {
   SelectorResult result;
   result.selector = flips::select::to_string(kind);
-  result.runs = config.scale.runs;
   result.accuracy_curve.assign(config.scale.rounds, 0.0);
 
   double bytes_sum = 0.0;
-  double up_bytes_sum = 0.0;
-  double down_bytes_sum = 0.0;
   double wall_s_sum = 0.0;
   double coverage_sum = 0.0;
   std::size_t covered_runs = 0;
@@ -279,9 +263,6 @@ SelectorResult run_selector(const ExperimentConfig& config,
                       .count();
 
     bytes_sum += static_cast<double>(job_result.total_bytes);
-    up_bytes_sum += static_cast<double>(job_result.upload_bytes);
-    down_bytes_sum += static_cast<double>(job_result.download_bytes);
-    if (job_result.rounds_to_target) ++result.runs_reaching_target;
     for (std::size_t r = 0; r < job_result.history.size(); ++r) {
       result.accuracy_curve[r] += job_result.history[r].balanced_accuracy;
     }
@@ -296,8 +277,6 @@ SelectorResult run_selector(const ExperimentConfig& config,
   const auto runs = static_cast<double>(config.scale.runs);
   constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
   result.total_gib = bytes_sum / runs / kGiB;
-  result.up_gib = up_bytes_sum / runs / kGiB;
-  result.down_gib = down_bytes_sum / runs / kGiB;
   result.mean_epsilon /= runs;
   result.mean_jain_index /= runs;
   // Mean over the runs that actually reached full coverage (nullopt ⇒
@@ -353,6 +332,29 @@ SelectorResult run_selector(const ExperimentConfig& config,
   return result;
 }
 
+std::vector<std::size_t> cluster_label_distributions(
+    const std::vector<flips::data::LabelDistribution>& lds, std::size_t k,
+    LdSpace space, std::uint64_t rng_seed) {
+  std::vector<flips::cluster::Point> points;
+  points.reserve(lds.size());
+  for (const auto& ld : lds) {
+    if (space == LdSpace::kRawCounts) {
+      points.emplace_back(ld.begin(), ld.end());
+      continue;
+    }
+    auto p = flips::common::normalized(ld);
+    if (space == LdSpace::kHellinger) {
+      for (auto& v : p) v = std::sqrt(v);
+    }
+    points.push_back(std::move(p));
+  }
+  flips::cluster::KMeansConfig kc;
+  kc.k = std::min(k, points.size());
+  kc.restarts = 3;
+  flips::common::Rng rng(rng_seed);
+  return flips::cluster::kmeans(points, kc, rng).assignments;
+}
+
 std::vector<std::vector<double>> run_per_label_curves(
     const ExperimentConfig& config, flips::select::SelectorKind kind) {
   const auto session = make_session(config, kind, config.seed);
@@ -369,72 +371,6 @@ std::vector<std::vector<double>> run_per_label_curves(
     }
   }
   return curves;
-}
-
-BenchOptions parse_bench_options(int argc, char** argv,
-                                 const Scale& default_scale) {
-  BenchOptions options;
-  options.scale = default_scale;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> std::uint64_t {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      const char* text = argv[++i];
-      char* end = nullptr;
-      const std::uint64_t value = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') {
-        std::cerr << "invalid value for " << arg << ": " << text << "\n";
-        std::exit(2);
-      }
-      return value;
-    };
-    if (arg == "--paper-scale") {
-      options.paper_scale = true;
-      options.scale.num_parties = 200;
-      options.scale.samples_per_party = 120;
-      options.scale.rounds = 400;
-      options.scale.runs = 6;
-      options.scale.eval_every = 2;
-    } else if (arg == "--parties") {
-      options.scale.num_parties = next_value();
-    } else if (arg == "--rounds") {
-      options.scale.rounds = next_value();
-    } else if (arg == "--runs") {
-      options.scale.runs = next_value();
-    } else if (arg == "--samples") {
-      options.scale.samples_per_party = next_value();
-    } else if (arg == "--seed") {
-      options.seed = next_value();
-    } else if (arg == "--threads") {
-      options.threads = next_value();
-    } else if (arg == "--codec") {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      const auto codec = flips::net::codec_from_string(argv[++i]);
-      if (!codec) {
-        std::cerr << "invalid value for --codec: " << argv[i]
-                  << " (expected dense64, quant8, or topk)\n";
-        std::exit(2);
-      }
-      options.codec.codec = *codec;
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --paper-scale --parties N --rounds N --runs N "
-                   "--samples N --seed N --threads N (0 = all cores) "
-                   "--codec dense64|quant8|topk --csv\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown flag: " << arg << " (try --help)\n";
-      std::exit(2);
-    }
-  }
-  return options;
 }
 
 std::string format_rounds(const std::optional<double>& rounds,

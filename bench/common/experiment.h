@@ -1,7 +1,8 @@
 // Shared experiment engine for the table/figure benches: builds a
 // federation from a dataset spec, runs one FL job per (selector,
 // straggler-rate) cell, averages over repeats, and prints
-// paper-vs-measured tables.
+// paper-vs-measured tables. Benches build an ExperimentConfig from a
+// ScenarioSpec (common/scenario.h, to_experiment_config).
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,11 @@
 
 namespace flips::bench {
 
-/// Scale knobs. Defaults are the reduced scale that keeps
-/// `for b in build/bench/*; do $b; done` tractable; --paper-scale raises
-/// them to the paper's setting (200 parties, 400/200 rounds, 6 runs).
+/// Scale knobs, lowered from the ScenarioSpec keys parties, samples,
+/// rounds, runs and eval_every (to_experiment_config). Each bench's
+/// default spec is a reduced scale that finishes in minutes;
+/// --paper-scale raises it to the paper's setting (200 parties, 400
+/// rounds, 6 runs).
 struct Scale {
   std::size_t num_parties = 100;
   std::size_t samples_per_party = 80;
@@ -90,12 +93,8 @@ struct SelectorResult {
   double peak_accuracy = 0.0;              ///< mean over runs, in [0,1]
   /// Mean rounds to target over runs that reached it; nullopt if none did.
   std::optional<double> rounds_to_target;
-  std::size_t runs_reaching_target = 0;
-  std::size_t runs = 0;
   std::vector<double> accuracy_curve;      ///< mean balanced acc per round
   double total_gib = 0.0;                  ///< mean communication volume
-  double up_gib = 0.0;                     ///< mean update (uplink) volume
-  double down_gib = 0.0;                   ///< mean broadcast volume
   double mean_epsilon = 0.0;               ///< DP budget (0 when DP off)
   /// Selection-fairness summary (mean over runs).
   double mean_jain_index = 0.0;
@@ -128,39 +127,27 @@ struct SelectorResult {
     const ExperimentConfig& config, flips::select::SelectorKind kind,
     std::uint64_t seed, flips::common::ThreadPool* shared_pool = nullptr);
 
+/// How label distributions are embedded before clustering: raw counts,
+/// proportions, or Hellinger space (sqrt-proportions, where Euclidean
+/// distance is a proper distribution distance that keeps rare-label
+/// parties distinguishable).
+enum class LdSpace { kRawCounts, kProportions, kHellinger };
+
+/// Clusters parties on their label distributions: k-means with 3
+/// restarts and k capped at the party count, seeded with `rng_seed`.
+/// Returns each party's cluster.
+[[nodiscard]] std::vector<std::size_t> cluster_label_distributions(
+    const std::vector<flips::data::LabelDistribution>& lds, std::size_t k,
+    LdSpace space, std::uint64_t rng_seed);
+
 /// Per-label accuracy curves (for the Fig. 13 underrepresented-label
 /// analysis). Returns [label][round].
 [[nodiscard]] std::vector<std::vector<double>> run_per_label_curves(
     const ExperimentConfig& config, flips::select::SelectorKind kind);
 
 // ---------------------------------------------------------------------
-// CLI + reporting helpers shared by all bench binaries.
-
-struct BenchOptions {
-  Scale scale;
-  bool paper_scale = false;
-  bool csv = false;        ///< also dump accuracy curves as CSV
-  std::uint64_t seed = 42;
-  std::size_t threads = 0; ///< local-training workers (0 = all cores)
-  /// Update/broadcast wire codec (--codec dense64|quant8|topk).
-  flips::net::CodecConfig codec;
-
-  /// Copies the knobs every bench used to hand-plumb one by one
-  /// (scale, seed, threads, codec) onto an experiment config — the one
-  /// place the BenchOptions → ExperimentConfig overlap is resolved.
-  void apply(ExperimentConfig& config) const {
-    config.scale = scale;
-    config.seed = seed;
-    config.threads = threads;
-    config.codec = codec;
-  }
-};
-
-/// Parses --paper-scale, --parties N, --rounds N, --runs N, --csv,
-/// --seed N, --threads N, --codec NAME. Exits with a usage message on
-/// unknown flags.
-[[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv,
-                                               const Scale& default_scale);
+// Reporting helpers shared by all bench binaries (the command line is
+// parse_scenario_args in common/scenario.h).
 
 /// Rounds-to-target cell: "N" or ">R" when the target was never reached.
 [[nodiscard]] std::string format_rounds(

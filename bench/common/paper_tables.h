@@ -1,5 +1,6 @@
-// Paper-reported numbers for Tables 1-24 (FLIPS, Middleware 2023),
-// transcribed for the paper-vs-measured reports every bench prints.
+// Paper-reported numbers for Tables 1-24 (FLIPS, Middleware 2023), the
+// grid that reproduces them, and the reduced-scale calibration every
+// preset reads. `flips_tables --scenario <preset>` runs one table pair.
 //
 // Layout per row: {alpha, party%} setting ×
 //   rounds/accuracy for [0% stragglers: Random, FLIPS, OORT, GradCls,
@@ -10,6 +11,11 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
+#include <string_view>
+
+#include "common/scenario.h"
+#include "selection/factory.h"
 
 namespace flips::bench::paper {
 
@@ -55,8 +61,8 @@ struct TablePair {
 //
 // The paper's 400/200-round budgets do not transfer 1:1 to the reduced
 // simulation, so each dataset carries a calibrated (target accuracy,
-// prototype separation, local lr) triple — the single source the table
-// benches AND the flips_run scenario presets read. The knobs are tuned
+// prototype separation, local lr) triple — the single source the
+// scenario presets (and so flips_tables and flips_run) read. The knobs are tuned
 // (protocol in EXPERIMENTS.md § "Reduced-target calibration") so that
 // rounds-to-target lands in the tens of rounds at the default reduced
 // scale — far enough from round 1 that selector orderings are
@@ -276,5 +282,85 @@ inline constexpr TablePair kFashionFedAvg{
        83.35},
       {84.48, 85.63, 82.87, 84.04, 82.08, 85.67, 82.72, 83.04, 85.42, 82.30,
        82.77}}}};
+
+// ------------------------------ Grid ---------------------------------
+
+/// One column of every table: the selector, its straggler rate, the
+/// column label, the name the shape checks print, and where the paper's
+/// numbers for it sit in a row.
+struct Arm {
+  select::SelectorKind selector;
+  double straggler_rate;
+  const char* column;
+  const char* name;
+  int RoundsRow::* paper_rounds;
+  double AccuracyRow::* paper_accuracy;
+};
+
+inline constexpr std::array<Arm, 11> kArms{{
+    {select::SelectorKind::kRandom, 0.0, "Random", "Random",
+     &RoundsRow::random, &AccuracyRow::random},
+    {select::SelectorKind::kFlips, 0.0, "FLIPS", "FLIPS", &RoundsRow::flips,
+     &AccuracyRow::flips},
+    {select::SelectorKind::kOort, 0.0, "OORT", "Oort", &RoundsRow::oort,
+     &AccuracyRow::oort},
+    {select::SelectorKind::kGradClus, 0.0, "GradCls", "GradClus",
+     &RoundsRow::gradcls, &AccuracyRow::gradcls},
+    {select::SelectorKind::kTifl, 0.0, "TiFL", "TiFL", &RoundsRow::tifl,
+     &AccuracyRow::tifl},
+    {select::SelectorKind::kFlips, 0.10, "FLIPS/10", "FLIPS",
+     &RoundsRow::flips10, &AccuracyRow::flips10},
+    {select::SelectorKind::kOort, 0.10, "OORT/10", "Oort",
+     &RoundsRow::oort10, &AccuracyRow::oort10},
+    {select::SelectorKind::kTifl, 0.10, "TiFL/10", "TiFL",
+     &RoundsRow::tifl10, &AccuracyRow::tifl10},
+    {select::SelectorKind::kFlips, 0.20, "FLIPS/20", "FLIPS",
+     &RoundsRow::flips20, &AccuracyRow::flips20},
+    {select::SelectorKind::kOort, 0.20, "OORT/20", "Oort",
+     &RoundsRow::oort20, &AccuracyRow::oort20},
+    {select::SelectorKind::kTifl, 0.20, "TiFL/20", "TiFL",
+     &RoundsRow::tifl20, &AccuracyRow::tifl20},
+}};
+
+/// The table pair each preset reproduces, in paper order.
+struct PresetTable {
+  const char* preset;
+  const TablePair* table;
+};
+inline constexpr std::array<PresetTable, 12> kPresetTables{{
+    {"ecg-fedyogi", &kEcgFedYogi},          // Tables 1-2
+    {"ham-fedyogi", &kHamFedYogi},          // Tables 3-4
+    {"femnist-fedyogi", &kFemnistFedYogi},  // Tables 5-6
+    {"fashion-fedyogi", &kFashionFedYogi},  // Tables 7-8
+    {"ecg-fedprox", &kEcgFedProx},          // Tables 9-10
+    {"ham-fedprox", &kHamFedProx},          // Tables 11-12
+    {"femnist-fedprox", &kFemnistFedProx},  // Tables 13-14
+    {"fashion-fedprox", &kFashionFedProx},  // Tables 15-16
+    {"ecg-fedavg", &kEcgFedAvg},            // Tables 17-18
+    {"ham-fedavg", &kHamFedAvg},            // Tables 19-20
+    {"femnist-fedavg", &kFemnistFedAvg},    // Tables 21-22
+    {"fashion-fedavg", &kFashionFedAvg},    // Tables 23-24
+}};
+
+/// The paper tables preset `name` reproduces; nullptr for any other name.
+inline const TablePair* table_for(std::string_view name) {
+  for (const PresetTable& entry : kPresetTables) {
+    if (name == entry.preset) return entry.table;
+  }
+  return nullptr;
+}
+
+/// Grid cell (setting s, arm) of the table pair `spec` runs: the spec
+/// plus the five keys the grid varies. A cell is a plain scenario, so
+/// scenario_command(cell) re-runs it alone.
+inline ScenarioSpec grid_cell(ScenarioSpec spec, std::size_t s,
+                              const Arm& arm) {
+  spec.alpha = kSettings[s].alpha;
+  spec.participation = kSettings[s].party_fraction;
+  spec.seed += 17 * s;  // per-setting seed stride
+  spec.selector = select::to_string(arm.selector);
+  spec.straggler_rate = arm.straggler_rate;
+  return spec;
+}
 
 }  // namespace flips::bench::paper

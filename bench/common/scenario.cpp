@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <stdexcept>
 
 #include "common/paper_tables.h"
@@ -46,18 +47,88 @@ std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   return parsed;
 }
 
-void check_choice(std::string_view key, std::string_view value,
-                  const std::vector<std::string_view>& choices) {
-  for (const std::string_view c : choices) {
-    if (value == c) return;
+/// One word of a string-valued key's vocabulary and what it lowers to.
+/// Each table below is the one list both the registry validates
+/// against and to_experiment_config reads.
+template <typename T>
+struct Choice {
+  std::string_view name;
+  T value;
+};
+
+struct Dataset {
+  data::SyntheticSpec (*spec)();
+  /// Calibrated reduced-scale target and hardness (paper_tables.h).
+  bench::paper::ReducedCalibration calibration;
+};
+
+const Choice<Dataset> kDatasets[] = {
+    {"ecg", {&data::DatasetCatalog::ecg, bench::paper::kEcgReduced}},
+    {"ham", {&data::DatasetCatalog::ham10000, bench::paper::kHamReduced}},
+    {"femnist",
+     {&data::DatasetCatalog::femnist, bench::paper::kFemnistReduced}},
+    {"fashion",
+     {&data::DatasetCatalog::fashion_mnist, bench::paper::kFashionReduced}},
+};
+constexpr Choice<fl::ServerOpt> kServerOpts[] = {
+    {"fedavg", fl::ServerOpt::kFedAvg},
+    {"fedadagrad", fl::ServerOpt::kFedAdagrad},
+    {"fedadam", fl::ServerOpt::kFedAdam},
+    {"fedyogi", fl::ServerOpt::kFedYogi},
+};
+constexpr Choice<fl::ClientAlgo> kClientAlgos[] = {
+    {"sgd", fl::ClientAlgo::kSgd},
+    {"scaffold", fl::ClientAlgo::kScaffold},
+    {"feddyn", fl::ClientAlgo::kFedDyn},
+};
+constexpr Choice<fl::PrivacyMechanism> kPrivacy[] = {
+    {"none", fl::PrivacyMechanism::kNone},
+    {"dp", fl::PrivacyMechanism::kDp},
+    {"masking", fl::PrivacyMechanism::kMasking},
+};
+constexpr Choice<fl::FederationMode> kModes[] = {
+    {"sync", fl::FederationMode::kSync},
+    {"async", fl::FederationMode::kAsync},
+};
+constexpr Choice<net::Codec> kCodecs[] = {
+    {"dense64", net::Codec::kDense64},
+    {"quant8", net::Codec::kQuant8},
+    {"topk", net::Codec::kTopK},
+};
+/// The FL algorithm half of a preset name: the paper's three table
+/// families. Its FedProx arm runs a FedAvg server with μ = 0.1; the
+/// FedYogi arm is the adaptive server.
+struct PresetAlgo {
+  const char* server_opt;
+  double prox_mu;
+};
+constexpr Choice<PresetAlgo> kPresetAlgos[] = {
+    {"fedavg", {"fedavg", 0.0}},
+    {"fedyogi", {"fedyogi", 0.0}},
+    {"fedprox", {"fedavg", 0.1}},
+};
+
+/// The value `word` lowers to, or nullptr.
+template <typename T, std::size_t N>
+const T* find(const Choice<T> (&choices)[N], std::string_view word) {
+  for (const Choice<T>& choice : choices) {
+    if (choice.name == word) return &choice.value;
   }
+  return nullptr;
+}
+
+/// The value `word` lowers to; throws listing the vocabulary otherwise.
+template <typename T, std::size_t N>
+const T& lookup(std::string_view key, const Choice<T> (&choices)[N],
+                std::string_view word) {
+  if (const T* value = find(choices, word)) return *value;
   std::string extra = " (expected one of:";
-  for (const std::string_view c : choices) {
+  for (const Choice<T>& choice : choices) {
     extra += " ";
-    extra += c;
+    extra += choice.name;
   }
   extra += ")";
-  fail_value(key, value, extra);
+  fail_value(key, word, extra);
 }
 
 struct Field {
@@ -78,34 +149,48 @@ std::string show(double v) {
 }
 
 const std::vector<Field>& fields() {
-  auto size_field = [](const char* key, std::size_t ScenarioSpec::* mem) {
+  // Numeric keys take an optional range check: `ok` rejects a parsed
+  // value that would run silently wrong (or hit UB) downstream, and
+  // `expected` names the range in the error message.
+  auto size_field = [](const char* key, std::size_t ScenarioSpec::* mem,
+                       bool (*ok)(std::uint64_t) = nullptr,
+                       const char* expected = "") {
     return Field{key,
-                 [key, mem](ScenarioSpec& s, std::string_view v) {
-                   s.*mem = static_cast<std::size_t>(parse_u64(key, v));
+                 [=](ScenarioSpec& s, std::string_view v) {
+                   const std::uint64_t parsed = parse_u64(key, v);
+                   if (ok && !ok(parsed)) fail_value(key, v, expected);
+                   s.*mem = static_cast<std::size_t>(parsed);
                  },
                  [mem](const ScenarioSpec& s) {
                    return std::to_string(s.*mem);
                  }};
   };
-  auto double_field = [](const char* key, double ScenarioSpec::* mem) {
+  auto double_field = [](const char* key, double ScenarioSpec::* mem,
+                         bool (*ok)(double) = nullptr,
+                         const char* expected = "") {
     return Field{key,
-                 [key, mem](ScenarioSpec& s, std::string_view v) {
-                   s.*mem = parse_double(key, v);
+                 [=](ScenarioSpec& s, std::string_view v) {
+                   const double parsed = parse_double(key, v);
+                   if (ok && !ok(parsed)) fail_value(key, v, expected);
+                   s.*mem = parsed;
                  },
                  [mem](const ScenarioSpec& s) { return show(s.*mem); }};
   };
-  // choices captured as an owning vector (an initializer_list capture
-  // would dangle once the registry-building expression ends).
+  // `choices` is one of the namespace-scope tables above, so the
+  // setter's reference to it never dangles.
   auto choice_field = [](const char* key, std::string ScenarioSpec::* mem,
-                         std::vector<std::string_view> choices) {
+                         const auto& choices) {
     return Field{key,
-                 [key, mem, choices = std::move(choices)](
-                     ScenarioSpec& s, std::string_view v) {
-                   check_choice(key, v, choices);
+                 [key, mem, &choices](ScenarioSpec& s, std::string_view v) {
+                   (void)lookup(key, choices, v);  // fail-fast
                    s.*mem = std::string(v);
                  },
                  [mem](const ScenarioSpec& s) { return s.*mem; }};
   };
+  const auto positive_finite = +[](double x) {
+    return x > 0.0 && std::isfinite(x);
+  };
+  const auto unit_interval = +[](double x) { return x >= 0.0 && x <= 1.0; };
 
   static const std::vector<Field> registry = {
       Field{"name",
@@ -113,24 +198,29 @@ const std::vector<Field>& fields() {
               s.name = std::string(v);
             },
             [](const ScenarioSpec& s) { return s.name; }},
-      choice_field("dataset", &ScenarioSpec::dataset,
-                   {"ecg", "ham", "femnist", "fashion"}),
-      double_field("alpha", &ScenarioSpec::alpha),
+      choice_field("dataset", &ScenarioSpec::dataset, kDatasets),
+      // Rng::dirichlet would silently swap in a tiny concentration for
+      // alpha <= 0 or nan.
+      double_field("alpha", &ScenarioSpec::alpha, positive_finite,
+                   " (expected a finite value > 0)"),
       double_field("class_separation", &ScenarioSpec::class_separation),
       size_field("parties", &ScenarioSpec::parties),
       size_field("samples", &ScenarioSpec::samples_per_party),
       size_field("rounds", &ScenarioSpec::rounds),
-      size_field("runs", &ScenarioSpec::runs),
+      // run_selector averages over runs.
+      size_field("runs", &ScenarioSpec::runs,
+                 +[](std::uint64_t n) { return n >= 1; }, " (expected >= 1)"),
       size_field("eval_every", &ScenarioSpec::eval_every),
-      double_field("participation", &ScenarioSpec::participation),
-      choice_field("mode", &ScenarioSpec::mode, {"sync", "async"}),
+      // A cohort is participation × parties, cast to an unsigned count.
+      double_field("participation", &ScenarioSpec::participation,
+                   +[](double x) { return x > 0.0 && x <= 1.0; },
+                   " (expected a value in (0, 1])"),
+      choice_field("mode", &ScenarioSpec::mode, kModes),
       size_field("buffer_k", &ScenarioSpec::buffer_k),
       size_field("max_staleness", &ScenarioSpec::max_staleness),
-      choice_field("server_opt", &ScenarioSpec::server_opt,
-                   {"fedavg", "fedadagrad", "fedadam", "fedyogi"}),
+      choice_field("server_opt", &ScenarioSpec::server_opt, kServerOpts),
       double_field("server_lr", &ScenarioSpec::server_lr),
-      choice_field("client_algo", &ScenarioSpec::client_algo,
-                   {"sgd", "scaffold", "feddyn"}),
+      choice_field("client_algo", &ScenarioSpec::client_algo, kClientAlgos),
       double_field("prox_mu", &ScenarioSpec::prox_mu),
       size_field("local_epochs", &ScenarioSpec::local_epochs),
       double_field("local_lr", &ScenarioSpec::local_lr),
@@ -149,51 +239,20 @@ const std::vector<Field>& fields() {
       // Fault-plane knobs fail fast on out-of-range values here (the
       // session would also reject them, but only after the federation
       // was built).
-      Field{"churn",
-            [](ScenarioSpec& s, std::string_view v) {
-              const double parsed = parse_double("churn", v);
-              if (!(parsed >= 0.0) || !std::isfinite(parsed)) {
-                fail_value("churn", v, " (expected a finite value >= 0)");
-              }
-              s.churn = parsed;
-            },
-            [](const ScenarioSpec& s) { return show(s.churn); }},
-      Field{"fault_rate",
-            [](ScenarioSpec& s, std::string_view v) {
-              const double parsed = parse_double("fault_rate", v);
-              if (!(parsed >= 0.0 && parsed <= 1.0)) {
-                fail_value("fault_rate", v, " (expected a value in [0, 1])");
-              }
-              s.fault_rate = parsed;
-            },
-            [](const ScenarioSpec& s) { return show(s.fault_rate); }},
-      Field{"min_quorum",
-            [](ScenarioSpec& s, std::string_view v) {
-              const double parsed = parse_double("min_quorum", v);
-              if (!(parsed >= 0.0 && parsed <= 1.0)) {
-                fail_value("min_quorum", v, " (expected a value in [0, 1])");
-              }
-              s.min_quorum = parsed;
-            },
-            [](const ScenarioSpec& s) { return show(s.min_quorum); }},
-      Field{"max_retries",
-            [](ScenarioSpec& s, std::string_view v) {
-              const std::uint64_t parsed = parse_u64("max_retries", v);
-              if (parsed > 64) {
-                fail_value("max_retries", v, " (expected <= 64)");
-              }
-              s.max_retries = static_cast<std::size_t>(parsed);
-            },
-            [](const ScenarioSpec& s) {
-              return std::to_string(s.max_retries);
-            }},
-      choice_field("privacy", &ScenarioSpec::privacy,
-                   {"none", "dp", "masking"}),
+      double_field("churn", &ScenarioSpec::churn,
+                   +[](double x) { return x >= 0.0 && std::isfinite(x); },
+                   " (expected a finite value >= 0)"),
+      double_field("fault_rate", &ScenarioSpec::fault_rate, unit_interval,
+                   " (expected a value in [0, 1])"),
+      double_field("min_quorum", &ScenarioSpec::min_quorum, unit_interval,
+                   " (expected a value in [0, 1])"),
+      size_field("max_retries", &ScenarioSpec::max_retries,
+                 +[](std::uint64_t n) { return n <= 64; }, " (expected <= 64)"),
+      choice_field("privacy", &ScenarioSpec::privacy, kPrivacy),
       double_field("dp_clip", &ScenarioSpec::dp_clip),
       double_field("dp_noise", &ScenarioSpec::dp_noise),
       size_field("threads", &ScenarioSpec::threads),
-      choice_field("codec", &ScenarioSpec::codec,
-                   {"dense64", "quant8", "topk"}),
+      choice_field("codec", &ScenarioSpec::codec, kCodecs),
       Field{"seed",
             [](ScenarioSpec& s, std::string_view v) {
               s.seed = parse_u64("seed", v);
@@ -204,74 +263,10 @@ const std::vector<Field>& fields() {
   return registry;
 }
 
-data::SyntheticSpec dataset_spec(const ScenarioSpec& spec) {
-  data::SyntheticSpec out;
-  if (spec.dataset == "ecg") {
-    out = data::DatasetCatalog::ecg();
-  } else if (spec.dataset == "ham") {
-    out = data::DatasetCatalog::ham10000();
-  } else if (spec.dataset == "femnist") {
-    out = data::DatasetCatalog::femnist();
-  } else if (spec.dataset == "fashion") {
-    out = data::DatasetCatalog::fashion_mnist();
-  } else {
-    fail("unknown dataset: " + spec.dataset);
-  }
-  if (spec.class_separation > 0.0) {
-    out.class_separation = spec.class_separation;
-  }
-  return out;
-}
-
-fl::ServerOpt server_opt(const ScenarioSpec& spec) {
-  if (spec.server_opt == "fedavg") return fl::ServerOpt::kFedAvg;
-  if (spec.server_opt == "fedadagrad") return fl::ServerOpt::kFedAdagrad;
-  if (spec.server_opt == "fedadam") return fl::ServerOpt::kFedAdam;
-  if (spec.server_opt == "fedyogi") return fl::ServerOpt::kFedYogi;
-  fail("unknown server_opt: " + spec.server_opt);
-}
-
-fl::ClientAlgo client_algo(const ScenarioSpec& spec) {
-  if (spec.client_algo == "sgd") return fl::ClientAlgo::kSgd;
-  if (spec.client_algo == "scaffold") return fl::ClientAlgo::kScaffold;
-  if (spec.client_algo == "feddyn") return fl::ClientAlgo::kFedDyn;
-  fail("unknown client_algo: " + spec.client_algo);
-}
-
-fl::PrivacyConfig privacy_config(const ScenarioSpec& spec) {
-  fl::PrivacyConfig out;
-  if (spec.privacy == "dp") {
-    out.mechanism = fl::PrivacyMechanism::kDp;
-    out.dp.clip_norm = spec.dp_clip;
-    out.dp.noise_multiplier = spec.dp_noise;
-  } else if (spec.privacy == "masking") {
-    out.mechanism = fl::PrivacyMechanism::kMasking;
-  } else if (spec.privacy != "none") {
-    fail("unknown privacy mechanism: " + spec.privacy);
-  }
-  return out;
-}
-
-/// The per-dataset calibrated (target, separation, lr) triple shared
-/// with the table benches.
-bench::paper::ReducedCalibration calibration(std::string_view dataset) {
-  if (dataset == "ecg") return bench::paper::kEcgReduced;
-  if (dataset == "ham") return bench::paper::kHamReduced;
-  if (dataset == "femnist") return bench::paper::kFemnistReduced;
-  return bench::paper::kFashionReduced;
-}
-
-}  // namespace
-
-void apply_override(ScenarioSpec& spec, std::string_view assignment) {
-  const std::size_t eq = assignment.find('=');
-  if (eq == std::string_view::npos || eq == 0) {
-    std::string message = "expected key=value, got: ";
-    message += assignment;
-    fail(message);
-  }
-  const std::string_view key = assignment.substr(0, eq);
-  const std::string_view value = assignment.substr(eq + 1);
+/// Sets one key through its registry setter. Throws
+/// std::invalid_argument on an unknown key or a bad value.
+void set_key(ScenarioSpec& spec, std::string_view key,
+             std::string_view value) {
   for (const Field& field : fields()) {
     if (key == field.key) {
       field.set(spec, value);
@@ -284,13 +279,57 @@ void apply_override(ScenarioSpec& spec, std::string_view assignment) {
   fail(message);
 }
 
+/// Applies preset `name`'s own keys over `spec`: name, dataset,
+/// server_opt, prox_mu, target_accuracy, class_separation, local_lr and
+/// server_lr. Every other key keeps its value. Throws
+/// std::invalid_argument on an unknown name.
+void apply_preset(ScenarioSpec& spec, std::string_view name) {
+  const std::size_t dash = name.rfind('-');
+  if (dash != std::string_view::npos) {
+    const Dataset* dataset = find(kDatasets, name.substr(0, dash));
+    const PresetAlgo* algo = find(kPresetAlgos, name.substr(dash + 1));
+    if (dataset != nullptr && algo != nullptr) {
+      spec.name = std::string(name);
+      spec.dataset = std::string(name.substr(0, dash));
+      spec.server_opt = algo->server_opt;
+      spec.prox_mu = algo->prox_mu;
+      spec.target_accuracy = dataset->calibration.target_accuracy;
+      spec.class_separation = dataset->calibration.class_separation;
+      spec.local_lr = dataset->calibration.local_lr;
+      spec.server_lr = dataset->calibration.server_lr;
+      return;
+    }
+  }
+  std::string message = "unknown scenario: ";
+  message += name;
+  message += " (known:";
+  for (const std::string& preset : scenario_preset_names()) {
+    message += " ";
+    message += preset;
+  }
+  message += ")";
+  fail(message);
+}
+
+}  // namespace
+
+void apply_override(ScenarioSpec& spec, std::string_view assignment) {
+  const std::size_t eq = assignment.find('=');
+  if (eq == std::string_view::npos || eq == 0) {
+    std::string message = "expected key=value, got: ";
+    message += assignment;
+    fail(message);
+  }
+  set_key(spec, assignment.substr(0, eq), assignment.substr(eq + 1));
+}
+
 std::string scenario_usage(const ScenarioSpec& spec) {
   std::string out;
-  for (const Field& field : fields()) {
+  for (const auto& [key, value] : spec.to_key_values()) {
     out += "  ";
-    out += field.key;
+    out += key;
     out += "=";
-    out += field.get(spec);
+    out += value;
     out += "\n";
   }
   return out;
@@ -306,70 +345,104 @@ KeyValueList ScenarioSpec::to_key_values() const {
 }
 
 ScenarioSpec ScenarioSpec::from_key_values(const KeyValueList& kv) {
+  // Reuses the registry setters, so every wire-submitted value gets
+  // apply_override's fail-fast validation (unknown key, bad parse,
+  // out-of-range number, out-of-choice string) before a session is
+  // ever built from it.
   ScenarioSpec spec;
-  for (const auto& [key, value] : kv) {
-    // Reuses the registry setters, so every wire-submitted value gets
-    // apply_override's fail-fast validation (unknown key, bad parse,
-    // out-of-choice string) before a session is ever built from it.
-    bool known = false;
-    for (const Field& field : fields()) {
-      if (key == field.key) {
-        field.set(spec, value);
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string message = "unknown scenario key: ";
-      message += key;
-      fail(message);
-    }
-  }
+  for (const auto& [key, value] : kv) set_key(spec, key, value);
   return spec;
 }
 
 ScenarioSpec scenario_preset(std::string_view name) {
-  const std::size_t dash = name.rfind('-');
-  if (dash != std::string_view::npos) {
-    const std::string_view dataset = name.substr(0, dash);
-    const std::string_view algo = name.substr(dash + 1);
-    const bool known_dataset = dataset == "ecg" || dataset == "ham" ||
-                               dataset == "femnist" || dataset == "fashion";
-    const bool known_algo =
-        algo == "fedavg" || algo == "fedyogi" || algo == "fedprox";
-    if (known_dataset && known_algo) {
-      ScenarioSpec spec;
-      spec.name = std::string(name);
-      spec.dataset = std::string(dataset);
-      // The paper's FedProx arm runs a FedAvg server with μ = 0.1; the
-      // FedYogi arm is the adaptive server (same pairing as the table
-      // benches).
-      spec.server_opt = algo == "fedyogi" ? "fedyogi" : "fedavg";
-      spec.prox_mu = algo == "fedprox" ? 0.1 : 0.0;
-      const auto cal = calibration(dataset);
-      spec.target_accuracy = cal.target_accuracy;
-      spec.class_separation = cal.class_separation;
-      spec.local_lr = cal.local_lr;
-      spec.server_lr = cal.server_lr;
-      return spec;
+  ScenarioSpec spec;
+  apply_preset(spec, name);
+  return spec;
+}
+
+std::string scenario_command(const ScenarioSpec& spec) {
+  const KeyValueList preset = scenario_preset(spec.name).to_key_values();
+  const KeyValueList own = spec.to_key_values();
+  std::string out = "flips_run --scenario ";
+  out += spec.name;
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    if (own[i].second == preset[i].second) continue;
+    out += " --set ";
+    out += own[i].first;
+    out += "=";
+    out += own[i].second;
+  }
+  return out;
+}
+
+ScenarioArgs parse_scenario_args(int argc, char** argv, ScenarioSpec spec,
+                                 std::string_view usage,
+                                 const ExtraFlags& extra) {
+  ScenarioArgs args;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const std::function<const char*()> value = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::string message = "missing value for ";
+          message += arg;
+          fail(message);
+        }
+        return argv[++i];
+      };
+      if (arg == "--scenario") {
+        apply_preset(spec, value());
+      } else if (arg == "--set") {
+        apply_override(spec, value());
+      } else if (arg == "--paper-scale") {
+        args.paper_scale = true;
+        for (const char* key : {"parties=200", "samples=120", "rounds=400",
+                                "runs=6", "eval_every=2"}) {
+          apply_override(spec, key);
+        }
+      } else if (arg == "--csv") {
+        args.csv = true;
+      } else if (arg == "--help" || arg == "-h") {
+        std::string_view program = argv[0];
+        program = program.substr(program.rfind('/') + 1);
+        std::cout << "usage: " << program
+                  << " [--scenario NAME] [--set key=value]... "
+                     "[--paper-scale] [--csv]\n"
+                  << usage
+                  << "  --scenario NAME   apply preset NAME's own keys "
+                     "(flips_run --list)\n"
+                     "  --set key=value   set one scenario key (listed "
+                     "below)\n"
+                     "  --paper-scale     --set parties=200 samples=120 "
+                     "rounds=400 runs=6 eval_every=2\n"
+                     "  --csv             also print accuracy curves as "
+                     "CSV rows\n\n"
+                     "scenario keys (with the resolved scenario's values):\n"
+                  << scenario_usage(spec);
+        std::exit(0);
+      } else if (!extra || !extra(arg, value)) {
+        std::string message = "unknown flag: ";
+        message += arg;
+        message += " (try --help)";
+        fail(message);
+      }
     }
+  } catch (const std::exception& error) {
+    std::cerr << error.what() << "\n";
+    std::exit(2);
   }
-  std::string message = "unknown scenario: ";
-  message += name;
-  message += " (known:";
-  for (const std::string& preset : scenario_preset_names()) {
-    message += " ";
-    message += preset;
-  }
-  message += ")";
-  fail(message);
+  args.spec = std::move(spec);
+  return args;
 }
 
 std::vector<std::string> scenario_preset_names() {
   std::vector<std::string> names;
-  for (const char* dataset : {"ecg", "ham", "femnist", "fashion"}) {
-    for (const char* algo : {"fedavg", "fedyogi", "fedprox"}) {
-      names.push_back(std::string(dataset) + "-" + algo);
+  for (const auto& dataset : kDatasets) {
+    for (const auto& algo : kPresetAlgos) {
+      std::string name(dataset.name);
+      name += "-";
+      name += algo.name;
+      names.push_back(std::move(name));
     }
   }
   return names;
@@ -377,10 +450,13 @@ std::vector<std::string> scenario_preset_names() {
 
 bench::ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   bench::ExperimentConfig config;
-  config.spec = dataset_spec(spec);
+  config.spec = lookup("dataset", kDatasets, spec.dataset).spec();
+  if (spec.class_separation > 0.0) {
+    config.spec.class_separation = spec.class_separation;
+  }
   config.alpha = spec.alpha;
   config.participation = spec.participation;
-  config.server_opt = server_opt(spec);
+  config.server_opt = lookup("server_opt", kServerOpts, spec.server_opt);
   config.server_lr = spec.server_lr;
   config.prox_mu = spec.prox_mu;
   config.straggler_rate = spec.straggler_rate;
@@ -395,17 +471,15 @@ bench::ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   config.local_epochs = spec.local_epochs;
   config.local_lr = spec.local_lr;
   config.mlp_hidden = spec.mlp_hidden;
-  config.privacy = privacy_config(spec);
-  config.client_algo = client_algo(spec);
-  config.threads = spec.threads;
-  const auto codec = net::codec_from_string(spec.codec);
-  if (!codec) fail("unknown codec: " + spec.codec);
-  config.codec.codec = *codec;
-  if (spec.mode == "async") {
-    config.mode = fl::FederationMode::kAsync;
-  } else if (spec.mode != "sync") {
-    fail("unknown mode: " + spec.mode);
+  config.privacy.mechanism = lookup("privacy", kPrivacy, spec.privacy);
+  if (config.privacy.mechanism == fl::PrivacyMechanism::kDp) {
+    config.privacy.dp.clip_norm = spec.dp_clip;
+    config.privacy.dp.noise_multiplier = spec.dp_noise;
   }
+  config.client_algo = lookup("client_algo", kClientAlgos, spec.client_algo);
+  config.threads = spec.threads;
+  config.codec.codec = lookup("codec", kCodecs, spec.codec);
+  config.mode = lookup("mode", kModes, spec.mode);
   config.async.buffer_k = spec.buffer_k;
   config.async.max_staleness = spec.max_staleness;
   config.faults.churn = spec.churn;

@@ -1,20 +1,24 @@
-// One declarative description of an FL scenario — the single source the
-// `flips_run` driver launches from. ScenarioSpec unifies the knobs that
-// used to be triplicated across fl::FlJobConfig, bench::ExperimentConfig
-// and bench::BenchOptions: every field has a stable string key, so any
-// scenario is expressible on the CLI as a preset plus
+// One declarative description of an FL scenario, and the one command
+// line every bench binary is configured through. ScenarioSpec unifies
+// the knobs of fl::FlJobConfig and bench::ExperimentConfig: every field
+// has a stable string key, so any scenario is a preset plus
 // `--set key=value` overrides:
 //
 //   flips_run --scenario ecg-fedavg --set rounds=60 --set codec=quant8
 //             --set selector=oort --set sessions=4
+//   flips_tables --scenario ham-fedprox --set parties=30 --set runs=1
+//   bench_fairness --set rounds=40 --set seed=7
 //
-// Presets cover the twelve paper table benches (dataset × FL
-// algorithm, calibrated reduced-scale targets from
+// parse_scenario_args() is that grammar's only parser: --scenario,
+// --set, --paper-scale, --csv and --help, plus whatever flags a binary
+// adds of its own. Presets cover the twelve paper table pairs (dataset
+// × FL algorithm, calibrated reduced-scale targets from
 // bench/common/paper_tables.h); `scenario_usage()` lists every settable
 // key for --help.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -121,6 +125,44 @@ void apply_override(ScenarioSpec& spec, std::string_view assignment);
 /// on an unknown name; `scenario_preset_names()` lists them.
 [[nodiscard]] ScenarioSpec scenario_preset(std::string_view name);
 [[nodiscard]] std::vector<std::string> scenario_preset_names();
+
+/// The flips_run command line that re-runs `spec` on its own:
+/// `flips_run --scenario <spec.name>` plus one `--set key=value` per
+/// key whose value differs from scenario_preset(spec.name), in registry
+/// order. spec.name must be a preset.
+[[nodiscard]] std::string scenario_command(const ScenarioSpec& spec);
+
+/// What a bench command line resolves to.
+struct ScenarioArgs {
+  ScenarioSpec spec;
+  bool csv = false;          ///< --csv: also print accuracy curves
+  bool paper_scale = false;  ///< --paper-scale appeared
+};
+
+/// A binary's own flags beyond the shared grammar: called with each
+/// argument the shared parser does not know, and a `value` callback
+/// that consumes the next argument. Returns false when `flag` is not
+/// one of its own either; throws std::exception on a bad value.
+using ExtraFlags = std::function<bool(
+    std::string_view flag, const std::function<const char*()>& value)>;
+
+/// The one bench command-line grammar, applied left to right over
+/// `spec` (the binary's own defaults):
+///   --scenario NAME   apply preset NAME's own keys (name, dataset,
+///                     server_opt, prox_mu, target_accuracy,
+///                     class_separation, local_lr, server_lr); every
+///                     other key keeps its value
+///   --set key=value   apply_override(spec, key=value)
+///   --paper-scale     shorthand for parties=200 samples=120 rounds=400
+///                     runs=6 eval_every=2
+///   --csv             also print accuracy curves as CSV rows
+///   --help, -h        print `usage` (the binary's own flags), the
+///                     shared flags and every key; exit 0
+/// An unknown flag, a missing value or a bad value prints the reason
+/// and exits 2.
+[[nodiscard]] ScenarioArgs parse_scenario_args(
+    int argc, char** argv, ScenarioSpec spec, std::string_view usage = {},
+    const ExtraFlags& extra = {});
 
 /// Lowers the declarative spec onto the bench engine's config (the
 /// spec's selector/sessions fields are the driver's concern).

@@ -50,7 +50,7 @@ struct Options {
   std::uint16_t tcp_port = 0;
   bool use_tcp = false;
   std::size_t tenants = 2;
-  flips::ScenarioSpec spec = flips::scenario_preset("ecg-fedavg");
+  flips::ScenarioSpec spec;
   bool open_loop = false;
   double rate = 40.0;        ///< open loop: steps/s per tenant
   std::size_t window = 2;    ///< closed loop: outstanding per tenant
@@ -94,6 +94,22 @@ flips::net::Frame step_request(std::uint64_t request_id) {
   return frame;
 }
 
+/// Fetches the served model (kResult) for the bit-identity check.
+void fetch_result(flips::serve::Client& client, bool retry,
+                  TenantStats& stats) {
+  flips::net::Frame request;
+  request.type = flips::net::FrameType::kResult;
+  const auto reply =
+      retry ? client.call_with_retry(request) : client.call(request);
+  if (reply.status != flips::net::FrameStatus::kOk) {
+    throw std::runtime_error("result fetch failed: " +
+                             flips::serve::decode_text(reply.payload));
+  }
+  if (!flips::serve::decode_result_reply(reply.payload, stats.parameters)) {
+    throw std::runtime_error("undecodable result payload");
+  }
+}
+
 /// One tenant's whole serving conversation. Throws on protocol errors;
 /// the caller captures the message into TenantStats::error.
 void drive_tenant(const Options& options, std::size_t tenant_index,
@@ -109,76 +125,6 @@ void drive_tenant(const Options& options, std::size_t tenant_index,
   std::uint64_t next_id = 1;
   std::size_t outstanding = 0;
   bool finished = false;
-
-  if (options.fault) {
-    // Chaos discipline: strict request/reply through the self-healing
-    // call path, killing our own connection every fault_every ok steps
-    // — on odd kills with the request already on the wire, so the
-    // server may execute a step whose reply we never see and the
-    // replayed id steps again. The session's fixed round count makes
-    // that harmless: we drive until the server says done, and the
-    // final parameters must still match the in-process run bitwise.
-    client.set_retry_policy({.max_attempts = 40,
-                             .backoff_base_s = 0.01,
-                             .backoff_mult = 1.5});
-    std::size_t ok_since_kill = 0;
-    std::size_t kills = 0;
-    while (!finished) {
-      const std::uint64_t id = next_id++;
-      const auto request = step_request(id);
-      if (ok_since_kill >= options.fault_every) {
-        ok_since_kill = 0;
-        ++kills;
-        if (kills % 2 == 1) {
-          try {
-            client.send(request);  // in-flight when the connection dies
-          } catch (const std::exception&) {
-          }
-        }
-        client.close();
-      }
-      const auto t0 = Clock::now();
-      const auto reply = client.call_with_retry(request);
-      if (reply.type != flips::net::FrameType::kStep) {
-        throw std::runtime_error("unexpected reply type");
-      }
-      flips::serve::StepReply body;
-      if (!flips::serve::decode_step_reply(reply.payload, body)) {
-        throw std::runtime_error("undecodable step reply");
-      }
-      switch (reply.status) {
-        case flips::net::FrameStatus::kOk:
-          stats.latency_ms.record(
-              std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                  .count());
-          ++stats.steps_ok;
-          ++ok_since_kill;
-          if (body.finished) finished = true;
-          break;
-        case flips::net::FrameStatus::kRejected:
-          ++stats.rejections;
-          break;
-        case flips::net::FrameStatus::kSessionDone:
-          finished = true;
-          break;
-        default:
-          throw std::runtime_error(
-              "step failed: " + flips::serve::decode_text(reply.payload));
-      }
-    }
-    flips::net::Frame result_request;
-    result_request.type = flips::net::FrameType::kResult;
-    const auto reply = client.call_with_retry(result_request);
-    if (reply.status != flips::net::FrameStatus::kOk) {
-      throw std::runtime_error("result fetch failed: " +
-                               flips::serve::decode_text(reply.payload));
-    }
-    if (!flips::serve::decode_result_reply(reply.payload,
-                                           stats.parameters)) {
-      throw std::runtime_error("undecodable result payload");
-    }
-    return;
-  }
 
   auto process = [&](const flips::net::Frame& reply) {
     if (reply.type != flips::net::FrameType::kStep) {
@@ -216,6 +162,43 @@ void drive_tenant(const Options& options, std::size_t tenant_index,
                                  flips::serve::decode_text(reply.payload));
     }
   };
+
+  if (options.fault) {
+    // Chaos discipline: strict request/reply through the self-healing
+    // call path, killing our own connection every fault_every ok steps
+    // — on odd kills with the request already on the wire, so the
+    // server may execute a step whose reply we never see and the
+    // replayed id steps again. The session's fixed round count makes
+    // that harmless: we drive until the server says done, and the
+    // final parameters must still match the in-process run bitwise.
+    client.set_retry_policy({.max_attempts = 40,
+                             .backoff_base_s = 0.01,
+                             .backoff_mult = 1.5});
+    std::size_t ok_since_kill = 0;
+    std::size_t kills = 0;
+    while (!finished) {
+      const std::uint64_t id = next_id++;
+      const auto request = step_request(id);
+      if (ok_since_kill >= options.fault_every) {
+        ok_since_kill = 0;
+        ++kills;
+        if (kills % 2 == 1) {
+          try {
+            client.send(request);  // in-flight when the connection dies
+          } catch (const std::exception&) {
+          }
+        }
+        client.close();
+      }
+      sent_at.emplace(id, Clock::now());
+      ++outstanding;
+      const std::size_t ok_before = stats.steps_ok;
+      process(client.call_with_retry(request));
+      ok_since_kill += stats.steps_ok - ok_before;
+    }
+    fetch_result(client, /*retry=*/true, stats);
+    return;
+  }
 
   auto send_step = [&] {
     const std::uint64_t id = next_id++;
@@ -262,18 +245,7 @@ void drive_tenant(const Options& options, std::size_t tenant_index,
   }
   while (outstanding > 0) process(client.recv());
 
-  // Fetch the served model for the bit-identity check.
-  flips::net::Frame result_request;
-  result_request.type = flips::net::FrameType::kResult;
-  const auto reply = client.call(result_request);
-  if (reply.status != flips::net::FrameStatus::kOk) {
-    throw std::runtime_error("result fetch failed: " +
-                             flips::serve::decode_text(reply.payload));
-  }
-  if (!flips::serve::decode_result_reply(reply.payload,
-                                         stats.parameters)) {
-    throw std::runtime_error("undecodable result payload");
-  }
+  fetch_result(client, /*retry=*/false, stats);
 }
 
 /// Re-runs `tenant_index`'s exact scenario in-process and compares the
@@ -301,91 +273,73 @@ constexpr std::string_view kMandatoryFamilies[] = {
     "flips_session_rounds_total",
 };
 
-int usage() {
-  std::cerr
-      << "usage: flips_loadgen (--uds PATH | --port N) [--tenants N]\n"
-         "                     [--scenario NAME] [--set key=value]...\n"
-         "                     [--open] [--rate R] [--window N]\n"
-         "                     [--no-verify] [--metrics] [--shutdown]\n"
-         "                     [--fault] [--fault-every N]\n"
-         "  --tenants N    concurrent tenant connections (default 2)\n"
-         "  --open         open-loop arrivals at --rate steps/s/tenant\n"
-         "  --window N     closed-loop outstanding steps per tenant\n"
-         "  --fault        chaos arm: kill+revive each tenant's\n"
-         "                 connection mid-run (reconnect-and-replay);\n"
-         "                 bit-identity must still hold\n"
-         "  --fault-every N  ok steps between connection kills\n"
-         "  --no-verify    skip the in-process bit-identity re-run\n"
-         "  --metrics      fetch the kMetrics snapshot after the run and\n"
-         "                 check mandatory families + that the server's\n"
-         "                 rejection counters equal the client tally\n"
-         "                 (assumes a freshly started server)\n"
-         "  --shutdown     send kShutdown once all tenants finish\n";
-  return 2;
-}
+constexpr std::string_view kUsage =
+    "  --uds PATH | --port N  the server to drive (one is required)\n"
+    "  --tenants N    concurrent tenant connections (default 2)\n"
+    "  --open         open-loop arrivals at --rate steps/s/tenant\n"
+    "  --rate R       open-loop steps per second per tenant\n"
+    "  --window N     closed-loop outstanding steps per tenant\n"
+    "  --fault        chaos arm: kill+revive each tenant's\n"
+    "                 connection mid-run (reconnect-and-replay);\n"
+    "                 bit-identity must still hold\n"
+    "  --fault-every N  ok steps between connection kills\n"
+    "  --no-verify    skip the in-process bit-identity re-run\n"
+    "  --metrics      fetch the kMetrics snapshot after the run and\n"
+    "                 check mandatory families + that the server's\n"
+    "                 rejection counters equal the client tally\n"
+    "                 (assumes a freshly started server)\n"
+    "  --shutdown     send kShutdown once all tenants finish\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options options;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      auto next_value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument("missing value for " +
-                                      std::string(arg));
-        }
-        return argv[++i];
-      };
-      if (arg == "--uds") {
-        options.uds_path = next_value();
-      } else if (arg == "--port") {
-        options.tcp_port =
-            static_cast<std::uint16_t>(std::stoul(next_value()));
-        options.use_tcp = true;
-      } else if (arg == "--tenants") {
-        options.tenants = std::stoul(next_value());
-      } else if (arg == "--scenario") {
-        options.spec = flips::scenario_preset(next_value());
-      } else if (arg == "--set") {
-        flips::apply_override(options.spec, next_value());
-      } else if (arg == "--open") {
-        options.open_loop = true;
-      } else if (arg == "--rate") {
-        options.rate = std::stod(next_value());
-      } else if (arg == "--window") {
-        options.window = std::stoul(next_value());
-      } else if (arg == "--fault") {
-        options.fault = true;
-      } else if (arg == "--fault-every") {
-        options.fault_every = std::stoul(next_value());
-      } else if (arg == "--no-verify") {
-        options.verify = false;
-      } else if (arg == "--metrics") {
-        options.metrics = true;
-      } else if (arg == "--shutdown") {
-        options.send_shutdown = true;
-      } else if (arg == "--help" || arg == "-h") {
-        usage();
-        return 0;
-      } else {
-        throw std::invalid_argument("unknown flag: " + std::string(arg));
-      }
-    }
-    if (options.uds_path.empty() && !options.use_tcp) {
-      throw std::invalid_argument("need --uds PATH or --port N");
-    }
-    if (options.tenants == 0 || options.window == 0 ||
-        options.rate <= 0) {
-      throw std::invalid_argument("tenants/window/rate must be positive");
-    }
-    if (options.fault && options.fault_every == 0) {
-      throw std::invalid_argument("--fault-every must be positive");
-    }
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << "\n";
-    return usage();
+  options.spec =
+      flips::parse_scenario_args(
+          argc, argv, flips::scenario_preset("ecg-fedavg"), kUsage,
+          [&](std::string_view flag, const auto& value) {
+            if (flag == "--uds") {
+              options.uds_path = value();
+            } else if (flag == "--port") {
+              options.tcp_port =
+                  static_cast<std::uint16_t>(std::stoul(value()));
+              options.use_tcp = true;
+            } else if (flag == "--tenants") {
+              options.tenants = std::stoul(value());
+            } else if (flag == "--open") {
+              options.open_loop = true;
+            } else if (flag == "--rate") {
+              options.rate = std::stod(value());
+            } else if (flag == "--window") {
+              options.window = std::stoul(value());
+            } else if (flag == "--fault") {
+              options.fault = true;
+            } else if (flag == "--fault-every") {
+              options.fault_every = std::stoul(value());
+            } else if (flag == "--no-verify") {
+              options.verify = false;
+            } else if (flag == "--metrics") {
+              options.metrics = true;
+            } else if (flag == "--shutdown") {
+              options.send_shutdown = true;
+            } else {
+              return false;
+            }
+            return true;
+          })
+          .spec;
+  const char* invalid = nullptr;
+  if (options.uds_path.empty() && !options.use_tcp) {
+    invalid = "need --uds PATH or --port N";
+  } else if (options.tenants == 0 || options.window == 0 ||
+             !(options.rate > 0)) {
+    invalid = "tenants/window/rate must be positive";
+  } else if (options.fault && options.fault_every == 0) {
+    invalid = "--fault-every must be positive";
+  }
+  if (invalid != nullptr) {
+    std::cerr << invalid << " (try --help)\n";
+    return 2;
   }
 
   std::cout << "flips_loadgen: " << options.tenants << " tenants, "

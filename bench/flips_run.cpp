@@ -1,6 +1,8 @@
 // Scenario driver: launches any FL scenario from the CLI as a preset
 // plus declarative `--set key=value` overrides (one ScenarioSpec is the
-// whole configuration surface — see bench/common/scenario.h).
+// whole configuration surface, parsed by parse_scenario_args — see
+// bench/common/scenario.h). flips_tables prints one such command line
+// per paper table cell.
 //
 //   flips_run                                   # default ecg-fedavg
 //   flips_run --scenario femnist-fedyogi --set rounds=60 --set runs=3
@@ -15,6 +17,7 @@
 // shared worker pool, and prints a `perf,multitenant,…` line.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -58,17 +61,12 @@ struct Telemetry {
   }
 };
 
-void print_usage(const flips::ScenarioSpec& spec) {
-  std::cout
-      << "usage: flips_run [--scenario NAME] [--set key=value]... "
-         "[--csv] [--metrics-out PATH] [--trace-out PATH] [--list]\n\n"
-         "  --metrics-out PATH  append one JSON line per completed round\n"
-         "                      (run, round, accuracy, bytes, dropped_stale,\n"
-         "                      per-phase durations)\n"
-         "  --trace-out PATH    append one JSON span per session phase\n\n"
-         "scenario keys (with the resolved scenario's values):\n"
-      << flips::scenario_usage(spec);
-}
+constexpr std::string_view kUsage =
+    "  --metrics-out PATH  append one JSON line per completed round\n"
+    "                      (run, round, accuracy, bytes, dropped_stale,\n"
+    "                      per-phase durations)\n"
+    "  --trace-out PATH    append one JSON span per session phase\n"
+    "  --list              print the preset names\n";
 
 std::string format_opt(const std::optional<double>& value) {
   if (!value) return "never";
@@ -178,47 +176,26 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  flips::ScenarioSpec spec = flips::scenario_preset("ecg-fedavg");
-  bool csv = false;
   std::string metrics_out;
   std::string trace_out;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      auto next_value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument("missing value for " +
-                                      std::string(arg));
+  const auto args = flips::parse_scenario_args(
+      argc, argv, flips::scenario_preset("ecg-fedavg"), kUsage,
+      [&](std::string_view flag, const auto& value) {
+        if (flag == "--metrics-out") {
+          metrics_out = value();
+        } else if (flag == "--trace-out") {
+          trace_out = value();
+        } else if (flag == "--list") {
+          for (const auto& name : flips::scenario_preset_names()) {
+            std::cout << name << "\n";
+          }
+          std::exit(0);
+        } else {
+          return false;
         }
-        return argv[++i];
-      };
-      if (arg == "--scenario") {
-        spec = flips::scenario_preset(next_value());
-      } else if (arg == "--set") {
-        flips::apply_override(spec, next_value());
-      } else if (arg == "--csv") {
-        csv = true;
-      } else if (arg == "--metrics-out") {
-        metrics_out = next_value();
-      } else if (arg == "--trace-out") {
-        trace_out = next_value();
-      } else if (arg == "--list") {
-        for (const auto& name : flips::scenario_preset_names()) {
-          std::cout << name << "\n";
-        }
-        return 0;
-      } else if (arg == "--help" || arg == "-h") {
-        print_usage(spec);
-        return 0;
-      } else {
-        throw std::invalid_argument("unknown flag: " + std::string(arg) +
-                                    " (try --help)");
-      }
-    }
-  } catch (const std::invalid_argument& error) {
-    std::cerr << error.what() << "\n";
-    return 2;
-  }
+        return true;
+      });
+  const flips::ScenarioSpec& spec = args.spec;
 
   std::cout << "flips_run scenario " << spec.name << ": dataset "
             << spec.dataset << ", " << spec.parties << " parties, "
@@ -246,8 +223,8 @@ int main(int argc, char** argv) {
   }
 
   const int status = spec.sessions > 1
-                         ? run_multitenant(spec, csv, telemetry)
-                         : run_solo(spec, csv, telemetry);
+                         ? run_multitenant(spec, args.csv, telemetry)
+                         : run_solo(spec, args.csv, telemetry);
   if (telemetry.tracing) {
     // Flush any spans still buffered past the last round-end drain.
     flips::obs::Tracer::global().drain();

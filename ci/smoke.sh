@@ -6,11 +6,11 @@
 # 1. bench_micro_selection exercises every selector's select/report
 #    path end-to-end (and proves the microbench shim tolerates
 #    scenario flags).
-# 2. bench_t17_t18_ecg_fedavg at toy scale with --threads 4 drives the
-#    FL worker pool — selection, concurrent local training, ordered
+# 2. flips_tables --scenario ecg-fedavg (Tables 17-18) at toy scale
+#    with threads=4 drives the FL worker pool — selection, concurrent local training, ordered
 #    aggregation, evaluation — so TSan sees the real multi-threaded
 #    round loop, not a synthetic test.
-# 3. bench_scalability at 2k parties with --threads 4 drives the
+# 3. bench_scalability at 2k parties with threads=4 drives the
 #    control plane's sharded ingestion from four concurrent
 #    submitters (shard locks, reservoir eviction, late-joiner
 #    assignment, drift observation) — the streaming-service paths
@@ -55,16 +55,16 @@ build_dir=${1:?usage: ci/smoke.sh <build-dir>}
 "${build_dir}/bench/bench_micro_selection" --parties 8 --rounds 3 \
     --benchmark_min_time=0.01
 
-"${build_dir}/bench/bench_t17_t18_ecg_fedavg" --parties 12 --samples 24 \
-    --rounds 4 --runs 1 --threads 4
+tables=("${build_dir}/bench/flips_tables" --scenario ecg-fedavg
+        --set parties=12 --set samples=24 --set rounds=4 --set runs=1
+        --set threads=4)
+"${tables[@]}"
 
-"${build_dir}/bench/bench_scalability" --parties 2000 --threads 4
+"${build_dir}/bench/bench_scalability" --set parties=2000 --set threads=4
 
-"${build_dir}/bench/bench_t17_t18_ecg_fedavg" --parties 12 --samples 24 \
-    --rounds 4 --runs 1 --threads 4 --codec quant8
+"${tables[@]}" --set codec=quant8
 
-"${build_dir}/bench/bench_t17_t18_ecg_fedavg" --parties 12 --samples 24 \
-    --rounds 4 --runs 1 --threads 4 --codec topk
+"${tables[@]}" --set codec=topk
 
 "${build_dir}/bench/flips_run" --scenario ecg-fedyogi \
     --set parties=12 --set samples=24 --set rounds=4 --set runs=1 \
