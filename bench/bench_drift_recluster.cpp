@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   auto attestation = std::make_shared<flips::tee::AttestationServer>();
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
-  flips::core::ClusteringConfig cc;
+  flips::ctrl::StreamingClusterConfig cc;
   cc.k_override = k;
   cc.seed = spec.seed;
   flips::core::PrivateClusteringService service(cc, enclave, attestation);

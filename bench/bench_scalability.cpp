@@ -44,7 +44,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/private_clustering.h"
-#include "fl/session_pool.h"
 #include "selection/flips_selector.h"
 
 namespace {
@@ -111,11 +110,11 @@ std::unique_ptr<flips::core::PrivateClusteringService> make_service(
   auto attestation = std::make_shared<flips::tee::AttestationServer>();
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
-  flips::core::ClusteringConfig config;
+  flips::ctrl::StreamingClusterConfig config;
   config.k_override = kModes;
   config.restarts = 1;
   config.seed = seed;
-  config.streaming.lloyd_threshold = lloyd_threshold;
+  config.lloyd_threshold = lloyd_threshold;
   // This bench studies the clustering-path crossover, so no shard may
   // evict: capacity is the full party count (hash sharding is
   // non-uniform, so n/num_shards would overflow some shards and
@@ -123,8 +122,8 @@ std::unique_ptr<flips::core::PrivateClusteringService> make_service(
   // Buffers grow on demand — capacity is a cap, not a reservation;
   // memory bounds are a deployment knob and eviction carry-over is
   // covered by test_ctrl.
-  config.streaming.num_shards = 16;
-  config.streaming.shard_capacity = n;
+  config.num_shards = 16;
+  config.shard_capacity = n;
   return std::make_unique<flips::core::PrivateClusteringService>(
       config, enclave, attestation);
 }
@@ -273,8 +272,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Multi-tenant serving: N concurrent federations interleaved
-  // through fl::SessionPool over ONE shared worker pool vs running
-  // each alone. Per-session results must stay bit-identical (the
+  // round-robin (interleave_sessions) over ONE shared worker pool vs
+  // running each alone. Per-session results must stay bit-identical (the
   // isolation contract test_session pins at unit scale; re-checked
   // here at bench scale), and the interleaved wall time tracks the sum
   // of the solo runs (scheduling overhead, not contention, is the only
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
     for (const std::size_t tenants : {std::size_t{2}, std::size_t{4}}) {
       // Solo references: each tenant run to completion on its own
       // (sessions built outside the timer — federation construction is
-      // cached and shared with the pooled arm below).
+      // cached and shared with the interleaved arm below).
       std::vector<std::unique_ptr<flips::fl::FederationSession>> solo;
       for (std::size_t s = 0; s < tenants; ++s) {
         solo.push_back(flips::bench::make_session(
@@ -313,31 +312,31 @@ int main(int argc, char** argv) {
         solo_params.push_back(session->result().final_parameters);
       }
 
-      // The same tenants, interleaved round-robin through one pool.
-      flips::fl::SessionPool pool;
+      // The same tenants, interleaved round-robin on the same workers.
+      std::vector<std::unique_ptr<flips::fl::FederationSession>> sessions;
       for (std::size_t s = 0; s < tenants; ++s) {
-        pool.add(flips::bench::make_session(
+        sessions.push_back(flips::bench::make_session(
             mt, flips::select::SelectorKind::kFlips,
             spec.seed + 1000 * s, &workers));
       }
-      const auto t_pool = Clock::now();
-      pool.run_all();
-      const double pool_s = seconds_since(t_pool);
+      const auto t_mixed = Clock::now();
+      flips::bench::interleave_sessions(sessions);
+      const double mixed_s = seconds_since(t_mixed);
 
       bool identical = true;
       for (std::size_t s = 0; s < tenants; ++s) {
         identical = identical &&
-                    pool.session(s).result().final_parameters ==
+                    sessions[s]->result().final_parameters ==
                         solo_params[s];
       }
 
       flips::bench::print_table_row(
           {std::to_string(tenants), std::to_string(solo_s),
-           std::to_string(pool_s),
-           std::to_string(100.0 * (pool_s / std::max(solo_s, 1e-9) - 1.0)) +
+           std::to_string(mixed_s),
+           std::to_string(100.0 * (mixed_s / std::max(solo_s, 1e-9) - 1.0)) +
                "%",
            identical ? "yes" : "NO"});
-      perf_line("multitenant-" + std::to_string(tenants), pool_s);
+      perf_line("multitenant-" + std::to_string(tenants), mixed_s);
     }
   }
 

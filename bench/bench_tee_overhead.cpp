@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
 
-  flips::core::ClusteringConfig cc;
+  flips::ctrl::StreamingClusterConfig cc;
   cc.k_override = 10;
   flips::core::PrivateClusteringService service(cc, enclave, attestation);
 

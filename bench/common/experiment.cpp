@@ -234,6 +234,22 @@ std::unique_ptr<flips::fl::FederationSession> make_session(
       shared_pool);
 }
 
+std::size_t interleave_sessions(
+    const std::vector<std::unique_ptr<flips::fl::FederationSession>>&
+        sessions) {
+  std::size_t stepped = 0;
+  for (bool stepped_any = true; stepped_any;) {
+    stepped_any = false;
+    for (const auto& session : sessions) {
+      if (session->done()) continue;
+      session->advance();
+      ++stepped;
+      stepped_any = true;
+    }
+  }
+  return stepped;
+}
+
 SelectorResult run_selector(const ExperimentConfig& config,
                             flips::select::SelectorKind kind) {
   SelectorResult result;

@@ -120,12 +120,20 @@ struct SelectorResult {
 /// (cached when small), model, selector — everything run_selector
 /// assembles per run. The session shares ownership of the cached
 /// federation, so it stays valid however long the caller steps it.
-/// `shared_pool` lets several sessions (fl::SessionPool) contend for
-/// one worker pool; nullptr = the session owns a pool of
+/// `shared_pool` lets several sessions (interleave_sessions) contend
+/// for one worker pool; nullptr = the session owns a pool of
 /// config.threads workers.
 [[nodiscard]] std::unique_ptr<flips::fl::FederationSession> make_session(
     const ExperimentConfig& config, flips::select::SelectorKind kind,
     std::uint64_t seed, flips::common::ThreadPool* shared_pool = nullptr);
+
+/// Steps every unfinished session once per pass, in index order, until
+/// all are done: N federations interleaved round-robin at round
+/// granularity, the multi-tenant shape. Each session's result is
+/// bit-identical to stepping it alone. Returns the rounds stepped.
+std::size_t interleave_sessions(
+    const std::vector<std::unique_ptr<flips::fl::FederationSession>>&
+        sessions);
 
 /// How label distributions are embedded before clustering: raw counts,
 /// proportions, or Hellinger space (sqrt-proportions, where Euclidean

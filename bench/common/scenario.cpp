@@ -375,6 +375,17 @@ std::string scenario_command(const ScenarioSpec& spec) {
   return out;
 }
 
+std::uint16_t parse_port(std::string_view text) {
+  // from_chars into the 16-bit type rejects a sign, junk and overflow.
+  std::uint16_t port = 0;
+  const char* end = text.data() + text.size();
+  const auto parsed = std::from_chars(text.data(), end, port);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    fail_value("--port", text, " (must be 0..65535)");
+  }
+  return port;
+}
+
 ScenarioArgs parse_scenario_args(int argc, char** argv, ScenarioSpec spec,
                                  std::string_view usage,
                                  const ExtraFlags& extra) {

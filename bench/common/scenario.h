@@ -92,7 +92,7 @@ struct ScenarioSpec {
   std::size_t threads = 0;         ///< 0 = all cores
   std::string codec = "dense64";   ///< dense64 | quant8 | topk
   std::uint64_t seed = 42;
-  /// Concurrent federations interleaved through fl::SessionPool
+  /// Concurrent federations interleaved round-robin on one worker pool
   /// (seeds seed, seed+1000, ...); 1 = a plain solo run.
   std::size_t sessions = 1;
 
@@ -145,6 +145,11 @@ struct ScenarioArgs {
 /// one of its own either; throws std::exception on a bad value.
 using ExtraFlags = std::function<bool(
     std::string_view flag, const std::function<const char*()>& value)>;
+
+/// Parses a `--port` value: a decimal integer in [0, 65535]. Throws
+/// std::invalid_argument naming the flag otherwise, so `--port 70000`
+/// or `--port -1` is an error instead of a wrapped port number.
+[[nodiscard]] std::uint16_t parse_port(std::string_view text);
 
 /// The one bench command-line grammar, applied left to right over
 /// `spec` (the binary's own defaults):

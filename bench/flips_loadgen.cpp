@@ -301,8 +301,7 @@ int main(int argc, char** argv) {
             if (flag == "--uds") {
               options.uds_path = value();
             } else if (flag == "--port") {
-              options.tcp_port =
-                  static_cast<std::uint16_t>(std::stoul(value()));
+              options.tcp_port = flips::parse_port(value());
               options.use_tcp = true;
             } else if (flag == "--tenants") {
               options.tenants = std::stoul(value());

@@ -13,8 +13,8 @@
 // sessions=1 runs the scenario through the shared bench engine
 // (federation cache + perf,… lines). sessions>1 interleaves N
 // federations — seeds seed, seed+1000, … so session i is bit-identical
-// to run i of the solo engine — through one fl::SessionPool over one
-// shared worker pool, and prints a `perf,multitenant,…` line.
+// to run i of the solo engine — round-robin (interleave_sessions) over
+// one shared worker pool, and prints a `perf,multitenant,…` line.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +29,6 @@
 #include "common/scenario.h"
 #include "common/thread_pool.h"
 #include "fl/metrics_observer.h"
-#include "fl/session_pool.h"
 #include "obs/trace.h"
 
 namespace {
@@ -112,7 +111,7 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
   // shape: N federations contend for the host's cores instead of
   // oversubscribing them N-fold).
   flips::common::ThreadPool workers(spec.threads);
-  flips::fl::SessionPool pool;
+  std::vector<std::unique_ptr<flips::fl::FederationSession>> sessions;
   for (std::size_t s = 0; s < spec.sessions; ++s) {
     // Seed stride matches the solo engine's per-run stride, so tenant
     // s is bit-identical to run s of `sessions=1 runs=N`.
@@ -121,11 +120,12 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
     for (auto& observer : telemetry.observers(spec.name, s)) {
       session->add_observer(std::move(observer));
     }
-    pool.add(std::move(session));
+    sessions.push_back(std::move(session));
   }
 
   const auto start = std::chrono::steady_clock::now();
-  pool.run_all();
+  const std::size_t rounds_total =
+      flips::bench::interleave_sessions(sessions);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start)
@@ -137,8 +137,8 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
           " shared workers)",
       {"session", "peak-acc %", "rounds-to-tgt", "total GiB"});
   constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
-  for (std::size_t s = 0; s < pool.size(); ++s) {
-    const auto result = pool.session(s).result();
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    const auto result = sessions[s]->result();
     char peak[32], gib[32];
     std::snprintf(peak, sizeof peak, "%.2f", 100.0 * result.peak_accuracy);
     std::snprintf(gib, sizeof gib, "%.4f",
@@ -162,13 +162,11 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
   // Stable machine-readable line for the CI perf artifact:
   //   perf,multitenant,<sessions>,<wall_s_per_round>,<rounds_total>
   const double per_round =
-      pool.rounds_stepped() > 0
-          ? wall_s / static_cast<double>(pool.rounds_stepped())
-          : 0.0;
+      rounds_total > 0 ? wall_s / static_cast<double>(rounds_total) : 0.0;
   flips::bench::PerfLine("multitenant")
       .uint("sessions", spec.sessions)
       .num("wall_s_per_round", per_round, 6)
-      .uint("rounds_total", pool.rounds_stepped())
+      .uint("rounds_total", rounds_total)
       .print();
   return 0;
 }

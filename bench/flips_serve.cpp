@@ -1,4 +1,4 @@
-// Serving front end: hosts the multi-tenant SessionPool behind a
+// Serving front end: hosts one federation session per tenant behind a
 // TCP/UDS socket speaking the length-prefixed frame protocol
 // (net/codec.h framing, serve/protocol.h payloads). Remote drivers —
 // flips_loadgen, or anything that speaks the protocol — register a
@@ -16,7 +16,6 @@
 // with a stats summary.
 #include <chrono>
 #include <csignal>
-#include <cstdint>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -83,8 +82,7 @@ int main(int argc, char** argv) {
       if (arg == "--uds") {
         config.uds_path = next_value();
       } else if (arg == "--port") {
-        config.tcp_port =
-            static_cast<std::uint16_t>(std::stoul(next_value()));
+        config.tcp_port = flips::parse_port(next_value());
       } else if (arg == "--threads") {
         config.worker_threads = std::stoul(next_value());
       } else if (arg == "--max-inflight") {

@@ -20,7 +20,7 @@
 #    codecs (per-party error feedback, broadcast-delta compression)
 #    under ASan and TSan.
 # 5. the flips_run scenario smokes drive the declarative --set
-#    override parser end-to-end and a 2-session SessionPool
+#    override parser end-to-end and a 2-session round-robin
 #    interleave over one shared 4-worker pool — the multi-tenant
 #    scheduling path TSan must see under real contention.
 # 6. the mode=async smoke drives the buffered asynchronous plane —

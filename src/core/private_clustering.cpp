@@ -9,27 +9,12 @@
 
 namespace flips::core {
 
-namespace {
-
-ctrl::StreamingClusterConfig engine_config(const ClusteringConfig& config) {
-  ctrl::StreamingClusterConfig ec = config.streaming;
-  ec.k_override = config.k_override;
-  ec.k_min = config.k_min;
-  ec.k_max = config.k_max;
-  ec.restarts = config.restarts;
-  ec.elbow_repeats = config.elbow_repeats;
-  ec.seed = config.seed;
-  return ec;
-}
-
-}  // namespace
-
 PrivateClusteringService::PrivateClusteringService(
-    const ClusteringConfig& config, std::shared_ptr<tee::Enclave> enclave,
+    const ctrl::StreamingClusterConfig& config,
+    std::shared_ptr<tee::Enclave> enclave,
     std::shared_ptr<tee::AttestationServer> attestation)
-    : config_(config), enclave_(std::move(enclave)),
-      attestation_(std::move(attestation)),
-      engine_(engine_config(config)) {}
+    : enclave_(std::move(enclave)), attestation_(std::move(attestation)),
+      engine_(config) {}
 
 void PrivateClusteringService::submit_label_distribution(
     std::size_t party_id, const data::LabelDistribution& distribution) {

@@ -21,27 +21,11 @@
 
 namespace flips::core {
 
-struct ClusteringConfig {
-  /// Fixed cluster count; 0 = pick k with the DBI elbow over
-  /// [k_min, k_max].
-  std::size_t k_override = 0;
-  std::size_t k_min = 2;
-  std::size_t k_max = 30;
-  std::size_t restarts = 3;
-  std::size_t elbow_repeats = 5;
-  std::uint64_t seed = 42;
-  /// Streaming-engine knobs (shard count/capacity, the Lloyd vs
-  /// mini-batch party threshold, drift detection). The clustering
-  /// fields above override their counterparts in here, so existing
-  /// call sites keep working unchanged.
-  ctrl::StreamingClusterConfig streaming;
-};
-
 /// Implements ctrl::ClusterControl, so a session can drive the service
 /// through a ctrl::ReclusterObserver instead of a pre_round_hook.
 class PrivateClusteringService : public ctrl::ClusterControl {
  public:
-  PrivateClusteringService(const ClusteringConfig& config,
+  PrivateClusteringService(const ctrl::StreamingClusterConfig& config,
                            std::shared_ptr<tee::Enclave> enclave,
                            std::shared_ptr<tee::AttestationServer> attestation);
 
@@ -84,7 +68,6 @@ class PrivateClusteringService : public ctrl::ClusterControl {
  private:
   void refresh_result(const ctrl::MembershipView& view);
 
-  ClusteringConfig config_;
   std::shared_ptr<tee::Enclave> enclave_;
   std::shared_ptr<tee::AttestationServer> attestation_;
   ctrl::StreamingClusterEngine engine_;

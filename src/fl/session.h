@@ -61,8 +61,8 @@
 // async by the monotone dispatch sequence, so re-dispatches draw fresh
 // noise), cohort/arrival-ordered reductions, strict-FP aggregation —
 // so every step is bit-identical for any thread count, whether the
-// worker pool is owned or shared with other sessions
-// (fl/session_pool.h). Async arrival order is a pure function of the
+// worker pool is owned or shared with other sessions (the serving
+// front end's tenants, flips_run's sessions=N). Async arrival order is a pure function of the
 // simulated durations: ties break on the dispatch sequence.
 #pragma once
 

@@ -209,6 +209,8 @@ Server::Stats Server::stats() const {
   out.sessions_finished = stat_sessions_finished_.load();
   out.connections_accepted = stat_connections_accepted_.load();
   out.connections_closed = stat_connections_closed_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  out.tenants = tenants_.size();
   return out;
 }
 
@@ -311,14 +313,14 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         return;
       }
       std::lock_guard<std::mutex> lock(mu_);
-      if (conn->tenant_id) {
+      if (conn->tenant) {
         send_status(conn, frame.type, net::FrameStatus::kBadFrame,
                     "hello already sent on this connection");
         return;
       }
-      for (std::size_t i = 0; i < tenants_.size(); ++i) {
-        Tenant& tenant = *tenants_[i];
-        if (tenant.evicted || tenant.name != name) continue;
+      for (const auto& tenant_ptr : tenants_) {
+        Tenant& tenant = *tenant_ptr;
+        if (tenant.name != name) continue;
         const auto held = tenant.conn.lock();
         if (held != nullptr && !held->dead.load()) {
           send_status(conn, frame.type,
@@ -331,13 +333,13 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         // resumes stepping exactly where it left off.
         tenant.conn = conn;
         tenant.last_activity_ns = steady_now_ns();
-        conn->tenant_id = i;
+        conn->tenant = tenant_ptr;
         send_status(conn, frame.type, net::FrameStatus::kOk,
                     "flips_serve v" + std::to_string(net::kFrameVersion) +
                         " tenant " + name + " (rebound)");
         return;
       }
-      auto tenant = std::make_unique<Tenant>();
+      auto tenant = std::make_shared<Tenant>();
       tenant->name = name;
       // Per-tenant instruments are born with the tenant, so a zero
       // rejection count is still visible in the kMetrics snapshot (the
@@ -354,7 +356,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
           "flips_serve_reply_seconds", labels, {1e-6, 100.0, 3});
       tenant->conn = conn;
       tenant->last_activity_ns = steady_now_ns();
-      conn->tenant_id = tenants_.size();
+      conn->tenant = tenant;
       tenants_.push_back(std::move(tenant));
       send_status(conn, frame.type, net::FrameStatus::kOk,
                   "flips_serve v" + std::to_string(net::kFrameVersion) +
@@ -389,7 +391,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       break;  // tenant-scoped work, handled below
   }
 
-  if (!conn->tenant_id) {
+  if (!conn->tenant) {
     send_status(conn, frame.type, net::FrameStatus::kNoSession,
                 "send kHello first");
     return;
@@ -420,7 +422,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                   "server draining");
       return;
     }
-    Tenant& tenant = *tenants_[*conn->tenant_id];
+    Tenant& tenant = *conn->tenant;
     if (tenant.evicted) {
       send_status(conn, frame.type, net::FrameStatus::kNoSession,
                   "tenant evicted; send kHello again");
@@ -457,7 +459,7 @@ void Server::scheduler_loop() {
       std::max(0.01, config_.tenant_idle_timeout_s / 4.0));
   for (;;) {
     Pending work;
-    Tenant* tenant = nullptr;
+    std::shared_ptr<Tenant> tenant;
     {
       std::unique_lock<std::mutex> lock(mu_);
       const auto runnable = [&] {
@@ -476,10 +478,11 @@ void Server::scheduler_loop() {
       // flooding tenant's backlog cannot starve anyone else's queue.
       const std::size_t n = tenants_.size();
       for (std::size_t probe = 0; probe < n; ++probe) {
-        Tenant& candidate = *tenants_[(rr_cursor_ + probe) % n];
+        const auto& candidate_ptr = tenants_[(rr_cursor_ + probe) % n];
+        Tenant& candidate = *candidate_ptr;
         if (candidate.queue.empty()) continue;
         rr_cursor_ = (rr_cursor_ + probe + 1) % n;
-        tenant = &candidate;
+        tenant = candidate_ptr;
         work = std::move(candidate.queue.front());
         candidate.queue.pop_front();
         candidate.queue_depth->set(
@@ -497,32 +500,36 @@ void Server::scheduler_loop() {
 void Server::evict_idle_tenants_locked(std::uint64_t now_ns) {
   const auto timeout_ns = static_cast<std::uint64_t>(
       config_.tenant_idle_timeout_s * 1e9);
-  for (auto& tenant_ptr : tenants_) {
-    Tenant& tenant = *tenant_ptr;
-    if (tenant.evicted) continue;
+  for (std::size_t i = 0; i < tenants_.size();) {
+    Tenant& tenant = *tenants_[i];
     // Only a tenant with nothing queued or executing AND a dead (or
     // gone) connection can be idle — a live client just between
     // requests is never evicted.
-    if (!tenant.queue.empty() || tenant.inflight_steps > 0) continue;
     const auto held = tenant.conn.lock();
-    if (held != nullptr && !held->dead.load()) continue;
-    if (now_ns - tenant.last_activity_ns < timeout_ns) continue;
-    // The pool slot (and the session's memory) is freed here on the
-    // scheduler thread — the only thread that ever touches sessions.
-    if (tenant.has_session) {
-      pool_.evict(tenant.session_index);
-      tenant.has_session = false;
+    const bool idle = tenant.queue.empty() && tenant.inflight_steps == 0 &&
+                      (held == nullptr || held->dead.load()) &&
+                      now_ns - tenant.last_activity_ns >= timeout_ns;
+    if (!idle) {
+      ++i;
+      continue;
     }
+    // The session's memory is freed here on the scheduler thread — the
+    // only thread that ever touches sessions. A zombie reader may still
+    // hold the Tenant; it sees `evicted` and answers kNoSession.
+    tenant.session.reset();
     tenant.evicted = true;
     tenant.evictions->inc();
+    tenants_.erase(tenants_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (rr_cursor_ > i) --rr_cursor_;
   }
+  if (rr_cursor_ >= tenants_.size()) rr_cursor_ = 0;
 }
 
 void Server::execute(Tenant& tenant, Pending work) {
   const auto& conn = work.conn;
   switch (work.type) {
     case net::FrameType::kOpenSession: {
-      if (tenant.has_session) {
+      if (tenant.session != nullptr) {
         send_status(conn, work.type, net::FrameStatus::kBadFrame,
                     "tenant already has a session");
         return;
@@ -541,8 +548,7 @@ void Server::execute(Tenant& tenant, Pending work) {
       // whole session plane, not just the socket front end.
       session->add_observer(
           std::make_shared<fl::MetricsObserver>(tenant.name));
-      tenant.session_index = pool_.add(std::move(session), tenant.name);
-      tenant.has_session = true;
+      tenant.session = std::move(session);
       stat_sessions_opened_.fetch_add(1);
       obs_sessions_opened_->inc();
       net::Frame reply;
@@ -554,24 +560,26 @@ void Server::execute(Tenant& tenant, Pending work) {
     case net::FrameType::kStep: {
       net::Frame reply;
       reply.type = work.type;
-      if (!tenant.has_session) {
+      fl::FederationSession* session = tenant.session.get();
+      if (session == nullptr) {
         reply.status = net::FrameStatus::kNoSession;
         reply.payload = encode_step_request(work.request_id);
-      } else if (const auto step = pool_.step(tenant.session_index)) {
+      } else if (session->done()) {
+        reply.status = net::FrameStatus::kSessionDone;
+        reply.payload = encode_step_request(work.request_id);
+      } else {
+        session->advance();
         stat_steps_.fetch_add(1);
         obs_steps_->inc();
-        if (step->finished) {
+        StepReply body;
+        body.request_id = work.request_id;
+        body.round = static_cast<std::uint32_t>(session->rounds_completed());
+        body.finished = session->done();
+        if (body.finished) {
           stat_sessions_finished_.fetch_add(1);
           obs_sessions_finished_->inc();
         }
-        StepReply body;
-        body.request_id = work.request_id;
-        body.round = static_cast<std::uint32_t>(step->round);
-        body.finished = step->finished;
         reply.payload = encode_step_reply(body);
-      } else {
-        reply.status = net::FrameStatus::kSessionDone;
-        reply.payload = encode_step_request(work.request_id);
       }
       send_frame(*conn, reply);
       tenant.reply_seconds->record(
@@ -582,13 +590,12 @@ void Server::execute(Tenant& tenant, Pending work) {
       return;
     }
     case net::FrameType::kResult: {
-      if (!tenant.has_session) {
+      if (tenant.session == nullptr) {
         send_status(conn, work.type, net::FrameStatus::kNoSession,
                     "open a session first");
         return;
       }
-      const auto& session = pool_.session(tenant.session_index);
-      if (!session.done()) {
+      if (!tenant.session->done()) {
         send_status(conn, work.type, net::FrameStatus::kNotFinished,
                     "session still has rounds left");
         return;
@@ -596,7 +603,7 @@ void Server::execute(Tenant& tenant, Pending work) {
       net::Frame reply;
       reply.type = work.type;
       reply.payload =
-          encode_result_reply(session.result().final_parameters);
+          encode_result_reply(tenant.session->result().final_parameters);
       send_frame(*conn, reply);
       return;
     }

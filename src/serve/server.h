@@ -1,7 +1,8 @@
 // The multi-tenant serving front end: a TCP/UDS stream server that
-// hosts one fl::SessionPool and drives it from length-prefixed frames
-// (net/codec.h) submitted by remote drivers — the first place bytes
-// actually cross a socket instead of an accounting ledger.
+// hosts one fl::FederationSession per tenant and steps them from
+// length-prefixed frames (net/codec.h) submitted by remote drivers —
+// the first place bytes actually cross a socket instead of an
+// accounting ledger.
 //
 // Threading model (all shared state under one server mutex; sessions
 // are touched by the scheduler thread only):
@@ -15,9 +16,10 @@
 //                       exit (drain() waits until no reader is live,
 //                       then joins the rest)
 //   scheduler thread    pops per-tenant queues round-robin, steps the
-//                       SessionPool, writes step/result replies
+//                       tenant's session, writes step/result replies,
+//                       and erases idle tenants
 //   worker pool         ONE common::ThreadPool every tenant's local
-//                       training contends for (the SessionPool shape)
+//                       training contends for
 //
 // Isolation properties:
 //   admission control   a tenant may have at most
@@ -48,13 +50,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "fl/session_pool.h"
+#include "fl/session.h"
 #include "net/codec.h"
 #include "obs/metrics.h"
 #include "serve/protocol.h"
@@ -86,7 +87,8 @@ struct ServerConfig {
   double send_timeout_s = 5.0;
   /// Idle eviction: a tenant whose connection is dead and that has been
   /// inactive (no frames, no queued work) this long has its session
-  /// destroyed and its name released (flips_serve_evictions_total).
+  /// destroyed and leaves the server, which releases its name
+  /// (flips_serve_evictions_total).
   /// 0 = never evict.
   double tenant_idle_timeout_s = 0.0;
 };
@@ -130,19 +132,23 @@ class Server {
     std::uint64_t sessions_finished = 0;
     std::uint64_t connections_accepted = 0;  ///< readers spawned
     std::uint64_t connections_closed = 0;    ///< fds closed by readers
+    std::uint64_t tenants = 0;  ///< registered tenants (evicted ones leave)
   };
   Stats stats() const;
 
  private:
+  struct Tenant;
+
   struct Connection {
     /// Closed and set to -1 by the reader, under write_mu, when it
     /// exits; writers skip a closed connection.
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> dead{false};
-    /// Index into tenants_; set once by the hello handler (the
-    /// connection's own reader thread) before any use.
-    std::optional<std::size_t> tenant_id;
+    /// Set once by the hello handler (the connection's own reader
+    /// thread) before any use. Shared, so a connection whose tenant was
+    /// evicted still sees `evicted` after the tenant leaves tenants_.
+    std::shared_ptr<Tenant> tenant;
     /// Started under mu_, so it is set before the reader can exit;
     /// joined by reap_exited_readers().
     std::thread reader;
@@ -159,8 +165,9 @@ class Server {
 
   struct Tenant {
     std::string name;
-    bool has_session = false;
-    std::size_t session_index = 0;
+    /// Null until kOpenSession builds it; touched by the scheduler
+    /// thread only.
+    std::unique_ptr<fl::FederationSession> session;
     std::size_t inflight_steps = 0;  ///< queued + executing step frames
     std::deque<Pending> queue;
     /// The connection currently bound to this tenant. A hello for an
@@ -168,7 +175,7 @@ class Server {
     /// connection is dead — the client reconnect-and-replay path.
     std::weak_ptr<Connection> conn;
     std::uint64_t last_activity_ns = 0;  ///< idle-eviction clock
-    bool evicted = false;  ///< slot freed; name may register anew
+    bool evicted = false;  ///< erased from tenants_; name may register anew
     // Per-tenant instruments (tenant="<name>"), registered at hello.
     obs::Counter* rejections = nullptr;
     obs::Counter* evictions = nullptr;
@@ -182,8 +189,9 @@ class Server {
   /// Joins the readers that have exited (acceptor thread, or drain()).
   void reap_exited_readers();
   void scheduler_loop();
-  /// Idle sweep (scheduler thread, mu_ held): evicts tenants whose
-  /// connection died and whose inactivity exceeds the timeout.
+  /// Idle sweep (scheduler thread, mu_ held): destroys the session of
+  /// every tenant whose connection died and whose inactivity exceeds
+  /// the timeout, and erases the tenant from tenants_.
   void evict_idle_tenants_locked(std::uint64_t now_ns);
   /// Reader-side dispatch: answers protocol errors / rejections
   /// inline, enqueues real work for the scheduler.
@@ -197,8 +205,9 @@ class Server {
 
   ServerConfig config_;
   SessionFactory factory_;
+  /// Every session borrows this pool, so it is declared before
+  /// tenants_ (and the connections that share tenants) to outlive them.
   common::ThreadPool workers_;
-  fl::SessionPool pool_;  ///< scheduler thread only (after start)
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -208,7 +217,8 @@ class Server {
   std::condition_variable work_cv_;
   std::condition_variable shutdown_cv_;
   std::condition_variable readers_cv_;  ///< a reader exited
-  std::vector<std::unique_ptr<Tenant>> tenants_;
+  /// Registered tenants in registration order (the round-robin order).
+  std::vector<std::shared_ptr<Tenant>> tenants_;
   /// Connections whose reader is live; a reader moves its connection
   /// to exited_ as its last step.
   std::vector<std::shared_ptr<Connection>> connections_;

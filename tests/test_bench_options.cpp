@@ -188,6 +188,18 @@ TEST(TableGrid, EveryPresetYields44CellsThatItsRerunLinesReproduce) {
             "flips_run --scenario ham-fedavg");
 }
 
+TEST(ParsePort, AcceptsSixteenBitsAndRejectsTheRest) {
+  EXPECT_EQ(flips::parse_port("0"), 0u);
+  EXPECT_EQ(flips::parse_port("7070"), 7070u);
+  EXPECT_EQ(flips::parse_port("65535"), 65535u);
+  // Each of these used to wrap to some other port instead of failing.
+  for (const char* bad : {"65536", "70000", "-1", "", "80x", "+80",
+                          "99999999999999999999"}) {
+    EXPECT_THROW((void)flips::parse_port(bad), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(FormatRounds, TargetReachedAndBudgetExceeded) {
   EXPECT_EQ(flips::bench::format_rounds(57.0, 100), "57");
   EXPECT_EQ(flips::bench::format_rounds(std::nullopt, 100), ">100");

@@ -469,7 +469,8 @@ TEST(ServeEndToEnd, FloodingTenantIsRejectedWhileVictimStaysBounded) {
 
 // ---------------------------------------------------------------------
 // Self-healing lifecycle: mid-frame resets, reconnect-and-replay,
-// idle-tenant eviction, and shutdown with a step in flight.
+// duplicate names, idle-tenant eviction, and shutdown with a step in
+// flight.
 
 std::size_t dir_entry_count(const char* path) {
   DIR* dir = ::opendir(path);
@@ -619,6 +620,52 @@ TEST(ServeEndToEnd, ReconnectAndReplayIsBitIdenticalUnderFaults) {
   server.drain();
 }
 
+TEST(ServeEndToEnd, LiveDuplicateTenantIsRefusedThenRebinds) {
+  const std::string socket = test_socket_path("twin");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  const auto spec = small_spec(4, 909);
+  flips::serve::Client first;
+  first.connect_uds(socket);
+  first.hello("twin");
+  first.open_session(spec.to_key_values());
+  flips::serve::StepReply reply;
+  ASSERT_EQ(step_once(first, 1, reply), FrameStatus::kOk);
+
+  // While the first connection lives, its name is taken.
+  flips::serve::Client second;
+  second.connect_uds(socket);
+  Frame hello;
+  hello.type = FrameType::kHello;
+  hello.payload = flips::serve::encode_text("twin");
+  const Frame refused = second.call(hello);
+  EXPECT_EQ(refused.type, FrameType::kHello);
+  EXPECT_EQ(refused.status, FrameStatus::kDuplicateTenant);
+
+  // Once the first client hangs up, the name rebinds to the second
+  // connection, which resumes the session where the first left off.
+  first.close();
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().connections_closed == 1; }));
+  EXPECT_NE(second.hello("twin").find("(rebound)"), std::string::npos);
+  for (std::uint64_t round = 2; round <= 4; ++round) {
+    ASSERT_EQ(step_once(second, round, reply), FrameStatus::kOk);
+    EXPECT_EQ(reply.round, round);
+  }
+  EXPECT_TRUE(reply.finished);
+  EXPECT_EQ(fetch_result(second), solo_parameters(spec));
+
+  server.drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 1u);
+  EXPECT_EQ(stats.steps, 4u);
+  EXPECT_EQ(stats.tenants, 1u);
+}
+
 TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
   const std::string socket = test_socket_path("evict");
   flips::serve::ServerConfig config;
@@ -629,6 +676,7 @@ TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
   server.start();
 
   const auto spec = small_spec(3, 505);
+  const std::uint64_t tenants_before = server.stats().tenants;
   {
     flips::serve::Client ghost;
     ghost.connect_uds(socket);
@@ -649,12 +697,16 @@ TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
         << "tenant was never evicted";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+  // The evicted tenant left the server: the sweep erases it under the
+  // same lock that counts the eviction.
+  EXPECT_EQ(server.stats().tenants, tenants_before);
 
-  // The evicted slot is gone: the name re-registers as a fresh tenant
-  // whose brand-new session runs to a result.
+  // The name re-registers as a fresh tenant whose brand-new session
+  // runs to a result.
   flips::serve::Client reborn;
   reborn.connect_uds(socket);
   EXPECT_NE(reborn.hello("ghost").find("ghost"), std::string::npos);
+  EXPECT_EQ(server.stats().tenants, 1u);
   reborn.open_session(spec.to_key_values());
   flips::serve::StepReply reply;
   for (std::uint64_t round = 1; round <= 3; ++round) {

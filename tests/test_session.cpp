@@ -1,10 +1,8 @@
 // FederationSession API: step-wise advance() round numbering,
 // observer callback ordering under a 4-thread worker pool, party
-// ownership semantics, and SessionPool's per-session bit-identity
-// against solo execution — including unequal-length tenants, where
-// the round-robin must skip the finished session without perturbing
-// the survivor, and the StepResult/tenant-name accounting the serving
-// front end drives.
+// ownership semantics, and the multi-tenant isolation contract: two
+// unequal-length sessions interleaved on one shared worker pool stay
+// bit-identical to solo execution.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +13,6 @@
 #include "common/stats.h"
 #include "data/federated.h"
 #include "fl/session.h"
-#include "fl/session_pool.h"
 #include "selection/factory.h"
 
 namespace {
@@ -342,10 +339,11 @@ TEST(FederationSession, AsyncStepsEmitPhasesWithoutSelect) {
   EXPECT_GT(seen[static_cast<std::size_t>(SessionPhase::kEval)], 0u);
 }
 
-/// Interleaving sessions through a SessionPool over one shared worker
-/// pool must leave every session's result bit-identical to running it
-/// alone — the multi-tenant isolation contract.
-TEST(SessionPool, InterleavedSessionsBitIdenticalToSolo) {
+/// Interleaving sessions over one shared worker pool must leave every
+/// session's result bit-identical to running it alone — the
+/// multi-tenant isolation contract. The lengths are uneven, so the
+/// longer session keeps stepping after the shorter one finishes.
+TEST(FederationSession, SharedWorkersInterleavedBitIdenticalToSolo) {
   const auto fed_a = build_tiny(12, 0.2, 4, 101);
   const auto fed_b = build_tiny(10, 0.5, 3, 202);
 
@@ -374,108 +372,22 @@ TEST(SessionPool, InterleavedSessionsBitIdenticalToSolo) {
   while (!solo_a->done()) solo_a->advance();
   while (!solo_b->done()) solo_b->advance();
 
-  // Interleaved over one shared 4-worker pool.
+  // Interleaved round-robin over one shared 4-worker pool.
   flips::common::ThreadPool workers(4);
-  flips::fl::SessionPool pool;
-  const std::size_t a = pool.add(make_a(&workers));
-  const std::size_t b = pool.add(make_b(&workers));
-  pool.run_all();
-  EXPECT_TRUE(pool.done());
-  EXPECT_EQ(pool.rounds_stepped(),
-            config_a.rounds + config_b.rounds);
-
-  expect_same_result(solo_a->result(), pool.session(a).result());
-  expect_same_result(solo_b->result(), pool.session(b).result());
-}
-
-/// Round-robin stepping: with two unfinished sessions the scheduler
-/// alternates; once the shorter one drains, the longer one gets every
-/// remaining slot. StepResult reports which round ran and flags the
-/// step that finished each session.
-TEST(SessionPool, RoundRobinStepOrderAndStepResults) {
-  const auto fed = build_tiny(8, 0.4, 3, 55);
-  auto short_config = tiny_config(2, 2, 55);
-  auto long_config = tiny_config(4, 2, 55);
-
-  flips::common::ThreadPool workers(1);
-  flips::fl::SessionPool pool;
-  for (const auto* config : {&short_config, &long_config}) {
-    pool.add(std::make_unique<FederationSession>(
-        *config, fed.parties, fed.test, tiny_model(55),
-        flips::select::make_selector(flips::select::SelectorKind::kRandom,
-                                     fed.context),
-        &workers));
+  auto a = make_a(&workers);
+  auto b = make_b(&workers);
+  std::size_t stepped = 0;
+  while (!a->done() || !b->done()) {
+    for (auto* session : {a.get(), b.get()}) {
+      if (session->done()) continue;
+      session->advance();
+      ++stepped;
+    }
   }
+  EXPECT_EQ(stepped, config_a.rounds + config_b.rounds);
 
-  std::vector<std::size_t> order;
-  std::vector<std::size_t> rounds;
-  std::vector<bool> finished;
-  while (const auto step = pool.step()) {
-    order.push_back(step->session_index);
-    rounds.push_back(step->round);
-    finished.push_back(step->finished);
-  }
-  const std::vector<std::size_t> expected_order{0, 1, 0, 1, 1, 1};
-  const std::vector<std::size_t> expected_rounds{1, 1, 2, 2, 3, 4};
-  const std::vector<bool> expected_finished{false, false, true,
-                                            false, false, true};
-  EXPECT_EQ(order, expected_order);
-  EXPECT_EQ(rounds, expected_rounds);
-  EXPECT_EQ(finished, expected_finished);
-  EXPECT_TRUE(pool.done());
-  EXPECT_FALSE(pool.step());
-}
-
-/// Unequal-length tenants driven through step(index) — the serving
-/// scheduler's entry point: the short tenant finishing early must not
-/// perturb the survivor (bit-identical to its solo run), and stepping
-/// a finished tenant reports nullopt instead of touching it.
-TEST(SessionPool, FinishedTenantSkippedWithoutPerturbingSurvivor) {
-  const auto fed = build_tiny(10, 0.3, 3, 77);
-  auto short_config = tiny_config(3, 3, 77);
-  auto long_config = tiny_config(9, 3, 77);
-  long_config.codec.codec = flips::net::Codec::kQuant8;
-
-  auto make_long = [&](flips::common::ThreadPool* pool) {
-    return std::make_unique<FederationSession>(
-        long_config, fed.parties, fed.test, tiny_model(77),
-        flips::select::make_selector(flips::select::SelectorKind::kFlips,
-                                     fed.context),
-        pool);
-  };
-
-  auto solo = make_long(nullptr);
-  while (!solo->done()) solo->advance();
-
-  flips::common::ThreadPool workers(2);
-  flips::fl::SessionPool pool;
-  const std::size_t brief = pool.add(
-      std::make_unique<FederationSession>(
-          short_config, fed.parties, fed.test, tiny_model(177),
-          flips::select::make_selector(flips::select::SelectorKind::kRandom,
-                                       fed.context),
-          &workers),
-      "brief");
-  const std::size_t survivor = pool.add(make_long(&workers), "survivor");
-
-  EXPECT_EQ(pool.tenant_name(brief), "brief");
-  EXPECT_EQ(pool.find_tenant("survivor"), std::optional(survivor));
-  EXPECT_FALSE(pool.find_tenant("nobody"));
-  // Duplicate tenant names would alias the server's accounting.
-  EXPECT_THROW(pool.add(make_long(&workers), "brief"),
-               std::invalid_argument);
-
-  // Interleave by hand: once "brief" drains, stepping it must report
-  // nullopt (and run nothing) while "survivor" keeps advancing.
-  std::size_t brief_refusals = 0;
-  while (!pool.done()) {
-    if (!pool.step(brief)) ++brief_refusals;
-    pool.step(survivor);
-  }
-  EXPECT_EQ(brief_refusals, long_config.rounds - short_config.rounds);
-  EXPECT_EQ(pool.rounds_stepped(),
-            short_config.rounds + long_config.rounds);
-  expect_same_result(solo->result(), pool.session(survivor).result());
+  expect_same_result(solo_a->result(), a->result());
+  expect_same_result(solo_b->result(), b->result());
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(PrivateClustering, ClustersSubmissionsInsideEnclave) {
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
 
-  flips::core::ClusteringConfig config;
+  flips::ctrl::StreamingClusterConfig config;
   config.k_override = 3;
   flips::core::PrivateClusteringService service(config, enclave,
                                                 attestation);
@@ -73,7 +73,7 @@ TEST(PrivateClustering, ResubmissionUpdatesInPlaceWithoutDuplicating) {
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
 
-  flips::core::ClusteringConfig config;
+  flips::ctrl::StreamingClusterConfig config;
   config.k_override = 2;
   flips::core::PrivateClusteringService service(config, enclave,
                                                 attestation);
@@ -108,7 +108,7 @@ TEST(PrivateClustering, DriftDetectionTriggersRecluster) {
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
 
-  flips::core::ClusteringConfig config;
+  flips::ctrl::StreamingClusterConfig config;
   config.k_override = 2;
   flips::core::PrivateClusteringService service(config, enclave,
                                                 attestation);
