@@ -133,7 +133,7 @@ std::shared_ptr<const Federation> cached_federation(
   static std::mutex cache_mu;
   static std::deque<std::pair<FederationKey,
                               std::shared_ptr<const Federation>>> cache;
-  // The serving plane builds sessions on its scheduler thread while
+  // The serving plane builds sessions on its builder thread while
   // e.g. a loadgen's bit-identity re-run builds in-process on another;
   // serializing the whole lookup (builds included) keeps concurrent
   // misses on the same key from duplicating an 8 MB federation.

@@ -375,15 +375,23 @@ std::string scenario_command(const ScenarioSpec& spec) {
   return out;
 }
 
-std::uint16_t parse_port(std::string_view text) {
-  // from_chars into the 16-bit type rejects a sign, junk and overflow.
-  std::uint16_t port = 0;
+std::size_t parse_count(std::string_view flag, std::string_view text,
+                        std::size_t max) {
+  // from_chars into an unsigned type rejects a sign, junk and overflow.
+  std::size_t count = 0;
   const char* end = text.data() + text.size();
-  const auto parsed = std::from_chars(text.data(), end, port);
-  if (parsed.ec != std::errc() || parsed.ptr != end) {
-    fail_value("--port", text, " (must be 0..65535)");
+  const auto parsed = std::from_chars(text.data(), end, count);
+  if (parsed.ec != std::errc() || parsed.ptr != end || count > max) {
+    std::string range = " (must be 0..";
+    range += std::to_string(max);
+    range += ")";
+    fail_value(flag, text, range);
   }
-  return port;
+  return count;
+}
+
+std::uint16_t parse_port(std::string_view text) {
+  return static_cast<std::uint16_t>(parse_count("--port", text, 65535));
 }
 
 ScenarioArgs parse_scenario_args(int argc, char** argv, ScenarioSpec spec,

@@ -17,8 +17,10 @@
 // key for --help.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -145,6 +147,18 @@ struct ScenarioArgs {
 /// one of its own either; throws std::exception on a bad value.
 using ExtraFlags = std::function<bool(
     std::string_view flag, const std::function<const char*()>& value)>;
+
+/// Parses a count flag's value: a decimal integer in [0, max]. Throws
+/// std::invalid_argument naming `flag` otherwise (a sign, junk,
+/// overflow or a value past `max`), so `--threads -1` is an error
+/// instead of a count wrapped to 2^64-1.
+[[nodiscard]] std::size_t parse_count(
+    std::string_view flag, std::string_view text,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
+
+/// Ceiling for the flags that start one thread per unit (flips_serve
+/// --threads, flips_loadgen --tenants).
+inline constexpr std::size_t kMaxThreadsFlag = 1024;
 
 /// Parses a `--port` value: a decimal integer in [0, 65535]. Throws
 /// std::invalid_argument naming the flag otherwise, so `--port 70000`

@@ -275,7 +275,8 @@ constexpr std::string_view kMandatoryFamilies[] = {
 
 constexpr std::string_view kUsage =
     "  --uds PATH | --port N  the server to drive (one is required)\n"
-    "  --tenants N    concurrent tenant connections (default 2)\n"
+    "  --tenants N    concurrent tenant connections (default 2,\n"
+    "                 at most 1024)\n"
     "  --open         open-loop arrivals at --rate steps/s/tenant\n"
     "  --rate R       open-loop steps per second per tenant\n"
     "  --window N     closed-loop outstanding steps per tenant\n"
@@ -304,17 +305,18 @@ int main(int argc, char** argv) {
               options.tcp_port = flips::parse_port(value());
               options.use_tcp = true;
             } else if (flag == "--tenants") {
-              options.tenants = std::stoul(value());
+              options.tenants =
+                  flips::parse_count(flag, value(), flips::kMaxThreadsFlag);
             } else if (flag == "--open") {
               options.open_loop = true;
             } else if (flag == "--rate") {
               options.rate = std::stod(value());
             } else if (flag == "--window") {
-              options.window = std::stoul(value());
+              options.window = flips::parse_count(flag, value());
             } else if (flag == "--fault") {
               options.fault = true;
             } else if (flag == "--fault-every") {
-              options.fault_every = std::stoul(value());
+              options.fault_every = flips::parse_count(flag, value());
             } else if (flag == "--no-verify") {
               options.verify = false;
             } else if (flag == "--metrics") {

@@ -34,7 +34,7 @@ void handle_signal(int) { g_signalled = 1; }
 
 /// Lowers wire key=value pairs onto the bench engine: ScenarioSpec
 /// validation (fail-fast on unknown keys / bad values), then the same
-/// make_session path flips_run uses. Runs on the server's scheduler
+/// make_session path flips_run uses. Runs on the server's builder
 /// thread only.
 std::unique_ptr<flips::fl::FederationSession> build_session(
     const flips::serve::KvPairs& kv, flips::common::ThreadPool* workers,
@@ -57,7 +57,7 @@ int usage() {
                "  --port N          listen on 127.0.0.1:N (0 = ephemeral;"
                " resolved port is printed)\n"
                "  --threads N       shared local-training workers"
-               " (0 = all cores)\n"
+               " (0 = all cores, at most 1024)\n"
                "  --max-inflight N  admission bound: step frames queued"
                " or executing per tenant\n"
                "  --idle-timeout S  evict tenants whose connection died"
@@ -84,9 +84,10 @@ int main(int argc, char** argv) {
       } else if (arg == "--port") {
         config.tcp_port = flips::parse_port(next_value());
       } else if (arg == "--threads") {
-        config.worker_threads = std::stoul(next_value());
+        config.worker_threads = flips::parse_count(
+            arg, next_value(), flips::kMaxThreadsFlag);
       } else if (arg == "--max-inflight") {
-        config.max_inflight_per_tenant = std::stoul(next_value());
+        config.max_inflight_per_tenant = flips::parse_count(arg, next_value());
       } else if (arg == "--idle-timeout") {
         config.tenant_idle_timeout_s = std::stod(next_value());
       } else if (arg == "--help" || arg == "-h") {

@@ -35,7 +35,7 @@
 #    and TSan must see under real worker-pool contention.
 # 8. the UDS serving smoke runs flips_serve + flips_loadgen as real
 #    processes: two tenants over a unix socket, frame parsing, the
-#    reader/scheduler thread handoff, admission accounting, and
+#    reader/builder/scheduler thread handoff, admission accounting, and
 #    graceful drain — the socket plane TSan and ASan must see end to
 #    end (the loadgen exits non-zero if served results are not
 #    bit-identical to in-process runs). --metrics additionally polls

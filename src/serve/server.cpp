@@ -150,6 +150,7 @@ void Server::start() {
   }
   started_ = true;
   acceptor_ = std::thread([this] { accept_loop(); });
+  builder_ = std::thread([this] { builder_loop(); });
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
@@ -196,6 +197,13 @@ void Server::drain() {
     readers_cv_.wait(lock, [&] { return connections_.empty(); });
   }
   reap_exited_readers();
+  // Only now: a reader may have been waiting on a build until it exited.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_builder_ = true;
+  }
+  build_cv_.notify_all();
+  if (builder_.joinable()) builder_.join();
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 }
 
@@ -402,11 +410,13 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
   work.conn = conn;
   work.enqueued_ns = steady_now_ns();
   if (frame.type == net::FrameType::kOpenSession) {
+    KvPairs kv;
     std::string error;
-    if (!decode_kv(frame.payload, work.kv, error)) {
+    if (!decode_kv(frame.payload, kv, error)) {
       send_status(conn, frame.type, net::FrameStatus::kBadFrame, error);
       return;
     }
+    if (!build_session(conn, std::move(kv), work)) return;
   } else if (frame.type == net::FrameType::kStep) {
     if (!decode_step_request(frame.payload, work.request_id)) {
       send_status(conn, frame.type, net::FrameStatus::kBadFrame,
@@ -416,18 +426,11 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
   }
 
   {
+    // A build that finished after drain() began (or after an eviction)
+    // is refused here; its session is dropped with `work`.
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      send_status(conn, frame.type, net::FrameStatus::kShuttingDown,
-                  "server draining");
-      return;
-    }
+    if (refuse_locked(conn, frame.type)) return;
     Tenant& tenant = *conn->tenant;
-    if (tenant.evicted) {
-      send_status(conn, frame.type, net::FrameStatus::kNoSession,
-                  "tenant evicted; send kHello again");
-      return;
-    }
     tenant.last_activity_ns = steady_now_ns();
     if (frame.type == net::FrameType::kStep) {
       // Admission control: bound the tenant's queued + executing steps.
@@ -449,6 +452,80 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     ++pending_total_;
   }
   work_cv_.notify_one();
+}
+
+bool Server::build_session(const std::shared_ptr<Connection>& conn,
+                           KvPairs kv, Pending& work) {
+  Tenant& tenant = *conn->tenant;
+  std::future<Build> built;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (refuse_locked(conn, net::FrameType::kOpenSession)) return false;
+    // Refused before building, so repeated opens cannot keep the one
+    // builder busy for everyone else's opens.
+    if (tenant.session_requested) {
+      send_status(conn, net::FrameType::kOpenSession,
+                  net::FrameStatus::kBadFrame,
+                  "tenant already has a session");
+      return false;
+    }
+    tenant.session_requested = true;
+    std::packaged_task<Build()> task(
+        [this, kv = std::move(kv), name = tenant.name] {
+          Build out;
+          out.session = factory_(kv, &workers_, &out.banner);
+          // Every served session reports per-round/per-phase telemetry
+          // under its tenant label — the kMetrics snapshot covers the
+          // whole session plane, not just the socket front end.
+          out.session->add_observer(
+              std::make_shared<fl::MetricsObserver>(name));
+          return out;
+        });
+    built = task.get_future();
+    builds_.push_back(std::move(task));
+  }
+  build_cv_.notify_one();
+  try {
+    work.built = built.get();
+    return true;
+  } catch (const std::invalid_argument& bad) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tenant.session_requested = false;
+    }
+    send_status(conn, net::FrameType::kOpenSession,
+                net::FrameStatus::kBadScenario, bad.what());
+    return false;
+  }
+}
+
+bool Server::refuse_locked(const std::shared_ptr<Connection>& conn,
+                           net::FrameType type) {
+  if (draining_) {
+    send_status(conn, type, net::FrameStatus::kShuttingDown,
+                "server draining");
+    return true;
+  }
+  if (conn->tenant->evicted) {
+    send_status(conn, type, net::FrameStatus::kNoSession,
+                "tenant evicted; send kHello again");
+    return true;
+  }
+  return false;
+}
+
+void Server::builder_loop() {
+  for (;;) {
+    std::packaged_task<Build()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      build_cv_.wait(lock, [&] { return !builds_.empty() || stop_builder_; });
+      if (builds_.empty()) return;
+      task = std::move(builds_.front());
+      builds_.pop_front();
+    }
+    task();  // the result, or the factory's exception, goes to the reader
+  }
 }
 
 void Server::scheduler_loop() {
@@ -514,7 +591,7 @@ void Server::evict_idle_tenants_locked(std::uint64_t now_ns) {
       continue;
     }
     // The session's memory is freed here on the scheduler thread — the
-    // only thread that ever touches sessions. A zombie reader may still
+    // only thread that ever steps sessions. A zombie reader may still
     // hold the Tenant; it sees `evicted` and answers kNoSession.
     tenant.session.reset();
     tenant.evicted = true;
@@ -529,31 +606,14 @@ void Server::execute(Tenant& tenant, Pending work) {
   const auto& conn = work.conn;
   switch (work.type) {
     case net::FrameType::kOpenSession: {
-      if (tenant.session != nullptr) {
-        send_status(conn, work.type, net::FrameStatus::kBadFrame,
-                    "tenant already has a session");
-        return;
-      }
-      std::string banner;
-      std::unique_ptr<fl::FederationSession> session;
-      try {
-        session = factory_(work.kv, &workers_, &banner);
-      } catch (const std::invalid_argument& bad) {
-        send_status(conn, work.type, net::FrameStatus::kBadScenario,
-                    bad.what());
-        return;
-      }
-      // Every served session reports per-round/per-phase telemetry
-      // under its tenant label — the kMetrics snapshot covers the
-      // whole session plane, not just the socket front end.
-      session->add_observer(
-          std::make_shared<fl::MetricsObserver>(tenant.name));
-      tenant.session = std::move(session);
+      // Built on the builder thread; installed here, so only this
+      // thread ever steps a session.
+      tenant.session = std::move(work.built.session);
       stat_sessions_opened_.fetch_add(1);
       obs_sessions_opened_->inc();
       net::Frame reply;
       reply.type = work.type;
-      reply.payload = encode_text(banner);
+      reply.payload = encode_text(work.built.banner);
       send_frame(*conn, reply);
       return;
     }

@@ -5,21 +5,33 @@
 // accounting ledger.
 //
 // Threading model (all shared state under one server mutex; sessions
-// are touched by the scheduler thread only):
+// are stepped by the scheduler thread only):
 //
 //   acceptor thread     accept() loop; spawns one reader per conn and
 //                       joins readers that have exited since the last
 //                       accept
 //   reader threads      parse frames; enqueue work; answer protocol
 //                       errors and admission rejections immediately;
+//                       on kOpenSession, post the build to the builder
+//                       and block until it is done, then answer a bad
+//                       scenario itself or queue the built session;
 //                       on EOF or a bad frame, close the conn's fd and
 //                       exit (drain() waits until no reader is live,
 //                       then joins the rest)
-//   scheduler thread    pops per-tenant queues round-robin, steps the
-//                       tenant's session, writes step/result replies,
-//                       and erases idle tenants
+//   builder thread      runs the SessionFactory for one open at a
+//                       time, so a ~40 ms federation build never sits
+//                       in front of other tenants' queued steps
+//   scheduler thread    pops per-tenant queues round-robin, installs
+//                       built sessions, steps the tenant's session,
+//                       writes open/step/result replies, and erases
+//                       idle tenants
 //   worker pool         ONE common::ThreadPool every tenant's local
 //                       training contends for
+//
+// A reader handles its connection's frames one at a time, and an open
+// is queued only once its build is done, so a connection's frames
+// still run in the order sent: a step pipelined behind an open steps
+// the session that open built.
 //
 // Isolation properties:
 //   admission control   a tenant may have at most
@@ -48,6 +60,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,11 +75,14 @@
 
 namespace flips::serve {
 
-/// Builds a tenant's session from wire-submitted key=value pairs on
-/// the server's shared worker pool, writing a resolved-config echo
-/// into `banner`. Throws std::invalid_argument on a bad scenario (the
-/// message becomes the kBadScenario reply payload). Called only from
-/// the scheduler thread, so factories may use non-thread-safe caches.
+/// Builds a tenant's session from wire-submitted key=value pairs,
+/// writing a resolved-config echo into `banner`. Throws
+/// std::invalid_argument on a bad scenario (the message becomes the
+/// kBadScenario reply payload). Called only from the server's builder
+/// thread, one call at a time and never concurrently with itself, so
+/// factories may use non-thread-safe caches. The session borrows
+/// `workers` for its later steps; the factory must not run work on it,
+/// because the scheduler may be stepping other sessions on it meanwhile.
 using SessionFactory =
     std::function<std::unique_ptr<fl::FederationSession>(
         const KvPairs& kv, common::ThreadPool* workers,
@@ -101,7 +117,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the acceptor + scheduler threads.
+  /// Binds, listens, and spawns the acceptor, builder and scheduler
+  /// threads.
   /// Throws std::runtime_error on socket errors.
   void start();
 
@@ -154,20 +171,30 @@ class Server {
     std::thread reader;
   };
 
+  /// What the builder hands back to a waiting reader.
+  struct Build {
+    std::unique_ptr<fl::FederationSession> session;
+    std::string banner;  ///< the kOpenSession reply payload
+  };
+
   /// One queued unit of scheduler work for a tenant.
   struct Pending {
     net::FrameType type = net::FrameType::kStep;
     std::uint64_t request_id = 0;  ///< kStep only
-    KvPairs kv;                    ///< kOpenSession only
+    Build built;  ///< kOpenSession only: the session to install
     std::shared_ptr<Connection> conn;
     std::uint64_t enqueued_ns = 0;  ///< reply-latency clock start
   };
 
   struct Tenant {
     std::string name;
-    /// Null until kOpenSession builds it; touched by the scheduler
-    /// thread only.
+    /// Null until the scheduler installs the session a kOpenSession
+    /// built; touched by the scheduler thread only.
     std::unique_ptr<fl::FederationSession> session;
+    /// Set by the reader that claims the tenant's one session, before
+    /// it posts the build; cleared if the build throws. A second open
+    /// is refused on this flag, without a build.
+    bool session_requested = false;
     std::size_t inflight_steps = 0;  ///< queued + executing step frames
     std::deque<Pending> queue;
     /// The connection currently bound to this tenant. A hello for an
@@ -186,6 +213,8 @@ class Server {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
+  /// Runs posted builds one at a time until drain() stops it.
+  void builder_loop();
   /// Joins the readers that have exited (acceptor thread, or drain()).
   void reap_exited_readers();
   void scheduler_loop();
@@ -197,6 +226,15 @@ class Server {
   /// inline, enqueues real work for the scheduler.
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     net::Frame frame);
+  /// Reader side of kOpenSession: claims the tenant's session, posts
+  /// the build to the builder thread and waits for it. Returns true
+  /// with the session in `work`; otherwise the open is answered.
+  bool build_session(const std::shared_ptr<Connection>& conn, KvPairs kv,
+                     Pending& work);
+  /// mu_ held: answers a tenant-scoped frame that may no longer run
+  /// (server draining, tenant evicted) and returns true.
+  bool refuse_locked(const std::shared_ptr<Connection>& conn,
+                     net::FrameType type);
   void execute(Tenant& tenant, Pending work);
   bool send_frame(Connection& conn, const net::Frame& frame);
   void send_status(const std::shared_ptr<Connection>& conn,
@@ -229,7 +267,15 @@ class Server {
   bool stop_scheduler_ = false;     ///< exit once queues drain
   bool shutdown_requested_ = false;
 
+  /// Builds posted by readers, run in order by builder_. One thread is
+  /// enough: builds serialize on the federation cache's mutex anyway.
+  std::deque<std::packaged_task<Build()>> builds_;
+  std::condition_variable build_cv_;
+  /// Set by drain() once no reader is left to wait on a build.
+  bool stop_builder_ = false;
+
   std::thread acceptor_;
+  std::thread builder_;
   std::thread scheduler_;
 
   std::atomic<std::uint64_t> stat_frames_{0};

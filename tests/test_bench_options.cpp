@@ -200,6 +200,33 @@ TEST(ParsePort, AcceptsSixteenBitsAndRejectsTheRest) {
   }
 }
 
+TEST(ParseCount, AcceptsUpToTheCapAndRejectsTheRest) {
+  EXPECT_EQ(flips::parse_count("--threads", "0", flips::kMaxThreadsFlag),
+            0u);
+  EXPECT_EQ(flips::parse_count("--threads", "1024", flips::kMaxThreadsFlag),
+            1024u);
+  EXPECT_EQ(flips::parse_count("--window", "18446744073709551615"),
+            18446744073709551615u);
+  // std::stoul took "-1" as 2^64-1 threads; the cap is only ever
+  // exercised by parsing, never by starting that many threads.
+  for (const char* bad : {"1025", "-1", "", "4x", "+4", " 4", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_THROW(
+        (void)flips::parse_count("--threads", bad, flips::kMaxThreadsFlag),
+        std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)flips::parse_count("--window", "18446744073709551616"),
+               std::invalid_argument);
+  try {
+    (void)flips::parse_count("--tenants", "-1", flips::kMaxThreadsFlag);
+    ADD_FAILURE() << "-1 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "invalid value for --tenants: -1 (must be 0..1024)");
+  }
+}
+
 TEST(FormatRounds, TargetReachedAndBudgetExceeded) {
   EXPECT_EQ(flips::bench::format_rounds(57.0, 100), "57");
   EXPECT_EQ(flips::bench::format_rounds(std::nullopt, 100), ">100");

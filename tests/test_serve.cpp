@@ -2,7 +2,8 @@
 // oversized / garbage — reject, never crash or over-read), payload
 // codec round trips, and end-to-end UDS serving through a real
 // Server: multi-tenant bit-identity against in-process runs, session
-// lifecycle statuses, and admission control under a flooding tenant.
+// lifecycle statuses, admission control under a flooding tenant, and
+// session builds that run off the scheduler thread.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -10,8 +11,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -763,6 +766,209 @@ TEST(ServeEndToEnd, ShutdownWithStepInFlightDrainsCleanly) {
   EXPECT_TRUE(server.shutdown_requested());
   server.drain();  // the queued step finished; nothing is stranded
   EXPECT_EQ(server.stats().steps, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Session builds run on the builder thread, off the scheduler.
+
+Frame open_frame(const flips::ScenarioSpec& spec) {
+  Frame open;
+  open.type = FrameType::kOpenSession;
+  open.payload = flips::serve::encode_kv(spec.to_key_values());
+  return open;
+}
+
+/// Parks a factory call until the test opens the gate. The 10 s
+/// wait_for is only a safety exit; `timed_out` records that it was
+/// taken.
+struct BuildGate {
+  std::promise<void> release;
+  std::shared_future<void> opened = release.get_future().share();
+  std::atomic<bool> waiting{false};
+  std::atomic<bool> timed_out{false};
+
+  void pass() {
+    waiting = true;
+    if (opened.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      timed_out = true;
+    }
+  }
+};
+
+TEST(ServeEndToEnd, SecondOpenIsRefusedWithoutABuild) {
+  const std::string socket = test_socket_path("reopen");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  std::atomic<int> builds{0};
+  flips::serve::Server server(
+      config, [&](const flips::serve::KvPairs& kv,
+                  flips::common::ThreadPool* workers, std::string* banner) {
+        ++builds;
+        return test_factory(kv, workers, banner);
+      });
+  server.start();
+
+  flips::serve::Client client;
+  client.connect_uds(socket);
+  client.hello("t");
+  // A bad scenario claims no session: the next open builds one.
+  Frame bad;
+  bad.type = FrameType::kOpenSession;
+  bad.payload = flips::serve::encode_kv({{"selector", "best"}});
+  EXPECT_EQ(client.call(bad).status, FrameStatus::kBadScenario);
+  const auto spec = small_spec(2, 808);
+  client.open_session(spec.to_key_values());
+
+  const Frame refused = client.call(open_frame(spec));
+  EXPECT_EQ(refused.type, FrameType::kOpenSession);
+  EXPECT_EQ(refused.status, FrameStatus::kBadFrame);
+  EXPECT_EQ(flips::serve::decode_text(refused.payload),
+            "tenant already has a session");
+  // The bad scenario and the first good open; the duplicate never
+  // reached the factory.
+  EXPECT_EQ(builds.load(), 2);
+
+  // The refusal left the session alone.
+  flips::serve::StepReply reply;
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    ASSERT_EQ(step_once(client, round, reply), FrameStatus::kOk);
+  }
+  EXPECT_TRUE(reply.finished);
+  EXPECT_EQ(fetch_result(client), solo_parameters(spec));
+  server.drain();
+  EXPECT_EQ(server.stats().sessions_opened, 1u);
+}
+
+TEST(ServeEndToEnd, OpenInProgressDoesNotBlockOtherTenantsSteps) {
+  const std::string socket = test_socket_path("gate");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 2;
+  const auto steady_spec = small_spec(5, 1201);
+  const auto gated_spec = small_spec(3, 1202);
+  // A server that builds in front of other tenants' steps makes the
+  // steady tenant's first step wait out the gate's safety exit.
+  BuildGate gate;
+  flips::serve::Server server(
+      config, [&](const flips::serve::KvPairs& kv,
+                  flips::common::ThreadPool* workers, std::string* banner) {
+        if (flips::ScenarioSpec::from_key_values(kv).seed ==
+            gated_spec.seed) {
+          gate.pass();
+        }
+        return test_factory(kv, workers, banner);
+      });
+  server.start();
+
+  flips::serve::Client steady;
+  steady.connect_uds(socket);
+  steady.hello("steady");
+  steady.open_session(steady_spec.to_key_values());
+
+  flips::serve::Client gated;
+  gated.connect_uds(socket);
+  gated.hello("gated");
+  FrameStatus gated_open_status = FrameStatus::kRejected;
+  std::thread opener(
+      [&] { gated_open_status = gated.call(open_frame(gated_spec)).status; });
+  EXPECT_TRUE(wait_until([&] { return gate.waiting.load(); }));
+
+  // The steady tenant runs its whole session while the gated build is
+  // still parked in the factory.
+  flips::serve::StepReply reply;
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    EXPECT_EQ(step_once(steady, round, reply), FrameStatus::kOk);
+    EXPECT_EQ(reply.round, round);
+  }
+  EXPECT_TRUE(reply.finished);
+  EXPECT_FALSE(gate.timed_out.load())
+      << "the steady tenant's steps waited behind the gated build";
+
+  gate.release.set_value();
+  opener.join();
+  EXPECT_FALSE(gate.timed_out.load());
+  ASSERT_EQ(gated_open_status, FrameStatus::kOk);
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    ASSERT_EQ(step_once(gated, round, reply), FrameStatus::kOk);
+  }
+  EXPECT_TRUE(reply.finished);
+  EXPECT_EQ(fetch_result(gated), solo_parameters(gated_spec));
+  EXPECT_EQ(fetch_result(steady), solo_parameters(steady_spec));
+  server.drain();
+  EXPECT_EQ(server.stats().sessions_opened, 2u);
+}
+
+TEST(ServeEndToEnd, BuildFinishingDuringDrainIsDropped) {
+  const std::string socket = test_socket_path("latebuild");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  BuildGate gate;
+  flips::serve::Server server(
+      config, [&](const flips::serve::KvPairs& kv,
+                  flips::common::ThreadPool* workers, std::string* banner) {
+        gate.pass();
+        return test_factory(kv, workers, banner);
+      });
+  server.start();
+
+  flips::serve::Client client;
+  client.connect_uds(socket);
+  client.hello("late");
+  client.send(open_frame(small_spec(2, 1303)));
+  ASSERT_TRUE(wait_until([&] { return gate.waiting.load(); }));
+
+  // drain() sets its flag before it waits on anything, so once
+  // shutdown_requested() reads true the build is sure to finish late.
+  std::thread drainer([&] { server.drain(); });
+  EXPECT_TRUE(wait_until([&] { return server.shutdown_requested(); }));
+  gate.release.set_value();
+  drainer.join();
+  EXPECT_FALSE(gate.timed_out.load());
+
+  // The open is answered kShuttingDown, or the drain closed the socket
+  // first; either way the built session was never installed.
+  try {
+    const Frame reply = client.recv();
+    EXPECT_EQ(reply.type, FrameType::kOpenSession);
+    EXPECT_EQ(reply.status, FrameStatus::kShuttingDown);
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(server.stats().sessions_opened, 0u);
+}
+
+TEST(ServeEndToEnd, PipelinedOpenAndStepAreAnsweredInOrder) {
+  const std::string socket = test_socket_path("pipeline");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  // Open and step go out back to back, before any reply is read: the
+  // step must run against the session the open built.
+  flips::serve::Client client;
+  client.connect_uds(socket);
+  client.hello("pipe");
+  client.send(open_frame(small_spec(2, 707)));
+  Frame step;
+  step.type = FrameType::kStep;
+  step.payload = flips::serve::encode_step_request(1);
+  client.send(step);
+
+  const Frame opened = client.recv();
+  EXPECT_EQ(opened.type, FrameType::kOpenSession);
+  EXPECT_EQ(opened.status, FrameStatus::kOk);
+  const Frame stepped = client.recv();
+  EXPECT_EQ(stepped.type, FrameType::kStep);
+  EXPECT_EQ(stepped.status, FrameStatus::kOk);
+  flips::serve::StepReply reply;
+  ASSERT_TRUE(flips::serve::decode_step_reply(stepped.payload, reply));
+  EXPECT_EQ(reply.request_id, 1u);
+  EXPECT_EQ(reply.round, 1u);
+  server.drain();
 }
 
 }  // namespace
