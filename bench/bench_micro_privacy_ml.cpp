@@ -1,14 +1,17 @@
 // Microbenchmarks for the privacy substrate, clustering and the ML
 // kernels: masking / unmasking throughput vs vector dimension and roster
-// size, DP clip+noise, RDP accounting, mini-batch vs Lloyd k-means, and
-// one MLP train step / eval forward at the femnist shape.
+// size, DP clip+noise, RDP accounting, mini-batch vs Lloyd k-means, one
+// MLP train step / eval forward at the femnist and ecg shapes, the
+// dense-layer kernels and tanh at those shapes, and quant8 encode.
 #include <benchmark/benchmark.h>
 
 #include "cluster/kmeans.h"
 #include "cluster/minibatch_kmeans.h"
 #include "common/rng.h"
+#include "ml/kernels.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
+#include "net/codec.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
 
@@ -106,27 +109,38 @@ void BM_MiniBatchKMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_MiniBatchKMeans)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
-// The femnist-fedavg model (64 -> 24 tanh -> 62) at its local batch
-// size: one forward, backward and SGD step, the unit of local training.
+// The paper's MLPs (in -> 24 tanh -> classes) at their local batch size:
+// femnist-fedavg (64 -> 62 classes, the wide-output kernel path) and
+// ecg (32 -> 5 classes, the narrow-output path of layers under 8 lanes).
+constexpr std::size_t kHidden = 24;
+constexpr std::size_t kBatch = 32;
 constexpr std::size_t kFemnistIn = 64;
-constexpr std::size_t kFemnistHidden = 24;
 constexpr std::size_t kFemnistClasses = 62;
+constexpr std::size_t kEcgIn = 32;
+constexpr std::size_t kEcgClasses = 5;
 
-flips::ml::Tensor bench_features(std::size_t rows, Rng& rng) {
-  flips::ml::Tensor x(rows, kFemnistIn);
+std::vector<double> bench_values(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
+flips::ml::Tensor bench_features(std::size_t rows, std::size_t cols,
+                                 Rng& rng) {
+  flips::ml::Tensor x(rows, cols);
   for (std::size_t k = 0; k < x.size(); ++k) x.data()[k] = rng.normal();
   return x;
 }
 
-void BM_MlpTrainStep(benchmark::State& state) {
+/// One forward, backward and SGD step, the unit of local training.
+void mlp_train_step(benchmark::State& state, std::size_t in,
+                    std::size_t classes) {
   Rng rng(13);
-  auto model = flips::ml::ModelFactory::mlp(kFemnistIn, kFemnistHidden,
-                                            kFemnistClasses, rng);
-  const std::size_t batch = 32;
-  const flips::ml::Tensor x = bench_features(batch, rng);
-  std::vector<std::uint32_t> labels(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    labels[b] = static_cast<std::uint32_t>(rng.uniform_index(kFemnistClasses));
+  auto model = flips::ml::ModelFactory::mlp(in, kHidden, classes, rng);
+  const flips::ml::Tensor x = bench_features(kBatch, in, rng);
+  std::vector<std::uint32_t> labels(kBatch);
+  for (auto& label : labels) {
+    label = static_cast<std::uint32_t>(rng.uniform_index(classes));
   }
   const flips::ml::SgdOptimizer sgd({.learning_rate = 0.01});
   for (auto _ : state) {
@@ -135,17 +149,16 @@ void BM_MlpTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(model.mutable_parameters().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
+                          static_cast<std::int64_t>(kBatch));
 }
-BENCHMARK(BM_MlpTrainStep);
 
-// One eval chunk (the session evaluates in fixed 64-row chunks).
-void BM_MlpEvalForward(benchmark::State& state) {
+/// One eval chunk (the session evaluates in fixed 64-row chunks).
+void mlp_eval_forward(benchmark::State& state, std::size_t in,
+                      std::size_t classes) {
   Rng rng(17);
-  auto model = flips::ml::ModelFactory::mlp(kFemnistIn, kFemnistHidden,
-                                            kFemnistClasses, rng);
+  auto model = flips::ml::ModelFactory::mlp(in, kHidden, classes, rng);
   const std::size_t rows = 64;
-  const flips::ml::Tensor x = bench_features(rows, rng);
+  const flips::ml::Tensor x = bench_features(rows, in, rng);
   for (auto _ : state) {
     const flips::ml::Tensor& logits = model.forward(x);
     benchmark::DoNotOptimize(logits.data());
@@ -153,7 +166,92 @@ void BM_MlpEvalForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows));
 }
+
+void BM_MlpTrainStep(benchmark::State& state) {
+  mlp_train_step(state, kFemnistIn, kFemnistClasses);
+}
+BENCHMARK(BM_MlpTrainStep);
+
+void BM_MlpEvalForward(benchmark::State& state) {
+  mlp_eval_forward(state, kFemnistIn, kFemnistClasses);
+}
 BENCHMARK(BM_MlpEvalForward);
+
+void BM_EcgTrainStep(benchmark::State& state) {
+  mlp_train_step(state, kEcgIn, kEcgClasses);
+}
+BENCHMARK(BM_EcgTrainStep);
+
+void BM_EcgEvalForward(benchmark::State& state) {
+  mlp_eval_forward(state, kEcgIn, kEcgClasses);
+}
+BENCHMARK(BM_EcgEvalForward);
+
+// One dense layer's kernels at the local batch size; Args = {in, out}.
+// 32 -> 24 and 24 -> 5 are the ecg layers, 24 -> 62 femnist's output.
+void BM_DenseForward(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  Rng rng(19);
+  const auto x = bench_values(kBatch * in, rng);
+  const auto w = bench_values(in * out, rng);
+  const auto b = bench_values(out, rng);
+  std::vector<double> y(kBatch * out);
+  for (auto _ : state) {
+    flips::ml::dense_forward(x.data(), w.data(), b.data(), y.data(), kBatch,
+                             in, out);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_DenseForward)->Args({32, 24})->Args({24, 5})->Args({24, 62});
+
+void BM_DenseWeightGrad(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  Rng rng(23);
+  const auto x = bench_values(kBatch * in, rng);
+  const auto g = bench_values(kBatch * out, rng);
+  std::vector<double> gw(in * out, 0.0);
+  std::vector<double> gb(out, 0.0);
+  for (auto _ : state) {
+    flips::ml::dense_backward_params(x.data(), g.data(), gw.data(),
+                                     gb.data(), kBatch, in, out);
+    benchmark::DoNotOptimize(gw.data());
+  }
+}
+BENCHMARK(BM_DenseWeightGrad)->Args({32, 24})->Args({24, 5})->Args({24, 62});
+
+// The hidden activation of one local batch: 32 rows x 24 units.
+void BM_TanhElements(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(27);
+  const auto x = bench_values(n, rng);
+  std::vector<double> y(n);
+  for (auto _ : state) {
+    flips::ml::tanh_elements(x.data(), y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_TanhElements)->Arg(kBatch * kHidden);
+
+// quant8 encode of one update; 917 is the ecg MLP's parameter count.
+void BM_Quant8Encode(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  Rng rng(29);
+  const auto update = bench_values(dim, rng);
+  flips::net::CodecConfig config;
+  config.codec = flips::net::Codec::kQuant8;
+  const flips::net::UpdateCodec codec(config);
+  flips::net::EncodedUpdate encoded;
+  flips::net::CodecWorkspace workspace;
+  for (auto _ : state) {
+    codec.encode(update, rng, encoded, workspace);
+    benchmark::DoNotOptimize(encoded.q.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dim));
+}
+BENCHMARK(BM_Quant8Encode)->Arg(917);
 
 }  // namespace
 

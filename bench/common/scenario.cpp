@@ -190,6 +190,9 @@ const std::vector<Field>& fields() {
   const auto positive_finite = +[](double x) {
     return x > 0.0 && std::isfinite(x);
   };
+  const auto non_negative_finite = +[](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
   const auto unit_interval = +[](double x) { return x >= 0.0 && x <= 1.0; };
 
   static const std::vector<Field> registry = {
@@ -219,13 +222,20 @@ const std::vector<Field>& fields() {
       size_field("buffer_k", &ScenarioSpec::buffer_k),
       size_field("max_staleness", &ScenarioSpec::max_staleness),
       choice_field("server_opt", &ScenarioSpec::server_opt, kServerOpts),
-      double_field("server_lr", &ScenarioSpec::server_lr),
+      // Learning rates, prox_mu and the DP knobs scale every update: a
+      // nan or inf trains a NaN model, and a huge negative rate sends
+      // non-finite deltas into the codecs.
+      double_field("server_lr", &ScenarioSpec::server_lr, positive_finite,
+                   " (expected a finite value > 0)"),
       choice_field("client_algo", &ScenarioSpec::client_algo, kClientAlgos),
-      double_field("prox_mu", &ScenarioSpec::prox_mu),
+      double_field("prox_mu", &ScenarioSpec::prox_mu, non_negative_finite,
+                   " (expected a finite value >= 0)"),
       size_field("local_epochs", &ScenarioSpec::local_epochs),
-      double_field("local_lr", &ScenarioSpec::local_lr),
+      double_field("local_lr", &ScenarioSpec::local_lr, positive_finite,
+                   " (expected a finite value > 0)"),
       size_field("mlp_hidden", &ScenarioSpec::mlp_hidden),
-      double_field("target_accuracy", &ScenarioSpec::target_accuracy),
+      double_field("target_accuracy", &ScenarioSpec::target_accuracy,
+                   unit_interval, " (expected a value in [0, 1])"),
       // Validated against the selector registry itself, so new
       // selectors surface here without touching the scenario layer.
       Field{"selector",
@@ -235,12 +245,12 @@ const std::vector<Field>& fields() {
             },
             [](const ScenarioSpec& s) { return s.selector; }},
       size_field("flips_clusters", &ScenarioSpec::flips_clusters),
-      double_field("straggler_rate", &ScenarioSpec::straggler_rate),
+      double_field("straggler_rate", &ScenarioSpec::straggler_rate,
+                   unit_interval, " (expected a value in [0, 1])"),
       // Fault-plane knobs fail fast on out-of-range values here (the
       // session would also reject them, but only after the federation
       // was built).
-      double_field("churn", &ScenarioSpec::churn,
-                   +[](double x) { return x >= 0.0 && std::isfinite(x); },
+      double_field("churn", &ScenarioSpec::churn, non_negative_finite,
                    " (expected a finite value >= 0)"),
       double_field("fault_rate", &ScenarioSpec::fault_rate, unit_interval,
                    " (expected a value in [0, 1])"),
@@ -249,8 +259,10 @@ const std::vector<Field>& fields() {
       size_field("max_retries", &ScenarioSpec::max_retries,
                  +[](std::uint64_t n) { return n <= 64; }, " (expected <= 64)"),
       choice_field("privacy", &ScenarioSpec::privacy, kPrivacy),
-      double_field("dp_clip", &ScenarioSpec::dp_clip),
-      double_field("dp_noise", &ScenarioSpec::dp_noise),
+      double_field("dp_clip", &ScenarioSpec::dp_clip, positive_finite,
+                   " (expected a finite value > 0)"),
+      double_field("dp_noise", &ScenarioSpec::dp_noise, non_negative_finite,
+                   " (expected a finite value >= 0)"),
       size_field("threads", &ScenarioSpec::threads),
       choice_field("codec", &ScenarioSpec::codec, kCodecs),
       Field{"seed",

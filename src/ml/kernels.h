@@ -8,6 +8,13 @@
 // libm calls. The kernels are multiversioned (common/simd.h), and the
 // default, AVX2 and AVX-512 clones all produce the scalar chain's bits.
 //
+// The dense kernels run 8 outputs per vector. A layer narrower than 8
+// outputs (the 5- and 7-class heads) runs the same tiles over a copy of
+// W or g padded with zeros to 8 lanes, kept in a per-thread scratch
+// buffer that grows to the largest layer a thread has seen; only the
+// real lanes are stored. The padding changes no sum: each lane is one
+// output's chain, and the padded lanes are discarded.
+//
 // A translation unit that uses ml::exp/ml::tanh must build with
 // -ffp-contract=off: an FMA-contracted copy rounds differently, and the
 // error-free transforms inside tanh rely on separately rounded products.
@@ -130,7 +137,9 @@ inline double tanh(double x) {
 /// (input-major), b and every y row are [out]; b may be null (no bias).
 /// Summation order for every y[r][o]: b[o] (0.0 without a bias), then
 /// + x[r][i] * W[i][o] for i = 0, 1, ..., in - 1. The input gradient of
-/// a dense layer, g W^T, is this kernel over W^T with no bias.
+/// a dense layer, g W^T, is this kernel over W^T with no bias. Rows run
+/// in vector tiles of 4 (over zero-padded W when out < 8), the batch % 4
+/// rest as scalar loops; both compute the chain above.
 void dense_forward(const double* x, const double* w, const double* b,
                    double* y, std::size_t batch, std::size_t in,
                    std::size_t out);
@@ -143,6 +152,7 @@ void dense_forward(const double* x, const double* w, const double* b,
 ///   gw[i][o] += (x[r][i] g[r][o] + x[r+1][i] g[r+1][o])
 ///             + (x[r+2][i] g[r+2][o] + x[r+3][i] g[r+3][o])
 /// and per remaining row gb[o] += g[r][o], gw[i][o] += x[r][i] g[r][o].
+/// Lanes run over o; when out < 8 they read g rows zero-padded to 8.
 void dense_backward_params(const double* x, const double* g, double* gw,
                            double* gb, std::size_t batch, std::size_t in,
                            std::size_t out);

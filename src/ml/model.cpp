@@ -24,49 +24,120 @@ namespace {
 using Vec8 = double __attribute__((vector_size(8 * sizeof(double))));
 constexpr std::size_t kVec = 8;
 
+/// Per-thread scratch for the layers narrower than kVec. It grows to
+/// the largest request a thread has made and is then reused, so a
+/// thread allocates only when a call needs more than any before it.
+double* narrow_scratch(std::size_t n) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+
+/// Copies `rows` rows of `cols` < kVec values into kVec-wide rows of
+/// `dst`, zero-filling the lanes past `cols`. The padded lanes are never
+/// stored back, so their values cannot reach a result.
+void pad_rows(const double* src, std::size_t rows, std::size_t cols,
+              double* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < kVec; ++k) {
+      dst[r * kVec + k] = k < cols ? src[r * cols + k] : 0.0;
+    }
+  }
+}
+
+// The two tile bodies are always inlined, so each kernel clone gets its
+// own copy at its own lane width.
+
+/// One 4-row x 8-lane tile of dense_forward: rows x0..x0 + 3 (`in`
+/// apart) against 8 columns of W, whose rows start `ws` apart at `w`.
+/// Stores the first `lanes` lanes to y rows y0..y0 + 3 (`ys` apart).
+/// The accumulators stay in registers across the whole input loop, so
+/// each weight vector loaded feeds 4 rows and no partial sum goes
+/// through memory. Each lane is its output's documented chain: the
+/// bias (`lanes` values; 0.0 when `b` is null), then + x[r][i] W[i][o]
+/// for i in order.
+[[gnu::always_inline]] inline void forward_tile(
+    const double* x0, std::size_t in, const double* w, std::size_t ws,
+    const double* b, double* y0, std::size_t ys, std::size_t lanes) {
+  const double* x1 = x0 + in;
+  const double* x2 = x1 + in;
+  const double* x3 = x2 + in;
+  Vec8 a0 = {};
+  if (b != nullptr) std::memcpy(&a0, b, lanes * sizeof(double));
+  Vec8 a1 = a0;
+  Vec8 a2 = a0;
+  Vec8 a3 = a0;
+  for (std::size_t i = 0; i < in; ++i) {
+    Vec8 wv;
+    std::memcpy(&wv, w + i * ws, sizeof(Vec8));
+    a0 += x0[i] * wv;
+    a1 += x1[i] * wv;
+    a2 += x2[i] * wv;
+    a3 += x3[i] * wv;
+  }
+  std::memcpy(y0, &a0, lanes * sizeof(double));
+  std::memcpy(y0 + ys, &a1, lanes * sizeof(double));
+  std::memcpy(y0 + 2 * ys, &a2, lanes * sizeof(double));
+  std::memcpy(y0 + 3 * ys, &a3, lanes * sizeof(double));
+}
+
+/// The weight-gradient chains of one input i for 8 consecutive outputs:
+/// adds x[r][i] g[r][o] over the whole batch to `acc`, 4-row tiles as
+/// (x0 g0 + x1 g1) + (x2 g2 + x3 g3), then the batch % 4 rest one row
+/// at a time. `xi` is x + i (rows `in` apart) and the g rows start `gs`
+/// apart at `g`.
+[[gnu::always_inline]] inline void weight_grad_chain(
+    Vec8& acc, const double* xi, std::size_t in, const double* g,
+    std::size_t gs, std::size_t batch) {
+  std::size_t r = 0;
+  for (; r + 4 <= batch; r += 4) {
+    const double* xr = xi + r * in;
+    const double* gr = g + r * gs;
+    Vec8 g0, g1, g2, g3;
+    std::memcpy(&g0, gr, sizeof(Vec8));
+    std::memcpy(&g1, gr + gs, sizeof(Vec8));
+    std::memcpy(&g2, gr + 2 * gs, sizeof(Vec8));
+    std::memcpy(&g3, gr + 3 * gs, sizeof(Vec8));
+    acc += (xr[0] * g0 + xr[in] * g1) + (xr[2 * in] * g2 + xr[3 * in] * g3);
+  }
+  for (; r < batch; ++r) {
+    Vec8 gr;
+    std::memcpy(&gr, g + r * gs, sizeof(Vec8));
+    acc += xi[r * in] * gr;
+  }
+}
+
 }  // namespace
 
 FLIPS_TARGET_CLONES void dense_forward(const double* x, const double* w,
                                        const double* b, double* y,
                                        std::size_t batch, std::size_t in,
                                        std::size_t out) {
-  std::size_t r = 0;
-  // Wide layers, 4 rows at a time: a 4 x 8 tile of accumulators stays
-  // in registers across the whole input loop, so each weight vector
-  // loaded feeds 4 rows and no partial sum goes through memory. The
-  // last block is shifted back to end at `out` and may recompute a few
-  // outputs of the previous block, with identical bits: every lane runs
-  // the same chain.
-  for (; out >= kVec && r + 4 <= batch; r += 4) {
-    const double* x0 = x + r * in;
-    const double* x1 = x0 + in;
-    const double* x2 = x1 + in;
-    const double* x3 = x2 + in;
-    double* y0 = y + r * out;
-    for (std::size_t block = 0; block < out; block += kVec) {
-      const std::size_t o = std::min(block, out - kVec);
-      Vec8 a0 = {};
-      if (b != nullptr) std::memcpy(&a0, b + o, sizeof(Vec8));
-      Vec8 a1 = a0;
-      Vec8 a2 = a0;
-      Vec8 a3 = a0;
-      for (std::size_t i = 0; i < in; ++i) {
-        Vec8 wv;
-        std::memcpy(&wv, w + i * out + o, sizeof(Vec8));
-        a0 += x0[i] * wv;
-        a1 += x1[i] * wv;
-        a2 += x2[i] * wv;
-        a3 += x3[i] * wv;
+  const std::size_t tiled = batch - batch % 4;
+  if (out >= kVec) {
+    // The last block is shifted back to end at `out` and may recompute
+    // a few outputs of the previous block, with identical bits: every
+    // lane runs the same chain.
+    for (std::size_t r = 0; r < tiled; r += 4) {
+      for (std::size_t block = 0; block < out; block += kVec) {
+        const std::size_t o = std::min(block, out - kVec);
+        forward_tile(x + r * in, in, w + o, out,
+                     b != nullptr ? b + o : nullptr, y + r * out + o, out,
+                     kVec);
       }
-      std::memcpy(y0 + o, &a0, sizeof(Vec8));
-      std::memcpy(y0 + out + o, &a1, sizeof(Vec8));
-      std::memcpy(y0 + 2 * out + o, &a2, sizeof(Vec8));
-      std::memcpy(y0 + 3 * out + o, &a3, sizeof(Vec8));
+    }
+  } else if (tiled > 0) {
+    // Narrower than a vector: the tile runs over W copied into
+    // zero-padded kVec-wide rows and stores only the `out` real lanes.
+    double* wp = narrow_scratch(in * kVec);
+    pad_rows(w, in, out, wp);
+    for (std::size_t r = 0; r < tiled; r += 4) {
+      forward_tile(x + r * in, in, wp, kVec, b, y + r * out, out, out);
     }
   }
-  // Narrow layers and the batch % 4 rest: one row at a time, the
-  // accumulators in the output row.
-  for (; r < batch; ++r) {
+  // The batch % 4 rest: one row at a time, the accumulators in the
+  // output row.
+  for (std::size_t r = tiled; r < batch; ++r) {
     const double* __restrict__ xr = x + r * in;
     double* __restrict__ yr = y + r * out;
     if (b != nullptr) {
@@ -100,28 +171,25 @@ FLIPS_TARGET_CLONES void dense_backward_params(const double* x,
   }
 
   // Weight gradient: each gw[i][o] chain runs over the whole batch in a
-  // register (tiles in row order, then the rest rows), so gw is read and
-  // written once per call. Wide layers run 8 outputs per chain set; the
-  // last block is shifted back to end at `out` and starts from the
-  // values gw held before this row was touched, so the outputs it
-  // shares with the previous block get identical bits, not a second
-  // accumulation.
+  // register, so gw is read and written once per call.
   if (out < kVec) {
+    // Narrower than a vector: the chains run over g copied into
+    // zero-padded kVec-wide rows, and only the `out` real lanes of gw
+    // are loaded and stored.
+    double* gp = narrow_scratch(batch * kVec);
+    pad_rows(g, batch, out, gp);
     for (std::size_t i = 0; i < in; ++i) {
-      for (std::size_t o = 0; o < out; ++o) {
-        double acc = gw[i * out + o];
-        for (r = 0; r < tiled; r += 4) {
-          const double* xr = x + r * in + i;
-          const double* gr = g + r * out + o;
-          acc += (xr[0] * gr[0] + xr[in] * gr[out]) +
-                 (xr[2 * in] * gr[2 * out] + xr[3 * in] * gr[3 * out]);
-        }
-        for (; r < batch; ++r) acc += x[r * in + i] * g[r * out + o];
-        gw[i * out + o] = acc;
-      }
+      Vec8 acc = {};
+      std::memcpy(&acc, gw + i * out, out * sizeof(double));
+      weight_grad_chain(acc, x + i, in, gp, kVec, batch);
+      std::memcpy(gw + i * out, &acc, out * sizeof(double));
     }
     return;
   }
+  // Wide layers run 8 outputs per chain set. The last block is shifted
+  // back to end at `out` and starts from the values gw held before this
+  // row was touched, so the outputs it shares with the previous block
+  // get identical bits, not a second accumulation.
   for (std::size_t i = 0; i < in; ++i) {
     double* gwi = gw + i * out;
     Vec8 last;
@@ -130,22 +198,7 @@ FLIPS_TARGET_CLONES void dense_backward_params(const double* x,
       const std::size_t o = std::min(block, out - kVec);
       Vec8 acc = last;
       if (o == block) std::memcpy(&acc, gwi + o, sizeof(Vec8));
-      for (r = 0; r < tiled; r += 4) {
-        const double* xr = x + r * in + i;
-        const double* gr = g + r * out + o;
-        Vec8 g0, g1, g2, g3;
-        std::memcpy(&g0, gr, sizeof(Vec8));
-        std::memcpy(&g1, gr + out, sizeof(Vec8));
-        std::memcpy(&g2, gr + 2 * out, sizeof(Vec8));
-        std::memcpy(&g3, gr + 3 * out, sizeof(Vec8));
-        acc += (xr[0] * g0 + xr[in] * g1) +
-               (xr[2 * in] * g2 + xr[3 * in] * g3);
-      }
-      for (; r < batch; ++r) {
-        Vec8 gr;
-        std::memcpy(&gr, g + r * out + o, sizeof(Vec8));
-        acc += x[r * in + i] * gr;
-      }
+      weight_grad_chain(acc, x + i, in, g + o, out, batch);
       std::memcpy(gwi + o, &acc, sizeof(Vec8));
     }
   }

@@ -119,7 +119,10 @@ void UpdateCodec::encode(const std::vector<double>& update,
           double lo = std::floor(x);
           const double frac = x - lo;
           // Stochastic rounding: unbiased, E[q * scale] = update[i].
-          if (rng.uniform() < frac) lo += 1.0;
+          // One draw per coordinate and a select, not a branch: the
+          // comparison is a coin flip no predictor learns.
+          const double u = rng.uniform();
+          lo += u < frac ? 1.0 : 0.0;
           lo = std::clamp(lo, -127.0, 127.0);
           out.q[i] = static_cast<std::int8_t>(lo);
         }

@@ -615,17 +615,18 @@ void Server::execute(Tenant& tenant, Pending work) {
       reply.type = work.type;
       reply.payload = encode_text(work.built.banner);
       send_frame(*conn, reply);
+      retire_if_finished(tenant);  // a zero-round session
       return;
     }
     case net::FrameType::kStep: {
       net::Frame reply;
       reply.type = work.type;
       fl::FederationSession* session = tenant.session.get();
-      if (session == nullptr) {
-        reply.status = net::FrameStatus::kNoSession;
-        reply.payload = encode_step_request(work.request_id);
-      } else if (session->done()) {
+      if (tenant.final_parameters) {
         reply.status = net::FrameStatus::kSessionDone;
+        reply.payload = encode_step_request(work.request_id);
+      } else if (session == nullptr) {
+        reply.status = net::FrameStatus::kNoSession;
         reply.payload = encode_step_request(work.request_id);
       } else {
         session->advance();
@@ -644,32 +645,36 @@ void Server::execute(Tenant& tenant, Pending work) {
       send_frame(*conn, reply);
       tenant.reply_seconds->record(
           static_cast<double>(steady_now_ns() - work.enqueued_ns) * 1e-9);
+      retire_if_finished(tenant);
       std::lock_guard<std::mutex> lock(mu_);
       --tenant.inflight_steps;
       tenant.inflight->set(static_cast<double>(tenant.inflight_steps));
       return;
     }
     case net::FrameType::kResult: {
-      if (tenant.session == nullptr) {
+      if (tenant.final_parameters) {
+        net::Frame reply;
+        reply.type = work.type;
+        reply.payload = encode_result_reply(*tenant.final_parameters);
+        send_frame(*conn, reply);
+      } else if (tenant.session == nullptr) {
         send_status(conn, work.type, net::FrameStatus::kNoSession,
                     "open a session first");
-        return;
-      }
-      if (!tenant.session->done()) {
+      } else {
         send_status(conn, work.type, net::FrameStatus::kNotFinished,
                     "session still has rounds left");
-        return;
       }
-      net::Frame reply;
-      reply.type = work.type;
-      reply.payload =
-          encode_result_reply(tenant.session->result().final_parameters);
-      send_frame(*conn, reply);
       return;
     }
     default:
       return;  // kHello/kShutdown never reach the queue
   }
+}
+
+void Server::retire_if_finished(Tenant& tenant) {
+  if (tenant.session == nullptr || !tenant.session->done()) return;
+  tenant.final_parameters = tenant.session->result().final_parameters;
+  tenant.session.reset();
 }
 
 bool Server::send_frame(Connection& conn, const net::Frame& frame) {

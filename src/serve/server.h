@@ -23,7 +23,9 @@
 //                       in front of other tenants' queued steps
 //   scheduler thread    pops per-tenant queues round-robin, installs
 //                       built sessions, steps the tenant's session,
-//                       writes open/step/result replies, and erases
+//                       writes open/step/result replies, frees a
+//                       session once its last round ran (keeping only
+//                       its final parameters for kResult), and erases
 //                       idle tenants
 //   worker pool         ONE common::ThreadPool every tenant's local
 //                       training contends for
@@ -63,6 +65,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,8 +192,12 @@ class Server {
   struct Tenant {
     std::string name;
     /// Null until the scheduler installs the session a kOpenSession
-    /// built; touched by the scheduler thread only.
+    /// built, and again once its last round ran: the scheduler then
+    /// keeps only `final_parameters` and frees the session, so a
+    /// finished tenant waiting out the idle window holds no training
+    /// state. Both touched by the scheduler thread only.
     std::unique_ptr<fl::FederationSession> session;
+    std::optional<std::vector<double>> final_parameters;
     /// Set by the reader that claims the tenant's one session, before
     /// it posts the build; cleared if the build throws. A second open
     /// is refused on this flag, without a build.
@@ -236,6 +243,9 @@ class Server {
   bool refuse_locked(const std::shared_ptr<Connection>& conn,
                      net::FrameType type);
   void execute(Tenant& tenant, Pending work);
+  /// Scheduler thread: once the tenant's session has run its last
+  /// round, keeps its final parameters and frees the session.
+  void retire_if_finished(Tenant& tenant);
   bool send_frame(Connection& conn, const net::Frame& frame);
   void send_status(const std::shared_ptr<Connection>& conn,
                    net::FrameType type, net::FrameStatus status,

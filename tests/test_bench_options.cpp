@@ -262,24 +262,42 @@ TEST(ScenarioSpec, OverridesParseAndValidate) {
 
   // Values that used to run silently wrong: runs=0 divides by zero in
   // run_selector, a negative participation casts a negative double to
-  // size_t, and alpha <= 0 or nan made Dirichlet sampling substitute a
-  // tiny concentration.
+  // size_t, alpha <= 0 or nan made Dirichlet sampling substitute a
+  // tiny concentration, a nan learning rate trained a NaN model, and a
+  // huge negative one sent non-finite deltas into quant8's int8 cast.
   for (const char* bad :
        {"runs=0", "participation=-0.5", "participation=0",
         "participation=1.5", "participation=nan", "alpha=0", "alpha=-1",
-        "alpha=nan", "alpha=inf"}) {
+        "alpha=nan", "alpha=inf", "local_lr=nan", "local_lr=0",
+        "local_lr=-1e300", "local_lr=inf", "server_lr=0", "server_lr=-1",
+        "server_lr=nan", "server_lr=inf", "dp_clip=0", "dp_clip=-1",
+        "dp_clip=nan", "dp_clip=inf", "prox_mu=-0.1", "prox_mu=nan",
+        "prox_mu=inf", "dp_noise=-0.5", "dp_noise=nan", "dp_noise=inf",
+        "straggler_rate=-0.1", "straggler_rate=1.5", "straggler_rate=nan",
+        "target_accuracy=-0.1", "target_accuracy=1.01",
+        "target_accuracy=nan"}) {
     EXPECT_THROW(flips::apply_override(spec, bad), std::invalid_argument)
         << bad;
   }
   flips::apply_override(spec, "runs=1");
   flips::apply_override(spec, "participation=1");
   flips::apply_override(spec, "alpha=1e-3");
+  // The range ends are accepted.
+  for (const char* edge :
+       {"local_lr=1e-9", "server_lr=1", "dp_clip=0.5", "prox_mu=0",
+        "dp_noise=0", "straggler_rate=0", "straggler_rate=1",
+        "target_accuracy=0", "target_accuracy=1"}) {
+    EXPECT_NO_THROW(flips::apply_override(spec, edge)) << edge;
+  }
   EXPECT_EQ(spec.runs, 1u);
   EXPECT_DOUBLE_EQ(spec.participation, 1.0);
   EXPECT_DOUBLE_EQ(spec.alpha, 1e-3);
   // Served tenants go through the same setters.
   const flips::KeyValueList negative{{"participation", "-0.5"}};
   EXPECT_THROW(flips::ScenarioSpec::from_key_values(negative),
+               std::invalid_argument);
+  const flips::KeyValueList nan_lr{{"local_lr", "nan"}};
+  EXPECT_THROW(flips::ScenarioSpec::from_key_values(nan_lr),
                std::invalid_argument);
 }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/rng.h"
@@ -129,6 +131,59 @@ TEST(CodecQuant8, StochasticRoundingIsUnbiased) {
     EXPECT_NEAR(mean[i], update[i], 4.0 * scale / std::sqrt(trials))
         << "i=" << i;
   }
+}
+
+TEST(CodecQuant8, EncodeMatchesBranchingReferenceBitForBit) {
+  // 917 coordinates (the ecg MLP) in chunks of 256: chunk 1 is all
+  // zero and the last chunk holds only 149.
+  const std::size_t dim = 917;
+  const std::size_t chunk = 256;
+  CodecConfig config;
+  config.codec = Codec::kQuant8;
+  config.quant_chunk = chunk;
+  const UpdateCodec codec(config);
+  auto update = random_update(dim, 21, 1.0);
+  std::fill(update.begin() + chunk, update.begin() + 2 * chunk, 0.0);
+
+  flips::common::Rng rng(22);
+  EncodedUpdate enc;
+  CodecWorkspace ws;
+  codec.encode(update, rng, enc, ws);
+
+  // Reference: the stochastic rounding written as a branch on each
+  // draw. encode must give the same q, scales and number of draws.
+  flips::common::Rng ref_rng(22);
+  std::vector<std::int8_t> q(dim);
+  std::vector<double> scales;
+  for (std::size_t begin = 0; begin < dim; begin += chunk) {
+    const std::size_t end = std::min(dim, begin + chunk);
+    double max_abs = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      max_abs = std::max(max_abs, std::fabs(update[i]));
+    }
+    const double scale = max_abs / 127.0;
+    scales.push_back(scale);
+    if (scale == 0.0) continue;  // q stays 0, no draws
+    for (std::size_t i = begin; i < end; ++i) {
+      const double x = update[i] / scale;
+      double lo = std::floor(x);
+      const double frac = x - lo;
+      if (ref_rng.uniform() < frac) lo += 1.0;
+      lo = std::clamp(lo, -127.0, 127.0);
+      q[i] = static_cast<std::int8_t>(lo);
+    }
+  }
+
+  EXPECT_EQ(enc.q, q);
+  ASSERT_EQ(enc.scales.size(), scales.size());
+  ASSERT_EQ(scales.size(), 4u);
+  EXPECT_EQ(scales[1], 0.0);
+  for (std::size_t c = 0; c < scales.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(enc.scales[c]),
+              std::bit_cast<std::uint64_t>(scales[c]))
+        << "chunk " << c;
+  }
+  EXPECT_EQ(rng.next(), ref_rng.next()) << "draw count differs";
 }
 
 TEST(CodecQuant8, ZeroVectorCostsNoDrawsAndDecodesToZero) {

@@ -242,10 +242,12 @@ TEST(Sgd, LearningRateDecaySchedule) {
 // ------------------------------------------------------------------
 // Lane invariance: the kernels against naive scalar loops written in
 // the summation order ml/kernels.h documents. Batch sizes 1-9 cover
-// the 4-row tiles and every remainder; widths 5, 24, 62 and 65 (and
-// in = 3, 17, 24 for the input gradient, the forward kernel over W^T
-// with `in` as its width) cover narrow layers, full vectors and
-// remainders at 2, 4 and 8 lanes.
+// the 4-row tiles and every remainder; widths 1-7 (the zero-padded
+// narrow path), 24, 62 and 65 (and in = 1-7, 17, 24 for the input
+// gradient, the forward kernel over W^T with `in` as its width) cover
+// every narrow width, full vectors and remainders at 2, 4 and 8 lanes.
+// Every output buffer ends in a guard of sentinels that the reference
+// keeps too, so a padded lane stored past the last output fails.
 
 std::vector<double> random_values(std::size_t n, Rng& rng) {
   std::vector<double> v(n);
@@ -268,10 +270,22 @@ void expect_same_bits(const std::vector<double>& actual,
   }
 }
 
+/// Trailing guard on every kernel output buffer in the tests below.
+constexpr std::size_t kGuard = 8;
+constexpr double kSentinel = -1234.5;
+
+/// `values` followed by the guard.
+std::vector<double> guarded(std::vector<double> values) {
+  values.resize(values.size() + kGuard, kSentinel);
+  return values;
+}
+
 TEST(LaneInvariance, DenseKernelsMatchScalarReference) {
   Rng rng(41);
-  for (const std::size_t out : {5u, 24u, 62u, 65u}) {
-    for (const std::size_t in : {3u, 17u, 24u}) {
+  const std::vector<std::size_t> outs = {1, 2, 3, 4, 5, 6, 7, 24, 62, 65};
+  const std::vector<std::size_t> ins = {1, 2, 3, 4, 5, 6, 7, 17, 24};
+  for (const std::size_t out : outs) {
+    for (const std::size_t in : ins) {
       for (std::size_t batch = 1; batch <= 9; ++batch) {
         const auto x = random_values(batch * in, rng);
         const auto w = random_values(in * out, rng);
@@ -281,27 +295,32 @@ TEST(LaneInvariance, DenseKernelsMatchScalarReference) {
         const auto gw0 = random_values(in * out, rng);
         const auto gb0 = random_values(out, rng);
 
-        std::vector<double> y(batch * out);
-        flips::ml::dense_forward(x.data(), w.data(), b.data(), y.data(),
-                                 batch, in, out);
-        std::vector<double> y_ref(batch * out);
-        for (std::size_t r = 0; r < batch; ++r) {
-          for (std::size_t o = 0; o < out; ++o) {
-            double acc = b[o];
-            for (std::size_t i = 0; i < in; ++i) {
-              acc += x[r * in + i] * w[i * out + o];
+        const double* const biases[] = {b.data(), nullptr};
+        for (const double* bias : biases) {
+          auto y = guarded(std::vector<double>(batch * out));
+          flips::ml::dense_forward(x.data(), w.data(), bias, y.data(), batch,
+                                   in, out);
+          auto y_ref = guarded(std::vector<double>(batch * out));
+          for (std::size_t r = 0; r < batch; ++r) {
+            for (std::size_t o = 0; o < out; ++o) {
+              double acc = bias != nullptr ? bias[o] : 0.0;
+              for (std::size_t i = 0; i < in; ++i) {
+                acc += x[r * in + i] * w[i * out + o];
+              }
+              y_ref[r * out + o] = acc;
             }
-            y_ref[r * out + o] = acc;
           }
+          expect_same_bits(y, y_ref,
+                           bias != nullptr ? "forward" : "unbiased forward",
+                           batch, in, out);
         }
-        expect_same_bits(y, y_ref, "forward", batch, in, out);
 
-        std::vector<double> gw = gw0;
-        std::vector<double> gb = gb0;
+        auto gw = guarded(gw0);
+        auto gb = guarded(gb0);
         flips::ml::dense_backward_params(x.data(), g.data(), gw.data(),
                                          gb.data(), batch, in, out);
-        std::vector<double> gw_ref = gw0;
-        std::vector<double> gb_ref = gb0;
+        auto gw_ref = guarded(gw0);
+        auto gb_ref = guarded(gb0);
         const auto xg = [&](std::size_t r, std::size_t i, std::size_t o) {
           return x[r * in + i] * g[r * out + o];
         };
@@ -333,10 +352,10 @@ TEST(LaneInvariance, DenseKernelsMatchScalarReference) {
             wt[o * in + i] = w[i * out + o];
           }
         }
-        std::vector<double> gi(batch * in, -1.0);
+        auto gi = guarded(std::vector<double>(batch * in, -1.0));
         flips::ml::dense_forward(g.data(), wt.data(), nullptr, gi.data(),
                                  batch, out, in);
-        std::vector<double> gi_ref(batch * in);
+        auto gi_ref = guarded(std::vector<double>(batch * in));
         for (std::size_t rr = 0; rr < batch; ++rr) {
           for (std::size_t i = 0; i < in; ++i) {
             double acc = 0.0;

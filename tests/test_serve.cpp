@@ -15,12 +15,14 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/experiment.h"
 #include "common/scenario.h"
+#include "fl/observer.h"
 #include "net/codec.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -969,6 +971,68 @@ TEST(ServeEndToEnd, PipelinedOpenAndStepAreAnsweredInOrder) {
   EXPECT_EQ(reply.request_id, 1u);
   EXPECT_EQ(reply.round, 1u);
   server.drain();
+}
+
+TEST(ServeEndToEnd, FinishedSessionIsFreedAndStillAnswers) {
+  const std::string socket = test_socket_path("retire");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;  // idle eviction stays off
+  // Each build hands the test a weak handle on an observer only the
+  // session owns: it expires when the server frees the session.
+  std::promise<std::weak_ptr<flips::fl::RoundObserver>> built;
+  auto probe_future = built.get_future();
+  std::atomic<bool> first_build{true};
+  flips::serve::Server server(
+      config, [&](const flips::serve::KvPairs& kv,
+                  flips::common::ThreadPool* workers, std::string* banner) {
+        auto session = test_factory(kv, workers, banner);
+        if (first_build.exchange(false)) {
+          auto observer = std::make_shared<flips::fl::RoundObserver>();
+          session->add_observer(observer);
+          built.set_value(observer);
+        }
+        return session;
+      });
+  server.start();
+
+  const auto spec = small_spec(3, 313);
+  flips::serve::Client client;
+  client.connect_uds(socket);
+  client.hello("done");
+  client.open_session(spec.to_key_values());
+  const auto probe = probe_future.get();
+  flips::serve::StepReply reply;
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    ASSERT_EQ(step_once(client, round, reply), FrameStatus::kOk);
+    EXPECT_EQ(reply.finished, round == 3);
+    if (round < 3) {
+      EXPECT_FALSE(probe.expired());
+    }
+  }
+  // The fetch runs after the last step on the scheduler thread, so
+  // the session was freed before this reply, with the connection
+  // still open and the tenant registered.
+  const auto expected = solo_parameters(spec);
+  EXPECT_EQ(fetch_result(client), expected);
+  EXPECT_TRUE(probe.expired());
+  EXPECT_EQ(step_once(client, 4, reply), FrameStatus::kSessionDone);
+  EXPECT_EQ(fetch_result(client), expected);
+
+  // A zero-round session is finished as soon as it is installed.
+  const auto empty_spec = small_spec(0, 314);
+  flips::serve::Client empty;
+  empty.connect_uds(socket);
+  empty.hello("empty");
+  empty.open_session(empty_spec.to_key_values());
+  EXPECT_EQ(step_once(empty, 1, reply), FrameStatus::kSessionDone);
+  EXPECT_EQ(fetch_result(empty), solo_parameters(empty_spec));
+
+  server.drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 2u);
+  EXPECT_EQ(stats.steps, 3u);
+  EXPECT_EQ(stats.tenants, 2u);
 }
 
 }  // namespace
