@@ -5,82 +5,29 @@
 //      normalized proportions vs Hellinger (sqrt-proportion) space;
 //   C. cluster-count sensitivity (k sweep around the elbow's choice);
 //   D. the Power-of-Choice extension vs FLIPS and random.
+#include <cctype>
+#include <cstdio>
 #include <iostream>
+#include <memory>
+#include <string>
 
-#include "common/experiment.h"
 #include "common/scenario.h"
-#include "common/stats.h"
-#include "data/federated.h"
-#include "fl/session.h"
-#include "selection/factory.h"
 #include "selection/flips_selector.h"
 
 namespace {
 
-struct Fed {
-  std::vector<flips::fl::Party> parties;
-  flips::data::Dataset test;
-  std::vector<flips::data::LabelDistribution> lds;
-  std::vector<double> latencies;
-};
+using flips::LdSpace;
 
-Fed build(std::uint64_t seed, std::size_t parties_n) {
-  flips::data::FederatedDataConfig dc;
-  dc.spec = flips::data::DatasetCatalog::ecg();
-  dc.num_parties = parties_n;
-  dc.samples_per_party = 80;
-  dc.alpha = 0.3;
-  dc.test_per_class = 100;
-  dc.seed = seed;
-  const auto data = flips::data::build_federated_data(dc);
-  Fed fed;
-  flips::common::Rng prof(seed ^ 0xBEEF);
-  for (std::size_t p = 0; p < data.party_data.size(); ++p) {
-    flips::fl::PartyProfile profile;
-    const double u = prof.uniform();
-    profile.speed_factor = u < 0.6 ? 1.0 : (u < 0.9 ? 2.0 : 4.0);
-    fed.parties.emplace_back(p, data.party_data[p], profile);
-    fed.latencies.push_back(profile.speed_factor *
-                            static_cast<double>(data.party_data[p].size()));
-  }
-  fed.test = data.global_test;
-  fed.lds = data.label_distributions;
-  return fed;
-}
-
-using flips::bench::cluster_label_distributions;
-using flips::bench::LdSpace;
-
-/// Peak accuracy of one FedYogi job over `fed` driven by `selector`.
-double run_job(const Fed& fed,
-               std::unique_ptr<flips::fl::ParticipantSelector> selector,
-               double straggler_rate, std::uint64_t seed,
-               std::size_t rounds) {
-  flips::fl::FlJobConfig config;
-  config.rounds = rounds;
-  config.parties_per_round = fed.parties.size() / 5;
-  config.local.epochs = 2;
-  config.local.sgd.learning_rate = 0.05;
-  config.local.sgd.lr_decay_factor = 0.5;
-  config.local.sgd.lr_decay_rounds = 20;
-  config.server.optimizer = flips::fl::ServerOpt::kFedYogi;
-  config.server.learning_rate = 0.05;
-  config.stragglers.rate = straggler_rate;
-  config.seed = seed;
-  config.eval_every = 2;
-
-  flips::common::Rng mrng(seed ^ 0x30DE);
-  auto model = flips::ml::ModelFactory::mlp(32, 24, 5, mrng);
-  flips::fl::FederationSession session(config, fed.parties, fed.test,
-                                      std::move(model), std::move(selector));
+/// Peak balanced accuracy of `session` stepped to completion.
+double peak_accuracy(flips::fl::FederationSession& session) {
   while (!session.done()) session.advance();
   return session.result().peak_accuracy;
 }
 
-/// Mean over two federations.
+/// Mean over two federations: seeds `seed` and `seed` + 1000.
 template <typename F>
-double avg2(F&& f) {
-  return (f(42) + f(1042)) / 2.0;
+double avg2(std::uint64_t seed, F&& f) {
+  return (f(seed) + f(seed + 1000)) / 2.0;
 }
 
 }  // namespace
@@ -88,27 +35,34 @@ double avg2(F&& f) {
 int main(int argc, char** argv) {
   flips::ScenarioSpec defaults;
   defaults.rounds = 80;
+  defaults.server_opt = "fedyogi";
   const auto spec = flips::parse_scenario_args(argc, argv, defaults).spec;
-  const std::size_t parties = spec.parties;
-  const std::size_t rounds = spec.rounds;
+  const flips::ExperimentConfig base = flips::to_experiment_config(spec);
 
-  std::cout << "FLIPS design ablations (ECG stand-in, alpha=0.3, FedYogi, "
-            << parties << " parties, " << rounds << " rounds)\n";
+  std::string dataset = spec.dataset;
+  for (char& c : dataset) c = static_cast<char>(std::toupper(c));
+  std::cout << "FLIPS design ablations (" << dataset
+            << " stand-in, alpha=" << spec.alpha << ", "
+            << (spec.server_opt == "fedyogi" ? "FedYogi" : spec.server_opt)
+            << ", " << spec.parties << " parties, " << spec.rounds
+            << " rounds)\n";
 
   // FLIPS over k clusters of the label distributions in `space`, mean
-  // peak accuracy over two federations.
+  // peak accuracy over two federations. The arm builds its own
+  // FlipsSelector so it can switch over-provisioning off.
   auto flips_acc = [&](std::size_t k, LdSpace space, bool overprovision,
                        double straggler_rate) {
-    return avg2([&](std::uint64_t s) {
-      const Fed fed = build(s, parties);
+    flips::ExperimentConfig config = base;
+    config.flips_clusters = k;
+    config.straggler_rate = straggler_rate;
+    return avg2(spec.seed, [&](std::uint64_t seed) {
+      auto fed = flips::build_federation(config, seed, space);
       flips::select::FlipsSelectorConfig sc;
       sc.overprovision = overprovision;
-      return run_job(fed,
-                     std::make_unique<flips::select::FlipsSelector>(
-                         cluster_label_distributions(fed.lds, k, space,
-                                                     s ^ 0xC1),
-                         k, sc),
-                     straggler_rate, s, rounds);
+      auto selector = std::make_unique<flips::select::FlipsSelector>(
+          fed.clusters, fed.num_clusters, sc);
+      return peak_accuracy(*flips::make_session(config, std::move(fed),
+                                                std::move(selector), seed));
     });
   };
 
@@ -146,18 +100,8 @@ int main(int argc, char** argv) {
        {flips::select::SelectorKind::kRandom,
         flips::select::SelectorKind::kPowerOfChoice,
         flips::select::SelectorKind::kFlips}) {
-    const double acc = avg2([&](std::uint64_t s) {
-      const Fed fed = build(s, parties);
-      flips::select::SelectorContext ctx;
-      ctx.num_parties = fed.parties.size();
-      ctx.seed = s ^ 0x5E1E;
-      ctx.cluster_of = cluster_label_distributions(
-          fed.lds, 20, LdSpace::kHellinger, s ^ 0xC1);
-      ctx.num_clusters = 20;
-      ctx.latencies = fed.latencies;
-      ctx.rounds_hint = rounds;
-      return run_job(fed, flips::select::make_selector(kind, ctx), 0.0, s,
-                     rounds);
+    const double acc = avg2(spec.seed, [&](std::uint64_t seed) {
+      return peak_accuracy(*flips::make_session(base, kind, seed));
     });
     printf("  %-8s  %5.1f %%\n", flips::select::to_string(kind),
            100.0 * acc);

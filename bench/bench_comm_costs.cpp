@@ -14,7 +14,7 @@
 
 namespace {
 
-using flips::bench::ExperimentConfig;
+using flips::ExperimentConfig;
 using flips::bench::run_selector;
 using flips::select::SelectorKind;
 

@@ -37,6 +37,9 @@ struct Phase {
   std::vector<double> accuracy;  ///< per round
 };
 
+// Not built through scenario/builder.h: this bench swaps drifted
+// parties in mid-run and runs without LR decay, which the builder has
+// no keys for; routing it there would move its published numbers.
 flips::fl::FlJobConfig job_config(std::size_t rounds, std::size_t nr,
                                   std::uint64_t seed) {
   flips::fl::FlJobConfig job;
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
   dc.spec = flips::data::DatasetCatalog::ecg();
   dc.num_parties = spec.parties;
   dc.samples_per_party = spec.samples_per_party;
-  dc.alpha = 0.3;
+  dc.alpha = spec.alpha;
   dc.test_per_class = 80;
   dc.seed = spec.seed;
   const auto data = flips::data::build_federated_data(dc);
@@ -110,9 +113,8 @@ int main(int argc, char** argv) {
   flips::common::Rng model_rng(spec.seed ^ 0x30DE);
   auto initial = flips::ml::ModelFactory::mlp(dc.spec.feature_dim, 24,
                                               dc.spec.num_classes, model_rng);
-  const auto pre_clusters = flips::bench::cluster_label_distributions(
-      data.label_distributions, k, flips::bench::LdSpace::kProportions,
-      spec.seed);
+  const auto pre_clusters = flips::cluster_label_distributions(
+      data.label_distributions, k, flips::LdSpace::kProportions, spec.seed);
 
   flips::select::SelectorContext ctx;
   ctx.num_parties = parties.size();
@@ -166,8 +168,8 @@ int main(int argc, char** argv) {
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
       spec.rounds, nr, spec.seed + 1, &ignore);
 
-  ctx.cluster_of = flips::bench::cluster_label_distributions(
-      drifted_lds, k, flips::bench::LdSpace::kProportions, spec.seed + 7);
+  ctx.cluster_of = flips::cluster_label_distributions(
+      drifted_lds, k, flips::LdSpace::kProportions, spec.seed + 7);
   const Phase refreshed = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),

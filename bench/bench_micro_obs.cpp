@@ -19,11 +19,10 @@
 #include <memory>
 #include <new>
 
-#include "common/experiment.h"
-#include "common/scenario.h"
 #include "fl/metrics_observer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scenario/spec.h"
 
 // ---- Global allocation counter (this binary only). Counts every
 // operator-new so the steady-state telemetry loop can prove it
@@ -213,10 +212,10 @@ void allocation_audit() {
 // instrumented (MetricsObserver emitting into a private registry plus
 // phase/round spans through a null-sink tracer — the serving plane's
 // exact per-session wiring). Min wall time over reps for both arms.
-double run_arm(const flips::bench::ExperimentConfig& config,
+double run_arm(const flips::ExperimentConfig& config,
                flips::select::SelectorKind kind, bool instrumented,
                flips::obs::Registry* registry, flips::obs::Tracer* tracer) {
-  auto session = flips::bench::make_session(config, kind, config.seed);
+  auto session = flips::make_session(config, kind, config.seed);
   if (instrumented) {
     session->add_observer(std::make_shared<flips::fl::MetricsObserver>(
         "ab", registry, tracer));
@@ -242,7 +241,7 @@ void ab_overhead() {
   flips::obs::Tracer tracer(4096);
   tracer.set_sink(std::make_shared<flips::obs::NullTraceSink>());
 
-  // One throwaway pair populates the federation cache; then alternate
+  // One throwaway pair warms caches and the allocator; then alternate
   // arms so load spikes hit both equally, and take the min — the only
   // estimator that converges under one-sided scheduler noise.
   run_arm(config, kind, false, nullptr, nullptr);

@@ -294,13 +294,13 @@ int main(int argc, char** argv) {
 
     for (const std::size_t tenants : {std::size_t{2}, std::size_t{4}}) {
       // Solo references: each tenant run to completion on its own
-      // (sessions built outside the timer — federation construction is
-      // cached and shared with the interleaved arm below).
+      // (sessions built outside the timer, like the interleaved arm's
+      // below).
       std::vector<std::unique_ptr<flips::fl::FederationSession>> solo;
       for (std::size_t s = 0; s < tenants; ++s) {
-        solo.push_back(flips::bench::make_session(
-            mt, flips::select::SelectorKind::kFlips,
-            spec.seed + 1000 * s, &workers));
+        solo.push_back(flips::make_session(mt,
+                                           flips::select::SelectorKind::kFlips,
+                                           spec.seed + 1000 * s, &workers));
       }
       const auto t_solo = Clock::now();
       for (auto& session : solo) {
@@ -315,9 +315,9 @@ int main(int argc, char** argv) {
       // The same tenants, interleaved round-robin on the same workers.
       std::vector<std::unique_ptr<flips::fl::FederationSession>> sessions;
       for (std::size_t s = 0; s < tenants; ++s) {
-        sessions.push_back(flips::bench::make_session(
-            mt, flips::select::SelectorKind::kFlips,
-            spec.seed + 1000 * s, &workers));
+        sessions.push_back(flips::make_session(
+            mt, flips::select::SelectorKind::kFlips, spec.seed + 1000 * s,
+            &workers));
       }
       const auto t_mixed = Clock::now();
       flips::bench::interleave_sessions(sessions);

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <iostream>
 
-#include "common/experiment.h"
 #include "common/scenario.h"
 #include "core/private_clustering.h"
 #include "data/federated.h"
@@ -32,9 +31,8 @@ int main(int argc, char** argv) {
 
   // Native clustering baseline (same kernel the enclave runs).
   const auto t0 = Clock::now();
-  (void)flips::bench::cluster_label_distributions(
-      fed.label_distributions, 10, flips::bench::LdSpace::kProportions,
-      spec.seed);
+  (void)flips::cluster_label_distributions(
+      fed.label_distributions, 10, flips::LdSpace::kProportions, spec.seed);
   const double native_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 

@@ -1,6 +1,7 @@
-// Paper-reported numbers for Tables 1-24 (FLIPS, Middleware 2023), the
-// grid that reproduces them, and the reduced-scale calibration every
-// preset reads. `flips_tables --scenario <preset>` runs one table pair.
+// Paper-reported numbers for Tables 1-24 (FLIPS, Middleware 2023) and
+// the grid that reproduces them (the reduced-scale calibration each
+// preset reads lives with the presets, src/scenario/spec.cpp).
+// `flips_tables --scenario <preset>` runs one table pair.
 //
 // Layout per row: {alpha, party%} setting ×
 //   rounds/accuracy for [0% stragglers: Random, FLIPS, OORT, GradCls,
@@ -14,7 +15,7 @@
 #include <limits>
 #include <string_view>
 
-#include "common/scenario.h"
+#include "scenario/spec.h"
 #include "selection/factory.h"
 
 namespace flips::bench::paper {
@@ -56,42 +57,6 @@ struct TablePair {
   std::array<RoundsRow, 4> rounds;
   std::array<AccuracyRow, 4> accuracy;
 };
-
-// ---------------- Reduced-scale calibration ---------------------------
-//
-// The paper's 400/200-round budgets do not transfer 1:1 to the reduced
-// simulation, so each dataset carries a calibrated (target accuracy,
-// prototype separation, local lr) triple — the single source the
-// scenario presets (and so flips_tables and flips_run) read. The knobs are tuned
-// (protocol in EXPERIMENTS.md § "Reduced-target calibration") so that
-// rounds-to-target lands in the tens of rounds at the default reduced
-// scale — far enough from round 1 that selector orderings are
-// discriminative, far enough from the budget that FLIPS reaches it.
-
-struct ReducedCalibration {
-  double target_accuracy;   ///< reduced-scale target (fraction)
-  /// Class-prototype separation override (0 = catalog default). Lower
-  /// values harden the learning problem without touching who holds
-  /// which labels.
-  double class_separation;
-  double local_lr;
-  /// Server lr for the ADAPTIVE optimizers (FedYogi etc.; FedAvg is
-  /// pinned to 1.0). The adaptive server, not the local solver, is
-  /// what drives single-digit convergence — it needs its own knob.
-  double server_lr;
-};
-
-// ECG and FEMNIST swept 2026-07, HAM and Fashion 2026-08 (protocol +
-// grids in EXPERIMENTS.md § "Reduced-target calibration"): FLIPS
-// rounds-to-target at the default scale lands at 20/14/20 (ECG
-// fedavg/fedyogi/fedprox), 56/16/56 (FEMNIST), 26/14/26 (HAM, with
-// random never reaching the target inside the budget) and 18/10/18
-// (Fashion) — tens of rounds on every arm, vs 4-10 before.
-inline constexpr ReducedCalibration kEcgReduced{0.72, 1.0, 0.03, 0.01};
-inline constexpr ReducedCalibration kHamReduced{0.72, 0.8, 0.02, 0.01};
-inline constexpr ReducedCalibration kFemnistReduced{0.78, 2.4, 0.03, 0.01};
-inline constexpr ReducedCalibration kFashionReduced{0.78, 0.8, 0.02,
-                                                    0.01};
 
 // --------------------------- FedYogi ---------------------------------
 

@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/experiment.h"
 #include "common/perf.h"
 #include "common/scenario.h"
 #include "obs/metrics.h"
@@ -255,8 +254,8 @@ bool bit_identical(const Options& options, std::size_t tenant_index,
   flips::ScenarioSpec spec = options.spec;
   spec.seed += 1000 * tenant_index;
   const auto config = flips::to_experiment_config(spec);
-  auto session = flips::bench::make_session(
-      config, flips::selector_kind(spec), spec.seed);
+  auto session =
+      flips::make_session(config, flips::selector_kind(spec), spec.seed);
   while (!session->done()) session->advance();
   const auto reference = session->result().final_parameters;
   return reference.size() == served.size() &&

@@ -76,14 +76,15 @@ std::string format_opt(const std::optional<double>& value) {
 
 int run_solo(const flips::ScenarioSpec& spec, bool csv,
              const Telemetry& telemetry) {
-  auto config = flips::to_experiment_config(spec);
+  flips::bench::ObserverFactory observers;
   if (telemetry.active()) {
-    config.observer_factory = [&](std::size_t run) {
+    observers = [&](std::size_t run) {
       return telemetry.observers(spec.name, run);
     };
   }
-  const auto result =
-      flips::bench::run_selector(config, flips::selector_kind(spec));
+  const auto result = flips::bench::run_selector(
+      flips::to_experiment_config(spec), flips::selector_kind(spec),
+      observers);
 
   flips::bench::print_table_header(
       "scenario " + spec.name + " (" + spec.selector + ")",
@@ -115,8 +116,8 @@ int run_multitenant(const flips::ScenarioSpec& spec, bool csv,
   for (std::size_t s = 0; s < spec.sessions; ++s) {
     // Seed stride matches the solo engine's per-run stride, so tenant
     // s is bit-identical to run s of `sessions=1 runs=N`.
-    auto session = flips::bench::make_session(config, kind,
-                                              spec.seed + 1000 * s, &workers);
+    auto session =
+        flips::make_session(config, kind, spec.seed + 1000 * s, &workers);
     for (auto& observer : telemetry.observers(spec.name, s)) {
       session->add_observer(std::move(observer));
     }

@@ -21,7 +21,7 @@
 #include <string_view>
 #include <thread>
 
-#include "common/scenario.h"
+#include "scenario/spec.h"
 #include "serve/server.h"
 
 namespace {
@@ -32,10 +32,10 @@ std::sig_atomic_t g_signalled = 0;
 
 void handle_signal(int) { g_signalled = 1; }
 
-/// Lowers wire key=value pairs onto the bench engine: ScenarioSpec
+/// Lowers wire key=value pairs onto the session builder: ScenarioSpec
 /// validation (fail-fast on unknown keys / bad values), then the same
-/// make_session path flips_run uses. Runs on the server's builder
-/// thread only.
+/// make_session flips_run uses, which builds every session fresh. Runs
+/// on the server's builder thread.
 std::unique_ptr<flips::fl::FederationSession> build_session(
     const flips::serve::KvPairs& kv, flips::common::ThreadPool* workers,
     std::string* banner) {
@@ -47,7 +47,7 @@ std::unique_ptr<flips::fl::FederationSession> build_session(
             std::to_string(spec.rounds) + " rounds, mode " + spec.mode +
             ", selector " + spec.selector + ", codec " + spec.codec +
             ", seed " + std::to_string(spec.seed);
-  return flips::bench::make_session(config, kind, spec.seed, workers);
+  return flips::make_session(config, kind, spec.seed, workers);
 }
 
 int usage() {

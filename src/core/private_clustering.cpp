@@ -42,7 +42,7 @@ void PrivateClusteringService::submit_label_distribution(
   }
 
   // Hellinger embedding (sqrt of proportions) — the same space the
-  // bench layer clusters in.
+  // session builder (scenario/builder.cpp) clusters in.
   cluster::Point point = common::normalized(received);
   for (auto& v : point) v = std::sqrt(v);
   engine_.submit(party_id, std::move(point));

@@ -91,8 +91,9 @@ inline double staleness_discount(std::size_t staleness) {
 
 class FederationSession {
  public:
-  /// Shared party ownership: the alias may point into a larger cached
-  /// structure (the bench engine aliases its federation cache).
+  /// Shared party ownership: several sessions may step over one fleet
+  /// (the table grid's federation cache backs every arm of a cell
+  /// with one).
   FederationSession(FlJobConfig config,
                     std::shared_ptr<const std::vector<Party>> parties,
                     data::Dataset global_test, ml::Sequential model,

@@ -2,7 +2,7 @@
 // compares (plus the pow-d and Fed-CBS extensions), built from one
 // shared context describing the federation. The registry is
 // string-keyed — `selector_names()` is the single source of truth the
-// scenario layer (bench/common/scenario.cpp) validates `selector=`
+// scenario layer (scenario/spec.cpp) validates `selector=`
 // against, so adding a selector here automatically surfaces it on the
 // flips_run CLI.
 #pragma once

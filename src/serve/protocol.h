@@ -31,7 +31,8 @@
 namespace flips::serve {
 
 /// Ordered key=value pairs — same shape as flips::KeyValueList, but
-/// declared here so the serve layer stays free of bench headers.
+/// declared here so the serve layer does not depend on the scenario
+/// library (scenario/spec.h).
 using KvPairs = std::vector<std::pair<std::string, std::string>>;
 
 using Bytes = std::vector<std::uint8_t>;

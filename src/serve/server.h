@@ -83,7 +83,7 @@ namespace flips::serve {
 /// std::invalid_argument on a bad scenario (the message becomes the
 /// kBadScenario reply payload). Called only from the server's builder
 /// thread, one call at a time and never concurrently with itself, so
-/// factories may use non-thread-safe caches. The session borrows
+/// a factory needs no locking of its own. The session borrows
 /// `workers` for its later steps; the factory must not run work on it,
 /// because the scheduler may be stepping other sessions on it meanwhile.
 using SessionFactory =
@@ -278,7 +278,8 @@ class Server {
   bool shutdown_requested_ = false;
 
   /// Builds posted by readers, run in order by builder_. One thread is
-  /// enough: builds serialize on the federation cache's mutex anyway.
+  /// enough: opens are rare next to steps, and one build at a time
+  /// bounds the memory that builds in flight hold.
   std::deque<std::packaged_task<Build()>> builds_;
   std::condition_variable build_cv_;
   /// Set by drain() once no reader is left to wait on a build.

@@ -20,10 +20,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/experiment.h"
-#include "common/scenario.h"
 #include "fl/observer.h"
 #include "net/codec.h"
+#include "scenario/spec.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -210,9 +209,8 @@ flips::ScenarioSpec small_spec(std::size_t rounds, std::uint64_t seed) {
 }
 
 std::vector<double> solo_parameters(const flips::ScenarioSpec& spec) {
-  auto session = flips::bench::make_session(
-      flips::to_experiment_config(spec), flips::selector_kind(spec),
-      spec.seed);
+  auto session = flips::make_session(flips::to_experiment_config(spec),
+                                     flips::selector_kind(spec), spec.seed);
   while (!session->done()) session->advance();
   return session->result().final_parameters;
 }
@@ -222,9 +220,8 @@ std::unique_ptr<flips::fl::FederationSession> test_factory(
     std::string* banner) {
   const auto spec = flips::ScenarioSpec::from_key_values(kv);
   *banner = "scenario " + spec.name;
-  return flips::bench::make_session(flips::to_experiment_config(spec),
-                                    flips::selector_kind(spec), spec.seed,
-                                    workers);
+  return flips::make_session(flips::to_experiment_config(spec),
+                             flips::selector_kind(spec), spec.seed, workers);
 }
 
 std::string test_socket_path(const char* tag) {
