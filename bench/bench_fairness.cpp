@@ -7,7 +7,7 @@
 // Interpreting Jain needs care: FLIPS equalizes *cluster* representation,
 // so a party in a small cluster is picked more often than one in a large
 // cluster — per-party Jain is deliberately below random's, while within
-// any one cluster picks are exactly balanced (the per-cluster min-heaps).
+// any one cluster picks are exactly balanced (least-selected first).
 // Random/TiFL maximize per-party Jain but are blind to label coverage.
 #include <iostream>
 

@@ -1,5 +1,5 @@
 // Micro-benchmarks for per-round participant-selection latency of every
-// strategy. FLIPS's selection is heap-based and must stay negligible
+// strategy. FLIPS's selection is one O(N) pass and must stay negligible
 // next to training (§3.4: "fast and minuscule relative to FL training
 // time"); GradClus pays for hierarchical clustering every round.
 #include <benchmark/benchmark.h>

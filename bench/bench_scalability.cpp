@@ -13,8 +13,8 @@
 //   3. clustering agreement between the two paths (mini-batch must
 //      find the same mode structure for FLIPS to be correct at scale);
 //   4. incremental late-joiner assignment latency;
-//   5. per-round selection latency of the Algorithm-1 heap machinery
-//      fed from the service's MembershipView.
+//   5. per-round selection latency of the Algorithm-1 selector fed
+//      from the service's MembershipView.
 //
 // Emits stable `perf,<name>,<seconds>,-1` lines (same schema as the
 // engine's per-selector lines) so the CI perf rail can scrape
@@ -349,6 +349,6 @@ int main(int argc, char** argv) {
                    "scales with the submission threads; late joiners "
                    "cost microseconds (one nearest-centroid scan); "
                    "selection stays microseconds-per-round at every N "
-                   "(heap ops are O(Nr log N)).\n";
+                   "(one O(N) shuffle and partial sort per round).\n";
   return 0;
 }

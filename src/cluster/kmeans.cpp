@@ -90,7 +90,7 @@ KMeansResult lloyd_once(const std::vector<Point>& points,
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Re-seed an empty cluster on a random point: keeps k live
-        // clusters, which the selector's per-cluster heaps rely on.
+        // clusters, which the selector's per-cluster quotas rely on.
         result.centroids[c] = points[rng.uniform_index(points.size())];
         shift += 1.0;
         continue;

@@ -164,20 +164,27 @@ MembershipView StreamingClusterEngine::rebuild() {
   // old->new centroid remap below). Reservoir-evicted parties carry no
   // point; they are covered by sizing the assignment table to the max
   // ingested id and remapping/hash-spreading below.
-  std::vector<cluster::Point> points;
-  std::vector<std::size_t> owners;
+  std::vector<std::pair<std::size_t, cluster::Point>> gathered;
   std::size_t max_party = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (std::size_t slot = 0; slot < shard->buffer.size(); ++slot) {
-      points.push_back(shard->buffer[slot]);
-      owners.push_back(shard->party_at[slot]);
+      gathered.emplace_back(shard->party_at[slot], shard->buffer[slot]);
     }
     if (!shard->slot_of.empty()) {
       max_party = std::max(max_party, shard->max_party);
     }
   }
-  if (points.empty()) return view();
+  if (gathered.empty()) return view();
+  // Unique party ids, so this is party-id order: the elbow and k-means++
+  // seeding depend on point order, and arrival order must not reach them.
+  std::sort(gathered.begin(), gathered.end());
+  std::vector<cluster::Point> points(gathered.size());
+  std::vector<std::size_t> owners(gathered.size());
+  for (std::size_t i = 0; i < gathered.size(); ++i) {
+    owners[i] = gathered[i].first;
+    points[i] = std::move(gathered[i].second);
+  }
 
   const std::shared_ptr<const Epoch> previous = current_epoch();
   const std::size_t n_parties = parties_.load(std::memory_order_relaxed);

@@ -19,7 +19,9 @@
 //    flags, maybe_rebuild() starts a re-clustering epoch.
 //
 // Assignments are published as epoch-versioned MembershipViews;
-// within an epoch, existing parties' assignments never change.
+// within an epoch, existing parties' assignments never change. A
+// rebuild clusters the resident points in party-id order, so it does
+// not depend on submission order unless shards evict.
 #pragma once
 
 #include <atomic>

@@ -33,7 +33,7 @@ DriftResult apply_label_drift(const SyntheticSpec& spec,
         const auto rotated = static_cast<std::uint32_t>(
             (party.labels[s] + config.label_rotation) % party.num_classes);
         party.labels[s] = rotated;
-        party.features[s] = sample_features(spec, rotated, rng);
+        sample_features(spec, rotated, rng, party.features.row(s));
       }
     }
     const auto after = common::normalized(label_distribution(party));

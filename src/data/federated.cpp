@@ -7,13 +7,13 @@ namespace flips::data {
 namespace {
 
 /// Per-party label distribution under the configured scheme.
-std::vector<std::vector<double>> party_label_priors(
+std::vector<LabelDistribution> party_label_priors(
     const FederatedDataConfig& config, common::Rng& rng) {
   const std::size_t c = config.spec.num_classes;
   std::vector<double> priors = config.spec.class_priors;
   if (priors.size() != c) priors.assign(c, 1.0 / static_cast<double>(c));
 
-  std::vector<std::vector<double>> out;
+  std::vector<LabelDistribution> out;
   out.reserve(config.num_parties);
 
   if (config.scheme == PartitionScheme::kPlantedModes) {
@@ -23,7 +23,7 @@ std::vector<std::vector<double>> party_label_priors(
     // (main, secondary) label pair with a stride that keeps up to
     // C * (C - 1) modes pairwise different; parties copy their mode's
     // distribution with a little jitter so modes stay recoverable.
-    std::vector<std::vector<double>> modes;
+    std::vector<LabelDistribution> modes;
     const std::size_t num_modes = std::max<std::size_t>(1, config.num_modes);
     for (std::size_t m = 0; m < num_modes; ++m) {
       std::vector<double> mode(c, 0.2 / static_cast<double>(c));
@@ -74,18 +74,19 @@ FederatedData build_federated_data(const FederatedDataConfig& config) {
 
   const auto priors = party_label_priors(config, rng);
 
+  const std::size_t dim = config.spec.feature_dim;
   data.party_data.reserve(config.num_parties);
   data.label_distributions.reserve(config.num_parties);
   for (std::size_t p = 0; p < config.num_parties; ++p) {
     Dataset party;
     party.num_classes = c;
-    party.features.reserve(config.samples_per_party);
+    party.features = ml::Tensor(config.samples_per_party, dim);
     party.labels.reserve(config.samples_per_party);
     for (std::size_t s = 0; s < config.samples_per_party; ++s) {
       const auto label =
           static_cast<std::uint32_t>(rng.categorical(priors[p]));
       party.labels.push_back(label);
-      party.features.push_back(sample_features(config.spec, label, rng));
+      sample_features(config.spec, label, rng, party.features.row(s));
     }
     data.label_distributions.push_back(label_distribution(party));
     data.party_data.push_back(std::move(party));
@@ -93,12 +94,13 @@ FederatedData build_federated_data(const FederatedDataConfig& config) {
 
   // Balanced held-out test set: per-class recall (and hence balanced
   // accuracy) gets equal evidence for rare and common labels.
-  data.global_test.num_classes = c;
+  Dataset& test = data.global_test;
+  test.num_classes = c;
+  test.features = ml::Tensor(c * config.test_per_class, dim);
   for (std::uint32_t label = 0; label < c; ++label) {
     for (std::size_t s = 0; s < config.test_per_class; ++s) {
-      data.global_test.labels.push_back(label);
-      data.global_test.features.push_back(
-          sample_features(config.spec, label, rng));
+      sample_features(config.spec, label, rng, test.features.row(test.size()));
+      test.labels.push_back(label);
     }
   }
   return data;

@@ -1,6 +1,7 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <span>
 
 namespace flips::data {
 
@@ -61,14 +62,14 @@ LabelDistribution label_distribution(const Dataset& dataset) {
   return counts;
 }
 
-std::vector<double> sample_features(const SyntheticSpec& spec,
-                                    std::uint32_t label, common::Rng& rng) {
+void sample_features(const SyntheticSpec& spec, std::uint32_t label,
+                     common::Rng& rng, double* out) {
   // Prototype for `label`: a deterministic Gaussian direction scaled to
   // `class_separation`. Re-deriving it per call keeps the generator
   // stateless; the per-class Rng seed makes it identical across calls.
   common::Rng proto_rng(spec.prototype_seed ^
                         (0x9E37u + 0x1000193u * (label + 1)));
-  std::vector<double> x(spec.feature_dim, 0.0);
+  const std::span<double> x(out, spec.feature_dim);
   double norm = 0.0;
   for (auto& v : x) {
     v = proto_rng.normal();
@@ -82,7 +83,6 @@ std::vector<double> sample_features(const SyntheticSpec& spec,
   for (auto& v : x) {
     v = v * scale + spec.feature_noise * rng.normal();
   }
-  return x;
 }
 
 }  // namespace flips::data

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/tensor.h"
 
 namespace flips::data {
 
@@ -43,8 +44,10 @@ struct DatasetCatalog {
   static SyntheticSpec fashion_mnist();  ///< 10 classes, uniform
 };
 
+/// One party's (or the test set's) samples: row i of `features` (one
+/// row-major buffer, labels.size() x feature_dim) carries labels[i].
 struct Dataset {
-  std::vector<std::vector<double>> features;
+  ml::Tensor features;
   std::vector<std::uint32_t> labels;
   std::size_t num_classes = 0;
 
@@ -56,10 +59,10 @@ using LabelDistribution = std::vector<double>;
 
 [[nodiscard]] LabelDistribution label_distribution(const Dataset& dataset);
 
-/// Samples one feature vector for `label` under `spec`. The prototype
-/// geometry depends only on the spec; `rng` drives the additive noise.
-[[nodiscard]] std::vector<double> sample_features(const SyntheticSpec& spec,
-                                                  std::uint32_t label,
-                                                  common::Rng& rng);
+/// Samples one feature vector for `label` under `spec` into `out`
+/// (spec.feature_dim values). The prototype geometry depends only on
+/// the spec; `rng` drives the additive noise.
+void sample_features(const SyntheticSpec& spec, std::uint32_t label,
+                     common::Rng& rng, double* out);
 
 }  // namespace flips::data

@@ -162,7 +162,6 @@ FederationSession::FederationSession(
   global_params_ = model_.parameters();
   dim_ = global_params_.size();
   model_bytes_ = static_cast<std::uint64_t>(dim_ * sizeof(double));
-  test_features_ = ml::Tensor::from_rows(global_test_.features);
 
   // Drift-correction state (lazily touched per party).
   if (config_.local.algo == ClientAlgo::kScaffold) {
@@ -269,7 +268,7 @@ void FederationSession::evaluate_round(std::size_t round,
                         round % config_.eval_every == 0;
   if (eval_now) {
     const EvalResult eval =
-        evaluate(model_, test_features_, global_test_.labels,
+        evaluate(model_, global_test_.features, global_test_.labels,
                  global_test_.num_classes, pool());
     record.balanced_accuracy = eval.balanced_accuracy;
     record.per_label_accuracy = eval.per_label_accuracy;
@@ -376,8 +375,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   ml::Sequential local = model_;
   std::vector<double>& w = local.mutable_parameters();
   const auto& dataset = party.dataset();
-  const std::size_t feature_dim =
-      dataset.features.empty() ? 0 : dataset.features.front().size();
+  const std::size_t feature_dim = dataset.features.cols();
   std::vector<std::size_t> order(dataset.size());
   std::iota(order.begin(), order.end(), 0);
 
@@ -406,8 +404,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
       batch.resize(stop - start, feature_dim);
       batch_labels.resize(stop - start);
       for (std::size_t i = start; i < stop; ++i) {
-        const auto& src = dataset.features[order[i]];
-        std::memcpy(batch.row(i - start), src.data(),
+        std::memcpy(batch.row(i - start), dataset.features.row(order[i]),
                     feature_dim * sizeof(double));
         batch_labels[i - start] = dataset.labels[order[i]];
       }

@@ -12,7 +12,8 @@
 // Every party dispatch, in either mode, runs through one kernel,
 // dispatch_party() in fl/session.cpp: the duration draw, straggler
 // checks, the legacy reliability draws or the fault plan's crash and
-// link draws, local SGD / FedProx / SCAFFOLD / FedDyn, the arena delta
+// link draws, local SGD / FedProx / SCAFFOLD / FedDyn over batches
+// gathered row by row from the party's feature tensor, the arena delta
 // lease, the client-state refresh, codec error feedback and the DP
 // clip. It returns one Dispatch record. Two thin drivers call it, and
 // advance() picks one by FlJobConfig::mode:
@@ -251,7 +252,6 @@ class FederationSession {
   std::size_t dim_ = 0;
   std::uint64_t model_bytes_ = 0;
   std::vector<double> global_params_;
-  ml::Tensor test_features_;
   common::Rng rng_;  ///< feeds only DP noise after party streams split
   ServerOptimizer server_;
   ml::SgdOptimizer local_sgd_;

@@ -1,4 +1,5 @@
-// Contiguous row-major 2-D tensor — the storage type of the ML layer.
+// Contiguous row-major 2-D tensor — the storage type of the ML layer
+// and of every party's (and the test set's) features.
 // One flat std::vector<double> per tensor keeps batched activations,
 // weights and gradients cache-friendly and lets gcc vectorize the dense
 // kernels; `resize` reuses capacity so per-step reshapes in the hot FL
@@ -16,20 +17,6 @@ class Tensor {
   Tensor() = default;
   Tensor(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  /// Flattens a nested-vector matrix (the data layer's row format).
-  /// Rows must share one width; empty input yields an empty tensor.
-  static Tensor from_rows(const std::vector<std::vector<double>>& rows) {
-    Tensor t;
-    t.rows_ = rows.size();
-    t.cols_ = rows.empty() ? 0 : rows.front().size();
-    t.data_.resize(t.rows_ * t.cols_);
-    for (std::size_t r = 0; r < t.rows_; ++r) {
-      std::copy(rows[r].begin(), rows[r].end(),
-                t.data_.begin() + static_cast<std::ptrdiff_t>(r * t.cols_));
-    }
-    return t;
-  }
 
   /// Reshapes to rows x cols. Contents are unspecified afterwards (the
   /// underlying vector keeps its capacity — no allocation when shrinking

@@ -19,7 +19,7 @@ namespace flips::select {
 
 enum class SelectorKind {
   kRandom,
-  kFlips,          ///< label-distribution clusters, per-cluster min-heaps
+  kFlips,          ///< label-distribution clusters, least-selected first
   kOort,           ///< loss-utility explore/exploit (Oort, OSDI 21)
   kGradClus,       ///< per-round agglomerative gradient clustering
   kTifl,           ///< latency tiers (TiFL)

@@ -23,7 +23,7 @@ void FlipsSelector::rebind_clusters(std::vector<std::size_t> cluster_of,
   }
   // Fairness counts survive the rebind: parties keep their history,
   // newly joined parties start least-selected (and are therefore
-  // favoured by the per-cluster heaps right away).
+  // favoured by the least-selected-first pick right away).
   if (times_selected_.size() < cluster_of_.size()) {
     times_selected_.resize(cluster_of_.size(), 0);
   }

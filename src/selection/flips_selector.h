@@ -1,15 +1,17 @@
 // The FLIPS selector (paper Algorithm 1): parties are grouped by label
 // distribution ahead of time; each round the Nr slots are spread evenly
 // across clusters (rotating which clusters absorb the remainder), and
-// within a cluster the least-often-picked parties go first via a
-// per-cluster min-heap. This equalizes *label* representation — parties
-// in small clusters are intentionally picked more often than parties in
-// large ones. With over-provisioning on, the selector tracks the
-// observed straggle rate and requests extra parties to compensate.
+// within a cluster the least-often-picked parties go first: the
+// cluster's members are shuffled with the selector's seed (so ties
+// rotate) and partially sorted by selection count. Every member of
+// every cluster is touched, so a round costs O(N) for N parties. This
+// equalizes *label* representation — parties in small clusters are
+// intentionally picked more often than parties in large ones. With
+// over-provisioning on, the selector tracks the observed straggle rate
+// and requests extra parties to compensate.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,7 +44,7 @@ class FlipsSelector final : public fl::ParticipantSelector {
   double observed_straggle_rate() const { return straggle_rate_; }
 
   /// Re-binds cluster membership in place (control-plane epoch
-  /// change): the per-cluster member heaps are rebuilt, while
+  /// change): the per-cluster member lists are rebuilt, while
   /// `times_selected_` fairness counts are preserved for existing
   /// parties (new parties start at zero).
   void rebind_clusters(std::vector<std::size_t> cluster_of,

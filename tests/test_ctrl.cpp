@@ -1,17 +1,21 @@
 // Streaming control plane: threshold path selection, bounded-memory
-// sharded ingestion (incl. concurrent submitters), incremental
-// late-joiner assignment, drift trigger/no-trigger behaviour, and the
-// epoch-versioned selector rebind.
+// sharded ingestion (incl. concurrent submitters), rebuilds that do
+// not depend on submission order, incremental late-joiner assignment,
+// drift trigger/no-trigger behaviour, and the epoch-versioned selector
+// rebind.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "ctrl/drift_monitor.h"
 #include "ctrl/streaming_cluster_engine.h"
 
 namespace {
 
+using flips::cluster::Point;
 using flips::ctrl::DriftMonitor;
 using flips::ctrl::DriftMonitorConfig;
 using flips::ctrl::MembershipView;
@@ -181,6 +185,72 @@ TEST(StreamingClusterEngine, ConcurrentShardedSubmissions) {
   }
   for (auto& r : refreshers) r.join();
   EXPECT_EQ(engine.parties(), 1000u);
+}
+
+/// One rebuild over `points` submitted in `order` by `threads`
+/// threads, each taking every threads-th entry of the order; the
+/// rebuild must take `path`.
+MembershipView striped_rebuild(const StreamingClusterConfig& config,
+                               const std::vector<Point>& points,
+                               const std::vector<std::size_t>& order,
+                               std::size_t threads, const char* path) {
+  StreamingClusterEngine engine(config);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = t; i < order.size(); i += threads) {
+        engine.submit(order[i], points[order[i]]);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  MembershipView view = engine.rebuild();
+  EXPECT_STREQ(engine.last_path(), path);
+  return view;
+}
+
+TEST(StreamingClusterEngine, RebuildIndependentOfSubmissionOrder) {
+  // Random Dirichlet points have no planted modes, so k-means++
+  // seeding and the elbow would land differently for a different
+  // point order; the rebuild must not see the order at all.
+  const std::size_t n = 400;
+  flips::common::Rng rng(23);
+  std::vector<Point> points;
+  for (std::size_t p = 0; p < n; ++p) points.push_back(rng.dirichlet(1.0, 6));
+
+  for (const std::size_t threshold : {n, n / 2}) {
+    const char* path = threshold >= n ? "lloyd" : "minibatch";
+    StreamingClusterConfig config = small_config();
+    config.k_override = 0;  // the elbow sees the order too
+    config.k_min = 2;
+    config.k_max = 6;
+    config.elbow_repeats = 2;
+    config.elbow_sample = 128;
+    config.num_shards = 8;
+    config.shard_capacity = n;  // no eviction
+    config.lloyd_threshold = threshold;
+
+    std::vector<std::size_t> order(n);
+    for (std::size_t p = 0; p < n; ++p) order[p] = p;
+    const MembershipView reference =
+        striped_rebuild(config, points, order, 1, path);
+    ASSERT_EQ(reference.cluster_of.size(), n);
+
+    flips::common::Rng shuffle_rng(31);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      shuffle_rng.shuffle(order);
+      const MembershipView view =
+          striped_rebuild(config, points, order, threads, path);
+      EXPECT_EQ(view.epoch, reference.epoch);
+      EXPECT_EQ(view.k, reference.k)
+          << "threshold=" << threshold << " threads=" << threads;
+      EXPECT_EQ(view.cluster_of, reference.cluster_of)
+          << "threshold=" << threshold << " threads=" << threads;
+      // Bit for bit: operator== on doubles, no tolerance.
+      EXPECT_EQ(view.centroids, reference.centroids)
+          << "threshold=" << threshold << " threads=" << threads;
+    }
+  }
 }
 
 TEST(DriftMonitor, WarmupThenTriggerOnShift) {

@@ -14,6 +14,13 @@ using flips::data::DatasetCatalog;
 using flips::data::FederatedDataConfig;
 using flips::data::build_federated_data;
 
+/// A dataset's features are one labels.size() x feature_dim tensor.
+void expect_flat_shape(const flips::data::Dataset& dataset,
+                       std::size_t feature_dim) {
+  EXPECT_EQ(dataset.features.rows(), dataset.labels.size());
+  EXPECT_EQ(dataset.features.cols(), feature_dim);
+}
+
 TEST(DirichletPartitioner, LabelMarginalsMatchPriors) {
   FederatedDataConfig config;
   config.spec = DatasetCatalog::ecg();
@@ -59,9 +66,9 @@ TEST(DirichletPartitioner, HistogramsMatchDatasets) {
     EXPECT_EQ(flips::data::label_distribution(data.party_data[p]),
               data.label_distributions[p]);
     EXPECT_EQ(data.party_data[p].size(), config.samples_per_party);
-    EXPECT_EQ(data.party_data[p].features.front().size(),
-              config.spec.feature_dim);
+    expect_flat_shape(data.party_data[p], config.spec.feature_dim);
   }
+  expect_flat_shape(data.global_test, config.spec.feature_dim);
 }
 
 TEST(DirichletPartitioner, LowerAlphaMeansMoreSkew) {
@@ -144,6 +151,8 @@ TEST(GlobalTest, BalancedPerClass) {
   config.samples_per_party = 10;
   config.test_per_class = 25;
   const auto data = build_federated_data(config);
+  expect_flat_shape(data.global_test, config.spec.feature_dim);
+  EXPECT_EQ(data.global_test.size(), 25u * config.spec.num_classes);
   const auto counts = flips::data::label_distribution(data.global_test);
   for (const double c : counts) {
     EXPECT_DOUBLE_EQ(c, 25.0);
@@ -170,10 +179,17 @@ TEST(Drift, RotatesAffectedPartiesOnly) {
 
   std::size_t changed = 0;
   for (std::size_t p = 0; p < data.party_data.size(); ++p) {
-    if (data.party_data[p].labels != drifted.party_data[p].labels) {
+    const auto& before = data.party_data[p];
+    const auto& after = drifted.party_data[p];
+    expect_flat_shape(after, config.spec.feature_dim);
+    if (before.labels != after.labels) {
       ++changed;
-      // Rotation is a permutation: total count is preserved.
-      EXPECT_EQ(drifted.party_data[p].size(), data.party_data[p].size());
+      // Rotation is a permutation: total count is preserved, and the
+      // drifted rows are re-sampled from their new class.
+      EXPECT_EQ(after.size(), before.size());
+      EXPECT_NE(after.features, before.features) << "party " << p;
+    } else {
+      EXPECT_EQ(after.features, before.features) << "party " << p;
     }
   }
   EXPECT_EQ(changed, 15u);

@@ -39,7 +39,7 @@ TEST(FlJobMath, FedProxLocalStepsHandComputed) {
   const std::size_t dim = 3;
   flips::data::Dataset party_set;
   party_set.num_classes = 2;
-  party_set.features = {std::vector<double>(dim, 0.0)};
+  party_set.features = flips::ml::Tensor(1, dim);
   party_set.labels = {0};
 
   flips::data::Dataset test = party_set;

@@ -183,7 +183,7 @@ TEST(FlipsSelector, ConsumeRebindsOnEpochChangePreservingCounts) {
   selector.consume(view);
   EXPECT_EQ(selector.membership_epoch(), 1u);
 
-  // Fairness counts survived the heap rebuild; newcomers start at 0.
+  // Fairness counts survived the rebind; newcomers start at 0.
   const auto& after = selector.selection_counts();
   ASSERT_EQ(after.size(), 14u);
   for (std::size_t p = 0; p < 12; ++p) {
