@@ -4,6 +4,10 @@
 // tallies. Thread-count and served-vs-in-process identity tests compare
 // two runs of the same build; these hashes pin results across commits,
 // so a refactor that shifts every run the same way still shows up.
+// Most cells run one hand-built federation; the builder_* cells are
+// built end to end by the session builder (scenario/builder.h), so they
+// also pin its data, fleet, clustering, selector context, model init
+// and job lowering.
 //
 // The expected hashes are keyed by compiler id and major version
 // (FLIPS_GOLDEN_KEY, set by tests/CMakeLists.txt). The build is
@@ -31,6 +35,7 @@
 #include "common/stats.h"
 #include "data/federated.h"
 #include "fl/session.h"
+#include "scenario/spec.h"
 #include "selection/factory.h"
 
 #ifndef FLIPS_GOLDEN_KEY
@@ -56,6 +61,8 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
              {"async_faults", 0x24e3d1c19d0df372},
              {"async_faults_stragglers", 0xd52bb727086090f3},
              {"async_quant8_dp", 0x4d82f70c2c1fd1dd},
+             {"builder_ecg_fedyogi_async_faults", 0x040ffe9bad0e09f2},
+             {"builder_femnist_fedavg", 0x1470763e0ed3cb5e},
              {"select_flips", 0x6e1fc8000fdf16c6},
              {"select_oort", 0x3b5392a20a22547a},
              {"select_random", 0x523a3582e1d8f554},
@@ -232,6 +239,30 @@ std::map<std::string, Cell> cells() {
   return out;
 }
 
+/// Scenario cells for the session builder: a preset at tiny scale plus
+/// `overrides`, with k = 4 so the clustering stage shapes the cohort.
+std::map<std::string, flips::ScenarioSpec> builder_cells() {
+  const auto scenario = [](std::string_view preset,
+                           std::initializer_list<std::string_view> overrides) {
+    flips::ScenarioSpec spec = flips::scenario_preset(preset);
+    for (const std::string_view kv :
+         {"parties=20", "samples=24", "rounds=6", "flips_clusters=4",
+          "threads=2", "seed=11"}) {
+      flips::apply_override(spec, kv);
+    }
+    for (const std::string_view kv : overrides) {
+      flips::apply_override(spec, kv);
+    }
+    return spec;
+  };
+  std::map<std::string, flips::ScenarioSpec> out;
+  out.emplace("builder_femnist_fedavg", scenario("femnist-fedavg", {}));
+  out.emplace("builder_ecg_fedyogi_async_faults",
+              scenario("ecg-fedyogi", {"mode=async", "codec=quant8",
+                                       "churn=1", "fault_rate=0.1"}));
+  return out;
+}
+
 struct Fnv1a {
   std::uint64_t h = 0xcbf29ce484222325ull;
   void bytes(const void* data, std::size_t n) {
@@ -269,11 +300,19 @@ std::uint64_t fingerprint(const FlJobResult& result) {
   return f.h;
 }
 
-class Golden : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(Golden, FingerprintMatchesRecordedHash) {
+/// Runs cell `name` to completion and fingerprints its result.
+std::uint64_t run_cell(const std::string& name) {
+  const auto builder = builder_cells();
+  if (const auto it = builder.find(name); it != builder.end()) {
+    const flips::ScenarioSpec& spec = it->second;
+    auto session =
+        flips::make_session(flips::to_experiment_config(spec),
+                            flips::selector_kind(spec), spec.seed);
+    while (!session->done()) session->advance();
+    return fingerprint(session->result());
+  }
   const Federation& fed = federation();
-  const Cell cell = cells().at(GetParam());
+  const Cell cell = cells().at(name);
   FederationSession session(
       cell.config, fed.parties, fed.test,
       [&] {
@@ -282,7 +321,13 @@ TEST_P(Golden, FingerprintMatchesRecordedHash) {
       }(),
       flips::select::make_selector(cell.selector, fed.context));
   while (!session.done()) session.advance();
-  const std::uint64_t actual = fingerprint(session.result());
+  return fingerprint(session.result());
+}
+
+class Golden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Golden, FingerprintMatchesRecordedHash) {
+  const std::uint64_t actual = run_cell(GetParam());
 
   char hex[24];
   std::snprintf(hex, sizeof(hex), "0x%016llx",
@@ -302,6 +347,7 @@ TEST_P(Golden, FingerprintMatchesRecordedHash) {
 std::vector<std::string> cell_names() {
   std::vector<std::string> names;
   for (const auto& [name, cell] : cells()) names.push_back(name);
+  for (const auto& [name, spec] : builder_cells()) names.push_back(name);
   return names;
 }
 
