@@ -73,10 +73,13 @@ OptimalKResult optimal_k_elbow(const std::vector<Point>& points,
   result.k_min = config.k_min;
   result.dbi_curve = mean_dbi_curve(points, config, rng);
   if (result.dbi_curve.empty()) return result;
-  const auto best = std::min_element(result.dbi_curve.begin(),
-                                     result.dbi_curve.end());
-  result.k = config.k_min +
-             static_cast<std::size_t>(best - result.dbi_curve.begin());
+  // On well-separated modes every k at or above the true count scores
+  // rounding noise (~1e-17); ties within 1e-9 go to the smallest k.
+  const double best = *std::min_element(result.dbi_curve.begin(),
+                                        result.dbi_curve.end());
+  std::size_t i = 0;
+  while (result.dbi_curve[i] > best + 1e-9) ++i;
+  result.k = config.k_min + i;
   return result;
 }
 

@@ -31,7 +31,8 @@ struct OptimalKResult {
   std::vector<double> dbi_curve;      ///< mean DBI per k in [k_min, k_max]
 };
 
-/// Prose elbow rule: the k minimizing mean DBI over the sweep.
+/// Prose elbow rule: the k minimizing mean DBI over the sweep (the
+/// smallest such k when several lie within 1e-9 of the minimum).
 [[nodiscard]] OptimalKResult optimal_k_elbow(const std::vector<Point>& points,
                                              const OptimalKConfig& config,
                                              common::Rng& rng);
