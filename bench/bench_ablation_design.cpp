@@ -5,18 +5,42 @@
 //      normalized proportions vs Hellinger (sqrt-proportion) space;
 //   C. cluster-count sensitivity (k sweep around the elbow's choice);
 //   D. the Power-of-Choice extension vs FLIPS and random.
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "cluster/kmeans.h"
 #include "common/scenario.h"
+#include "common/stats.h"
 #include "selection/flips_selector.h"
 
 namespace {
 
-using flips::LdSpace;
+/// Arm B's subject: how label histograms are embedded before k-means.
+/// Sessions cluster in Hellinger space inside the enclave
+/// (core::cluster_privately); the other two arms re-cluster the same
+/// histograms here with the same k-means, restarts and stream.
+enum class Embedding { kRawCounts, kProportions, kHellinger };
+
+std::vector<std::size_t> recluster(
+    const std::vector<flips::data::LabelDistribution>& lds, std::size_t k,
+    Embedding embedding, std::uint64_t seed) {
+  std::vector<flips::cluster::Point> points;
+  for (const auto& ld : lds) {
+    points.push_back(embedding == Embedding::kRawCounts
+                         ? ld
+                         : flips::common::normalized(ld));
+  }
+  flips::cluster::KMeansConfig kc;
+  kc.k = std::min(k, points.size());
+  kc.restarts = 3;
+  flips::common::Rng rng(seed ^ 0xC1u);
+  return flips::cluster::kmeans(points, kc, rng).assignments;
+}
 
 /// Peak balanced accuracy of `session` stepped to completion.
 double peak_accuracy(flips::fl::FederationSession& session) {
@@ -47,16 +71,19 @@ int main(int argc, char** argv) {
             << ", " << spec.parties << " parties, " << spec.rounds
             << " rounds)\n";
 
-  // FLIPS over k clusters of the label distributions in `space`, mean
-  // peak accuracy over two federations. The arm builds its own
+  // FLIPS over k clusters of the label distributions in `embedding`,
+  // mean peak accuracy over two federations. The arm builds its own
   // FlipsSelector so it can switch over-provisioning off.
-  auto flips_acc = [&](std::size_t k, LdSpace space, bool overprovision,
-                       double straggler_rate) {
+  auto flips_acc = [&](std::size_t k, Embedding embedding,
+                       bool overprovision, double straggler_rate) {
     flips::ExperimentConfig config = base;
     config.flips_clusters = k;
     config.straggler_rate = straggler_rate;
     return avg2(spec.seed, [&](std::uint64_t seed) {
-      auto fed = flips::build_federation(config, seed, space);
+      auto fed = flips::build_federation(config, seed);
+      if (embedding != Embedding::kHellinger) {
+        fed.clusters = recluster(fed.label_distributions, k, embedding, seed);
+      }
       flips::select::FlipsSelectorConfig sc;
       sc.overprovision = overprovision;
       auto selector = std::make_unique<flips::select::FlipsSelector>(
@@ -70,19 +97,20 @@ int main(int argc, char** argv) {
   std::cout << "\n[A] straggler over-provisioning (peak balanced acc %)\n"
                "  rate   with    without\n";
   for (const double rate : {0.0, 0.1, 0.2, 0.3}) {
-    const double with_op = flips_acc(20, LdSpace::kHellinger, true, rate);
-    const double without = flips_acc(20, LdSpace::kHellinger, false, rate);
+    const double with_op = flips_acc(20, Embedding::kHellinger, true, rate);
+    const double without = flips_acc(20, Embedding::kHellinger, false, rate);
     printf("  %3.0f%%   %5.1f   %5.1f\n", 100.0 * rate, 100.0 * with_op,
            100.0 * without);
   }
 
   // B. Label-distribution representation.
   std::cout << "\n[B] clustering space for label distributions\n";
-  for (const auto& [space, name] :
-       {std::pair{LdSpace::kRawCounts, "raw counts  "},
-        std::pair{LdSpace::kProportions, "proportions "},
-        std::pair{LdSpace::kHellinger, "hellinger   "}}) {
-    printf("  %s  %5.1f %%\n", name, 100.0 * flips_acc(20, space, true, 0.0));
+  for (const auto& [embedding, name] :
+       {std::pair{Embedding::kRawCounts, "raw counts  "},
+        std::pair{Embedding::kProportions, "proportions "},
+        std::pair{Embedding::kHellinger, "hellinger   "}}) {
+    printf("  %s  %5.1f %%\n", name,
+           100.0 * flips_acc(20, embedding, true, 0.0));
   }
 
   // C. Cluster-count sensitivity.
@@ -90,7 +118,7 @@ int main(int argc, char** argv) {
                "scale; the reduced-scale federations calibrate at 20)\n";
   for (const std::size_t k : {5u, 10u, 20u, 40u}) {
     printf("  k=%-3zu  %5.1f %%\n", k,
-           100.0 * flips_acc(k, LdSpace::kHellinger, true, 0.0));
+           100.0 * flips_acc(k, Embedding::kHellinger, true, 0.0));
   }
 
   // D. Power-of-Choice extension vs FLIPS vs random.

@@ -17,6 +17,7 @@
 #include "common/perf.h"
 #include "common/scenario.h"
 #include "common/stats.h"
+#include "core/private_clustering.h"
 #include "data/federated.h"
 #include "fl/session.h"
 #include "net/device.h"
@@ -58,10 +59,12 @@ Fleet build_fleet(const flips::ScenarioSpec& spec) {
                                flips::fl::PartyProfile::from_device(device));
   }
 
-  fleet.k = 10;
-  fleet.clusters = flips::cluster_label_distributions(
-      data.label_distributions, fleet.k, flips::LdSpace::kProportions,
-      spec.seed ^ 0xC1);
+  flips::ctrl::StreamingClusterConfig cc;
+  cc.k_override = 10;
+  cc.seed = spec.seed ^ 0xC1;
+  auto view = flips::core::cluster_privately(cc, data.label_distributions);
+  fleet.clusters = std::move(view.cluster_of);
+  fleet.k = view.k;
   return fleet;
 }
 

@@ -5,7 +5,8 @@
 // Protocol: train with FLIPS selection; at mid-run every party's label
 // prior rotates (data drift). Compare four continuations:
 //   stale    — keep the pre-drift clusters (what baseline FLIPS does);
-//   refresh  — manually re-cluster on fresh label distributions;
+//   refresh  — manually re-cluster on fresh label distributions (a
+//              one-shot core::cluster_privately);
 //   service  — parties re-report their label distributions to the
 //              streaming control plane on a rolling schedule; its
 //              DriftMonitor flags the shift and the service
@@ -113,8 +114,22 @@ int main(int argc, char** argv) {
   flips::common::Rng model_rng(spec.seed ^ 0x30DE);
   auto initial = flips::ml::ModelFactory::mlp(dc.spec.feature_dim, 24,
                                               dc.spec.num_classes, model_rng);
-  const auto pre_clusters = flips::cluster_label_distributions(
-      data.label_distributions, k, flips::LdSpace::kProportions, spec.seed);
+
+  // The streaming control plane clusters the pre-drift federation once
+  // (epoch 1). Phase 1 and the stale arm select over that epoch; the
+  // service arm keeps the service running through phase 2.
+  auto enclave = std::make_shared<flips::tee::Enclave>("drift-ctrl", 1.05);
+  auto attestation = std::make_shared<flips::tee::AttestationServer>();
+  attestation->trust_measurement(enclave->measurement());
+  attestation->register_platform_key(enclave->platform_key());
+  flips::ctrl::StreamingClusterConfig cc;
+  cc.k_override = k;
+  cc.seed = spec.seed;
+  flips::core::PrivateClusteringService service(cc, enclave, attestation);
+  for (std::size_t p = 0; p < parties.size(); ++p) {
+    service.submit_label_distribution(p, data.label_distributions[p]);
+  }
+  const std::vector<std::size_t> pre_clusters = service.finalize().cluster_of;
 
   flips::select::SelectorContext ctx;
   ctx.num_parties = parties.size();
@@ -168,8 +183,8 @@ int main(int argc, char** argv) {
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
       spec.rounds, nr, spec.seed + 1, &ignore);
 
-  ctx.cluster_of = flips::cluster_label_distributions(
-      drifted_lds, k, flips::LdSpace::kProportions, spec.seed + 7);
+  cc.seed = spec.seed + 7;
+  ctx.cluster_of = flips::core::cluster_privately(cc, drifted_lds).cluster_of;
   const Phase refreshed = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
@@ -179,19 +194,6 @@ int main(int argc, char** argv) {
   // clustering (epoch 1); during phase 2 parties re-report their label
   // distributions on a rolling schedule and the drift monitor decides
   // when to re-cluster — no manual refresh anywhere.
-  auto enclave = std::make_shared<flips::tee::Enclave>("drift-ctrl", 1.05);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
-  flips::ctrl::StreamingClusterConfig cc;
-  cc.k_override = k;
-  cc.seed = spec.seed;
-  flips::core::PrivateClusteringService service(cc, enclave, attestation);
-  for (std::size_t p = 0; p < parties.size(); ++p) {
-    service.submit_label_distribution(p, data.label_distributions[p]);
-  }
-  service.finalize();
-
   flips::select::FlipsSelectorConfig fsc;
   fsc.seed = spec.seed;
   auto service_selector = std::make_unique<flips::select::FlipsSelector>(

@@ -199,21 +199,20 @@ int main(int argc, char** argv) {
         n, std::numeric_limits<std::size_t>::max(), spec.seed);
     ingest(*lloyd_service, lds, threads);
     const auto t_lloyd = Clock::now();
-    lloyd_service->finalize();
+    const auto lloyd_view = lloyd_service->finalize();
     const double lloyd_s = seconds_since(t_lloyd);
 
     // Threshold-scaled service — the production configuration.
     auto auto_service = make_service(n, kLloydThreshold, spec.seed);
     const double ingest_s = ingest(*auto_service, lds, threads);
     const auto t_auto = Clock::now();
-    auto_service->finalize();
+    const auto auto_view = auto_service->finalize();
     const double auto_s = seconds_since(t_auto);
 
     flips::common::Rng pair_rng(spec.seed + 2);
     const double agreement =
-        rand_index(lloyd_service->result().assignments,
-                   auto_service->result().assignments, pair_rng);
-    assignments_by_size.push_back(auto_service->membership().cluster_of);
+        rand_index(lloyd_view.cluster_of, auto_view.cluster_of, pair_rng);
+    assignments_by_size.push_back(auto_view.cluster_of);
 
     // Late joiners: incremental nearest-centroid assignment, no
     // re-clustering, epoch unchanged.

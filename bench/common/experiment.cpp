@@ -240,7 +240,7 @@ void print_table_header(const std::string& title,
                         const std::vector<std::string>& columns) {
   std::cout << "\n== " << title << " ==\n";
   for (const auto& c : columns) {
-    std::cout << std::setw(13) << c;
+    std::cout << ' ' << std::setw(12) << c;
   }
   std::cout << "\n";
   std::cout << std::string(13 * columns.size(), '-') << "\n";
@@ -248,7 +248,7 @@ void print_table_header(const std::string& title,
 
 void print_table_row(const std::vector<std::string>& cells) {
   for (const auto& c : cells) {
-    std::cout << std::setw(13) << c;
+    std::cout << ' ' << std::setw(12) << c;
   }
   std::cout << "\n";
 }

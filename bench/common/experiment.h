@@ -86,6 +86,9 @@ std::size_t interleave_sessions(
 [[nodiscard]] std::string format_paper_rounds(int rounds,
                                               int paper_budget);
 
+/// Fixed-width tables: each cell prints as one space plus the cell
+/// right-aligned in 12 characters, so a longer cell still gets its
+/// separator.
 void print_table_header(const std::string& title,
                         const std::vector<std::string>& columns);
 void print_table_row(const std::vector<std::string>& cells);

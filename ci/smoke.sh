@@ -43,7 +43,10 @@
 #    mandatory telemetry family is missing from the snapshot or the
 #    server-side rejection counters disagree with the clients' own
 #    kRejected tally.
-# 9. the chaos serving smoke re-runs the UDS pair with --fault: the
+# 9. the elbow serving smoke re-runs the UDS pair with
+#    flips_clusters=0, so each session's DBI elbow runs inside the
+#    clustering enclave on the server's builder thread.
+# 10. the chaos serving smoke re-runs the UDS pair with --fault: the
 #    loadgen kills its connection every few steps (half of them with
 #    a request in flight) and recovers via reconnect + idempotent
 #    replay; it still exits non-zero unless the served results are
@@ -85,28 +88,34 @@ tables=("${build_dir}/bench/flips_tables" --scenario ecg-fedavg
     --set parties=12 --set samples=24 --set rounds=8 --set runs=1 \
     --set threads=4 --set churn=1 --set fault_rate=0.1
 
-serve_sock="$(mktemp -u /tmp/flips_smoke_XXXXXX.sock)"
-"${build_dir}/bench/flips_serve" --uds "${serve_sock}" --threads 4 &
-serve_pid=$!
-for _ in $(seq 1 100); do
-  [ -S "${serve_sock}" ] && break
-  sleep 0.1
-done
-"${build_dir}/bench/flips_loadgen" --uds "${serve_sock}" --tenants 2 \
-    --set parties=12 --set samples=24 --set rounds=4 --set threads=4 \
-    --metrics --shutdown
-wait "${serve_pid}"
+# Starts flips_serve on a fresh unix socket (its extra flags come before
+# `--`), drives two tenants with flips_loadgen (the flags after `--`)
+# and shuts the server down.
+serve_smoke() {
+  local serve_args=()
+  while [ "$1" != "--" ]; do
+    serve_args+=("$1")
+    shift
+  done
+  shift
+  local sock
+  sock="$(mktemp -u /tmp/flips_smoke_XXXXXX.sock)"
+  "${build_dir}/bench/flips_serve" --uds "${sock}" --threads 4 \
+      "${serve_args[@]}" &
+  local pid=$!
+  for _ in $(seq 1 100); do
+    [ -S "${sock}" ] && break
+    sleep 0.1
+  done
+  "${build_dir}/bench/flips_loadgen" --uds "${sock}" --tenants 2 \
+      --set parties=12 --set samples=24 --set rounds=4 --set threads=4 \
+      "$@" --shutdown
+  wait "${pid}"
+}
 
-chaos_sock="$(mktemp -u /tmp/flips_chaos_XXXXXX.sock)"
-"${build_dir}/bench/flips_serve" --uds "${chaos_sock}" --threads 4 \
-    --idle-timeout 30 &
-chaos_pid=$!
-for _ in $(seq 1 100); do
-  [ -S "${chaos_sock}" ] && break
-  sleep 0.1
-done
-"${build_dir}/bench/flips_loadgen" --uds "${chaos_sock}" --tenants 2 \
-    --set parties=12 --set samples=24 --set rounds=4 --set threads=4 \
-    --set churn=1 --set fault_rate=0.1 --fault --fault-every 2 \
-    --shutdown
-wait "${chaos_pid}"
+serve_smoke -- --metrics
+
+serve_smoke -- --set flips_clusters=0
+
+serve_smoke --idle-timeout 30 -- --set churn=1 --set fault_rate=0.1 \
+    --fault --fault-every 2

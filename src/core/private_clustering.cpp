@@ -1,5 +1,6 @@
 #include "core/private_clustering.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -8,6 +9,12 @@
 #include "common/stats.h"
 
 namespace flips::core {
+
+cluster::Point hellinger_point(const data::LabelDistribution& distribution) {
+  cluster::Point point = common::normalized(distribution);
+  for (auto& v : point) v = std::sqrt(v);
+  return point;
+}
 
 PrivateClusteringService::PrivateClusteringService(
     const ctrl::StreamingClusterConfig& config,
@@ -41,30 +48,32 @@ void PrivateClusteringService::submit_label_distribution(
     std::memcpy(received.data(), opened.data(), opened.size());
   }
 
-  // Hellinger embedding (sqrt of proportions) — the same space the
-  // session builder (scenario/builder.cpp) clusters in.
-  cluster::Point point = common::normalized(received);
-  for (auto& v : point) v = std::sqrt(v);
-  engine_.submit(party_id, std::move(point));
+  engine_.submit(party_id, hellinger_point(received));
 }
 
-void PrivateClusteringService::refresh_result(
-    const ctrl::MembershipView& view) {
-  result_.k = view.k;
-  result_.assignments = view.cluster_of;
-}
-
-const PrivateClusteringService::Result& PrivateClusteringService::finalize() {
-  const ctrl::MembershipView view =
-      enclave_->execute([&]() { return engine_.rebuild(); });
-  refresh_result(view);
-  return result_;
+ctrl::MembershipView PrivateClusteringService::finalize() {
+  return enclave_->execute([&]() { return engine_.rebuild(); });
 }
 
 bool PrivateClusteringService::maybe_recluster() {
-  if (!engine_.drift_detected()) return false;
-  finalize();
-  return true;
+  return enclave_->execute([&]() { return engine_.maybe_rebuild(); });
+}
+
+ctrl::MembershipView cluster_privately(
+    ctrl::StreamingClusterConfig config,
+    const std::vector<data::LabelDistribution>& distributions) {
+  auto enclave = std::make_shared<tee::Enclave>(
+      "flips-label-distribution-clustering-v1", 1.05);
+  auto attestation = std::make_shared<tee::AttestationServer>();
+  attestation->trust_measurement(enclave->measurement());
+  attestation->register_platform_key(enclave->platform_key());
+  config.shard_capacity = std::max(config.shard_capacity, distributions.size());
+  PrivateClusteringService service(config, std::move(enclave),
+                                   std::move(attestation));
+  for (std::size_t p = 0; p < distributions.size(); ++p) {
+    service.submit_label_distribution(p, distributions[p]);
+  }
+  return service.finalize();
 }
 
 }  // namespace flips::core

@@ -1,7 +1,8 @@
 // The middleware control-plane path for FLIPS clustering: parties
 // submit label distributions over attested sealed channels; the service
 // clusters them inside the (simulated) enclave so the aggregation
-// server never sees raw label histograms (paper §3.4/§5.1).
+// server never sees raw label histograms (paper §3.4/§5.1). Every
+// session's builder runs cluster_privately() once per federation.
 //
 // Clustering itself is delegated to ctrl::StreamingClusterEngine: the
 // service keeps only the attestation + sealed-channel framing and the
@@ -21,6 +22,12 @@
 
 namespace flips::core {
 
+/// The space the service clusters in: square roots of the histogram's
+/// proportions (Hellinger), where Euclidean distance is a distance
+/// between distributions that keeps rare-label parties apart.
+[[nodiscard]] cluster::Point hellinger_point(
+    const data::LabelDistribution& distribution);
+
 /// Implements ctrl::ClusterControl, so a session can drive the service
 /// through a ctrl::ReclusterObserver instead of a pre_round_hook.
 class PrivateClusteringService : public ctrl::ClusterControl {
@@ -38,20 +45,14 @@ class PrivateClusteringService : public ctrl::ClusterControl {
       std::size_t party_id,
       const data::LabelDistribution& distribution) override;
 
-  struct Result {
-    std::vector<std::size_t> assignments;  ///< party id -> cluster
-    std::size_t k = 0;
-  };
-
   /// Clusters everything submitted so far inside the enclave, starting
-  /// a new membership epoch.
-  const Result& finalize();
+  /// a new membership epoch, and returns it.
+  ctrl::MembershipView finalize();
 
   /// Re-clusters (inside the enclave) iff the drift monitor has
   /// flagged the current epoch; returns whether a new epoch was built.
   bool maybe_recluster() override;
 
-  const Result& result() const { return result_; }
   std::size_t submissions() const { return engine_.parties(); }
 
   // Control-plane passthroughs.
@@ -66,12 +67,17 @@ class PrivateClusteringService : public ctrl::ClusterControl {
   const ctrl::StreamingClusterEngine& engine() const { return engine_; }
 
  private:
-  void refresh_result(const ctrl::MembershipView& view);
-
   std::shared_ptr<tee::Enclave> enclave_;
   std::shared_ptr<tee::AttestationServer> attestation_;
   ctrl::StreamingClusterEngine engine_;
-  Result result_;
 };
+
+/// Epoch 1 of a service on a self-attested enclave, party p submitting
+/// distributions[p] in id order; no party is evicted. With k_override
+/// = k and at most lloyd_threshold parties it is cluster::kmeans over
+/// the Hellinger points with k, restarts and Rng(config.seed).
+[[nodiscard]] ctrl::MembershipView cluster_privately(
+    ctrl::StreamingClusterConfig config,
+    const std::vector<data::LabelDistribution>& distributions);
 
 }  // namespace flips::core

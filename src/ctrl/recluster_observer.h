@@ -69,7 +69,6 @@ class ReclusterObserver final : public fl::RoundObserver {
     }
     if (control_.maybe_recluster()) {
       if (first_recluster_round_ == 0) first_recluster_round_ = round;
-      ++reclusters_;
       if (on_new_epoch_) on_new_epoch_(control_.membership());
     }
   }
@@ -80,7 +79,6 @@ class ReclusterObserver final : public fl::RoundObserver {
   std::size_t first_recluster_round() const {
     return first_recluster_round_;
   }
-  std::size_t reclusters() const { return reclusters_; }
 
  private:
   ClusterControl& control_;
@@ -88,7 +86,6 @@ class ReclusterObserver final : public fl::RoundObserver {
   RefreshFeed feed_;
   std::size_t trigger_round_ = 0;
   std::size_t first_recluster_round_ = 0;
-  std::size_t reclusters_ = 0;
 };
 
 }  // namespace flips::ctrl

@@ -189,7 +189,12 @@ MembershipView StreamingClusterEngine::rebuild() {
   const std::shared_ptr<const Epoch> previous = current_epoch();
   const std::size_t n_parties = parties_.load(std::memory_order_relaxed);
   const bool lloyd_path = n_parties <= config_.lloyd_threshold;
-  common::Rng rng(common::mix_seed(config_.seed, previous->id + 1, 0x2EB));
+  // Epoch 1 draws from Rng(seed) itself: below the Lloyd threshold with
+  // k fixed it is then cluster::kmeans(points, {k, restarts}, Rng(seed)).
+  common::Rng rng(previous->id == 0
+                      ? config_.seed
+                      : common::mix_seed(config_.seed, previous->id + 1,
+                                         0x2EB));
 
   std::size_t k = config_.k_override;
   if (k == 0) {

@@ -95,7 +95,6 @@ class StreamingClusterEngine {
   const char* last_path() const;
 
   bool drift_detected() const { return drift_.triggered(); }
-  const DriftMonitor& drift() const { return drift_; }
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);

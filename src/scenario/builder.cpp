@@ -1,11 +1,9 @@
 #include "scenario/builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "cluster/kmeans.h"
-#include "common/stats.h"
+#include "core/private_clustering.h"
 #include "ml/model.h"
 #include "net/device.h"
 
@@ -47,31 +45,8 @@ fl::FlJobConfig make_job_config(const ExperimentConfig& config,
 
 }  // namespace
 
-std::vector<std::size_t> cluster_label_distributions(
-    const std::vector<data::LabelDistribution>& lds, std::size_t k,
-    LdSpace space, std::uint64_t rng_seed) {
-  std::vector<cluster::Point> points;
-  points.reserve(lds.size());
-  for (const auto& ld : lds) {
-    if (space == LdSpace::kRawCounts) {
-      points.emplace_back(ld.begin(), ld.end());
-      continue;
-    }
-    auto p = common::normalized(ld);
-    if (space == LdSpace::kHellinger) {
-      for (auto& v : p) v = std::sqrt(v);
-    }
-    points.push_back(std::move(p));
-  }
-  cluster::KMeansConfig kc;
-  kc.k = std::min(k, points.size());
-  kc.restarts = 3;
-  common::Rng rng(rng_seed);
-  return cluster::kmeans(points, kc, rng).assignments;
-}
-
 Federation build_federation(const ExperimentConfig& config,
-                            std::uint64_t seed, LdSpace space) {
+                            std::uint64_t seed) {
   data::FederatedDataConfig dc;
   dc.spec = config.spec;
   dc.num_parties = config.scale.num_parties;
@@ -107,13 +82,13 @@ Federation build_federation(const ExperimentConfig& config,
       std::make_shared<const std::vector<fl::Party>>(std::move(parties));
   out.global_test = std::move(data.global_test);
 
-  // Served sessions cluster here too, with this plain helper at a fixed
-  // k; the TEE-hosted streaming engine (core::PrivateClusteringService)
-  // is reached only by the benches that exercise it.
-  out.clusters = cluster_label_distributions(
-      data.label_distributions, config.flips_clusters, space, seed ^ 0xC1u);
-  out.num_clusters =
-      std::min(config.flips_clusters, data.label_distributions.size());
+  // FLIPS's clustering, inside the enclave (§3.4).
+  ctrl::StreamingClusterConfig cc;
+  cc.k_override = config.flips_clusters;
+  cc.seed = seed ^ 0xC1u;
+  auto view = core::cluster_privately(cc, data.label_distributions);
+  out.clusters = std::move(view.cluster_of);
+  out.num_clusters = view.k;
   out.label_distributions = std::move(data.label_distributions);
   return out;
 }

@@ -1,9 +1,9 @@
 // The scenario-to-session builder: the one place an FL session is
 // assembled from an ExperimentConfig (scenario/spec.h lowers a
 // ScenarioSpec onto it). Stages, each on its own seed-salted stream:
-// data + fleet, FLIPS's label-distribution clustering, the selector
-// context, the model init, and the FlJobConfig lowering. The builder
-// keeps no state: every build is fresh and the session owns its
+// data + fleet, FLIPS's label-distribution clustering (in the TEE), the
+// selector context, the model init, and the FlJobConfig lowering. The
+// builder keeps no state: every build is fresh and the session owns its
 // parties. Callers that replay one federation many times (the table
 // grid, bench/common/experiment.cpp) cache build_federation() results.
 #pragma once
@@ -42,8 +42,8 @@ struct ExperimentConfig {
   double target_accuracy = 0.6;  ///< paper's per-dataset target
   Scale scale;
   std::uint64_t seed = 42;
-  /// Cluster count for FLIPS. The paper's elbow finds 10 on its real
-  /// datasets; the reduced-scale federations calibrate best at 20.
+  /// FLIPS's k; 0 = the DBI elbow picks it (Fig. 2). The paper's elbow
+  /// finds 10 on its datasets; reduced-scale ones calibrate best at 20.
   std::size_t flips_clusters = 20;
   /// Local solver knobs (τ epochs; higher values amplify client drift,
   /// the non-IID pathology the paper studies).
@@ -73,19 +73,6 @@ struct ExperimentConfig {
   net::FaultConfig faults;
 };
 
-/// How label distributions are embedded before clustering: raw counts,
-/// proportions, or Hellinger space (sqrt-proportions, where Euclidean
-/// distance is a proper distribution distance that keeps rare-label
-/// parties distinguishable).
-enum class LdSpace { kRawCounts, kProportions, kHellinger };
-
-/// Clusters parties on their label distributions: k-means with 3
-/// restarts and k capped at the party count, seeded with `rng_seed`.
-/// Returns each party's cluster.
-[[nodiscard]] std::vector<std::size_t> cluster_label_distributions(
-    const std::vector<data::LabelDistribution>& lds, std::size_t k,
-    LdSpace space, std::uint64_t rng_seed);
-
 /// Stages 1 and 2 for one seed. The parties are shared so that one
 /// cached federation can back several sessions without a copy.
 struct Federation {
@@ -99,12 +86,12 @@ struct Federation {
   std::size_t num_clusters = 0;
 };
 
-/// Builds the data, the fleet and FLIPS's clustering (k =
-/// config.flips_clusters, in `space`; the paper's choice is Hellinger,
-/// the design ablation compares the others).
-[[nodiscard]] Federation build_federation(
-    const ExperimentConfig& config, std::uint64_t seed,
-    LdSpace space = LdSpace::kHellinger);
+/// Builds the data, the fleet and FLIPS's clustering: every party's
+/// label histogram goes through core::cluster_privately (a self-attested
+/// enclave, Hellinger space, k = config.flips_clusters or the DBI elbow
+/// at 0, engine seed `seed` ^ 0xC1).
+[[nodiscard]] Federation build_federation(const ExperimentConfig& config,
+                                          std::uint64_t seed);
 
 /// Stage 3: every selector's inputs over `federation`.
 [[nodiscard]] select::SelectorContext selector_context(

@@ -59,7 +59,7 @@ struct ScenarioSpec {
 
   // Selection.
   std::string selector = "flips";  ///< see select::selector_names()
-  std::size_t flips_clusters = 20;
+  std::size_t flips_clusters = 20;  ///< 0 = the DBI elbow picks k
   double straggler_rate = 0.0;
 
   // Fault plane (net/faults.h). churn scales each device type's mean

@@ -243,23 +243,25 @@ std::map<std::string, Cell> cells() {
 /// `overrides`, with k = 4 so the clustering stage shapes the cohort.
 std::map<std::string, flips::ScenarioSpec> builder_cells() {
   const auto scenario = [](std::string_view preset,
-                           std::initializer_list<std::string_view> overrides) {
+                           const std::vector<std::string_view>& overrides) {
     flips::ScenarioSpec spec = flips::scenario_preset(preset);
-    for (const std::string_view kv :
-         {"parties=20", "samples=24", "rounds=6", "flips_clusters=4",
-          "threads=2", "seed=11"}) {
-      flips::apply_override(spec, kv);
-    }
+    spec.parties = 20;
+    spec.samples_per_party = 24;
+    spec.rounds = 6;
+    spec.flips_clusters = 4;
+    spec.threads = 2;
+    spec.seed = 11;
     for (const std::string_view kv : overrides) {
       flips::apply_override(spec, kv);
     }
     return spec;
   };
+  const std::vector<std::string_view> async_faults = {
+      "mode=async", "codec=quant8", "churn=1", "fault_rate=0.1"};
   std::map<std::string, flips::ScenarioSpec> out;
   out.emplace("builder_femnist_fedavg", scenario("femnist-fedavg", {}));
   out.emplace("builder_ecg_fedyogi_async_faults",
-              scenario("ecg-fedyogi", {"mode=async", "codec=quant8",
-                                       "churn=1", "fault_rate=0.1"}));
+              scenario("ecg-fedyogi", async_faults));
   return out;
 }
 
@@ -305,9 +307,8 @@ std::uint64_t run_cell(const std::string& name) {
   const auto builder = builder_cells();
   if (const auto it = builder.find(name); it != builder.end()) {
     const flips::ScenarioSpec& spec = it->second;
-    auto session =
-        flips::make_session(flips::to_experiment_config(spec),
-                            flips::selector_kind(spec), spec.seed);
+    auto session = flips::make_session(flips::to_experiment_config(spec),
+                                       flips::selector_kind(spec), spec.seed);
     while (!session->done()) session->advance();
     return fingerprint(session->result());
   }

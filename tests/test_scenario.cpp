@@ -3,8 +3,14 @@
 // and the session builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
+#include "cluster/dbi.h"
+#include "common/stats.h"
+#include "ctrl/streaming_cluster_engine.h"
 #include "scenario/spec.h"
 
 namespace {
@@ -285,6 +291,71 @@ TEST(MakeSession, BuildsFreshSessionsThatShareNothing) {
   while (!b->done()) b->advance();
   EXPECT_EQ(a->result().final_parameters, b->result().final_parameters);
   EXPECT_EQ(a->result().history.size(), spec.rounds);
+}
+
+/// The Hellinger points (square roots of the label proportions) of
+/// `federation`'s parties, in party order: what the enclave clusters.
+std::vector<flips::cluster::Point> hellinger_points(
+    const flips::Federation& federation) {
+  std::vector<flips::cluster::Point> points;
+  for (const auto& ld : federation.label_distributions) {
+    points.push_back(flips::common::normalized(ld));
+    for (auto& v : points.back()) v = std::sqrt(v);
+  }
+  return points;
+}
+
+TEST(BuildFederation, ClustersInTheEnclaveLikePlainKMeans) {
+  // Below the Lloyd threshold with k fixed, the service's epoch 1 is
+  // plain k-means over the Hellinger points on stream seed ^ 0xC1.
+  flips::ScenarioSpec spec = flips::scenario_preset("ham-fedyogi");
+  spec.parties = 40;
+  spec.samples_per_party = 30;
+  spec.flips_clusters = 6;
+  const auto config = flips::to_experiment_config(spec);
+  for (const std::uint64_t seed : {3u, 42u}) {
+    const flips::Federation fed = flips::build_federation(config, seed);
+    flips::cluster::KMeansConfig kc;
+    kc.k = 6;
+    kc.restarts = 3;
+    flips::common::Rng rng(seed ^ 0xC1u);
+    const auto expected =
+        flips::cluster::kmeans(hellinger_points(fed), kc, rng);
+    EXPECT_EQ(fed.clusters, expected.assignments) << "seed " << seed;
+    EXPECT_EQ(fed.num_clusters, 6u);
+  }
+}
+
+TEST(BuildFederation, ZeroClustersPicksKWithTheElbow) {
+  // flips_clusters=0 hands k to the DBI elbow inside the enclave (it
+  // used to leave every party in one cluster).
+  flips::ScenarioSpec spec = flips::scenario_preset("ecg-fedavg");
+  spec.parties = 40;
+  spec.samples_per_party = 30;
+  flips::apply_override(spec, "flips_clusters=0");
+  const std::uint64_t seed = 9;
+  const flips::Federation fed =
+      flips::build_federation(flips::to_experiment_config(spec), seed);
+
+  const flips::ctrl::StreamingClusterConfig defaults;  // the elbow's knobs
+  flips::cluster::OptimalKConfig okc;
+  okc.k_min = defaults.k_min;
+  okc.k_max = defaults.k_max;
+  okc.repeats = defaults.elbow_repeats;
+  okc.kmeans.restarts = defaults.restarts;
+  flips::common::Rng rng(seed ^ 0xC1u);
+  const std::size_t k =
+      flips::cluster::optimal_k_elbow(hellinger_points(fed), okc, rng).k;
+  EXPECT_GE(k, 2u);
+  EXPECT_EQ(fed.num_clusters, k);
+  ASSERT_EQ(fed.clusters.size(), spec.parties);
+  std::vector<bool> used(k, false);
+  for (const std::size_t c : fed.clusters) {
+    ASSERT_LT(c, k);
+    used[c] = true;
+  }
+  EXPECT_EQ(std::count(used.begin(), used.end(), true),
+            static_cast<std::ptrdiff_t>(k));
 }
 
 }  // namespace

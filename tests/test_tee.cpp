@@ -58,11 +58,11 @@ TEST(PrivateClustering, ClustersSubmissionsInsideEnclave) {
     ld[p % 3] = 50.0;
     service.submit_label_distribution(p, ld);
   }
-  const auto& result = service.finalize();
+  const auto result = service.finalize();
   EXPECT_EQ(result.k, 3u);
-  ASSERT_EQ(result.assignments.size(), 30u);
+  ASSERT_EQ(result.cluster_of.size(), 30u);
   for (std::size_t p = 3; p < 30; ++p) {
-    EXPECT_EQ(result.assignments[p], result.assignments[p % 3]);
+    EXPECT_EQ(result.cluster_of[p], result.cluster_of[p % 3]);
   }
   EXPECT_GT(enclave->raw_execution_seconds(), 0.0);
 }
@@ -92,13 +92,13 @@ TEST(PrivateClustering, ResubmissionUpdatesInPlaceWithoutDuplicating) {
   EXPECT_EQ(service.submissions(), 12u);
   EXPECT_EQ(service.engine().buffered_points(), 12u);
 
-  const auto& result = service.finalize();
-  ASSERT_EQ(result.assignments.size(), 12u);
+  const auto result = service.finalize();
+  ASSERT_EQ(result.cluster_of.size(), 12u);
   EXPECT_EQ(result.k, 2u);
   // The clustering reflects the refreshed distributions: parity still
   // partitions the parties (labels flipped for everyone).
   for (std::size_t p = 2; p < 12; ++p) {
-    EXPECT_EQ(result.assignments[p], result.assignments[p % 2]);
+    EXPECT_EQ(result.cluster_of[p], result.cluster_of[p % 2]);
   }
 }
 
@@ -131,7 +131,7 @@ TEST(PrivateClustering, DriftDetectionTriggersRecluster) {
   EXPECT_TRUE(service.drift_detected());
   EXPECT_TRUE(service.maybe_recluster());
   EXPECT_EQ(service.epoch(), 2u);
-  EXPECT_EQ(service.result().assignments.size(), 20u);
+  EXPECT_EQ(service.membership().cluster_of.size(), 20u);
 }
 
 TEST(PrivateClustering, RejectsUnattestedEnclave) {
