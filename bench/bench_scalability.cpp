@@ -4,9 +4,11 @@
 // algorithm").
 //
 // Runs end-to-end through core::PrivateClusteringService (attested
-// sealed submissions into the sharded streaming engine), measuring, as
-// the party count N grows:
-//   1. multi-threaded ingestion throughput of the sharded reservoirs;
+// sealed submissions into the streaming engine), measuring, as the
+// party count N grows:
+//   1. multi-threaded ingestion throughput (seal/open runs in the
+//      submitting threads, the engine's one-point-per-party table
+//      behind one lock);
 //   2. clustering wall-clock — a service pinned to full Lloyd vs the
 //      threshold-scaled service (mini-batch k-means past
 //      `lloyd_threshold` parties);
@@ -24,11 +26,9 @@
 // Flags: `--set parties=N` pins a single size (CI smoke uses 10000,
 // past the threshold); default sweeps 1k/5k/20k (+100k with
 // --paper-scale). `--set threads=T` sets the ingestion fan-in (0 = all
-// cores). Unlike the
-// FL benches' bit-identical --threads contract, the fan-in changes
-// reservoir insertion order and therefore k-means++ seeding: cluster
-// *structure* (not quality) can differ across thread counts; a fixed
-// (seed, threads) pair is deterministic.
+// cores). The engine clusters every party's point in party-id order,
+// so the clustering columns are bit-identical for every fan-in, like
+// the FL benches' --threads contract; only the timing columns move.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -104,7 +104,7 @@ double rand_index(const std::vector<std::size_t>& a,
 }
 
 std::unique_ptr<flips::core::PrivateClusteringService> make_service(
-    std::size_t n, std::size_t lloyd_threshold, std::uint64_t seed) {
+    std::size_t lloyd_threshold, std::uint64_t seed) {
   auto enclave =
       std::make_shared<flips::tee::Enclave>("ctrl-scalability", 1.05);
   auto attestation = std::make_shared<flips::tee::AttestationServer>();
@@ -115,20 +115,11 @@ std::unique_ptr<flips::core::PrivateClusteringService> make_service(
   config.restarts = 1;
   config.seed = seed;
   config.lloyd_threshold = lloyd_threshold;
-  // This bench studies the clustering-path crossover, so no shard may
-  // evict: capacity is the full party count (hash sharding is
-  // non-uniform, so n/num_shards would overflow some shards and
-  // contaminate the agreement metric with hash-spread placeholders).
-  // Buffers grow on demand — capacity is a cap, not a reservation;
-  // memory bounds are a deployment knob and eviction carry-over is
-  // covered by test_ctrl.
-  config.num_shards = 16;
-  config.shard_capacity = n;
   return std::make_unique<flips::core::PrivateClusteringService>(
       config, enclave, attestation);
 }
 
-/// Striped multi-threaded submission — the sharded-ingestion hot path.
+/// Striped multi-threaded submission — the ingestion hot path.
 double ingest(flips::core::PrivateClusteringService& service,
               const std::vector<flips::cluster::Point>& lds,
               std::size_t threads) {
@@ -195,15 +186,15 @@ int main(int argc, char** argv) {
     const auto lds = planted_lds(n, kModes, kDim, spec.seed);
 
     // Reference service pinned to full Lloyd regardless of size.
-    auto lloyd_service = make_service(
-        n, std::numeric_limits<std::size_t>::max(), spec.seed);
+    auto lloyd_service =
+        make_service(std::numeric_limits<std::size_t>::max(), spec.seed);
     ingest(*lloyd_service, lds, threads);
     const auto t_lloyd = Clock::now();
     const auto lloyd_view = lloyd_service->finalize();
     const double lloyd_s = seconds_since(t_lloyd);
 
     // Threshold-scaled service — the production configuration.
-    auto auto_service = make_service(n, kLloydThreshold, spec.seed);
+    auto auto_service = make_service(kLloydThreshold, spec.seed);
     const double ingest_s = ingest(*auto_service, lds, threads);
     const auto t_auto = Clock::now();
     const auto auto_view = auto_service->finalize();
@@ -344,8 +335,9 @@ int main(int argc, char** argv) {
                    std::to_string(kLloydThreshold) +
                    "-party threshold, where it grows ~linearly and "
                    "overtakes Lloyd while agreeing with its cluster "
-                   "structure (Rand agreement ~0.9+); sharded ingestion "
-                   "scales with the submission threads; late joiners "
+                   "structure (Rand agreement ~0.9+); ingestion time is "
+                   "the sealed channel, which the submission threads "
+                   "share out; late joiners "
                    "cost microseconds (one nearest-centroid scan); "
                    "selection stays microseconds-per-round at every N "
                    "(one O(N) shuffle and partial sort per round).\n";

@@ -1,6 +1,5 @@
 #include "core/private_clustering.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -60,14 +59,13 @@ bool PrivateClusteringService::maybe_recluster() {
 }
 
 ctrl::MembershipView cluster_privately(
-    ctrl::StreamingClusterConfig config,
+    const ctrl::StreamingClusterConfig& config,
     const std::vector<data::LabelDistribution>& distributions) {
   auto enclave = std::make_shared<tee::Enclave>(
       "flips-label-distribution-clustering-v1", 1.05);
   auto attestation = std::make_shared<tee::AttestationServer>();
   attestation->trust_measurement(enclave->measurement());
   attestation->register_platform_key(enclave->platform_key());
-  config.shard_capacity = std::max(config.shard_capacity, distributions.size());
   PrivateClusteringService service(config, std::move(enclave),
                                    std::move(attestation));
   for (std::size_t p = 0; p < distributions.size(); ++p) {

@@ -6,9 +6,11 @@
 //
 // Clustering itself is delegated to ctrl::StreamingClusterEngine: the
 // service keeps only the attestation + sealed-channel framing and the
-// enclave execution ledger, while the engine provides sharded
-// bounded-memory ingestion, the Lloyd/mini-batch size threshold,
-// incremental late-joiner assignment and online drift detection.
+// enclave execution ledger, while the engine keeps one point per
+// party and provides the Lloyd/mini-batch size threshold, incremental
+// late-joiner assignment and online drift detection. The seal/open
+// pair runs before the engine's lock, so concurrent submitters
+// overlap on it.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,7 @@ namespace flips::core {
     const data::LabelDistribution& distribution);
 
 /// Implements ctrl::ClusterControl, so a session can drive the service
-/// through a ctrl::ReclusterObserver instead of a pre_round_hook.
+/// through a ctrl::ReclusterObserver.
 class PrivateClusteringService : public ctrl::ClusterControl {
  public:
   PrivateClusteringService(const ctrl::StreamingClusterConfig& config,
@@ -64,7 +66,6 @@ class PrivateClusteringService : public ctrl::ClusterControl {
     return engine_.drift_detected();
   }
   const char* clustering_path() const { return engine_.last_path(); }
-  const ctrl::StreamingClusterEngine& engine() const { return engine_; }
 
  private:
   std::shared_ptr<tee::Enclave> enclave_;
@@ -73,11 +74,11 @@ class PrivateClusteringService : public ctrl::ClusterControl {
 };
 
 /// Epoch 1 of a service on a self-attested enclave, party p submitting
-/// distributions[p] in id order; no party is evicted. With k_override
-/// = k and at most lloyd_threshold parties it is cluster::kmeans over
-/// the Hellinger points with k, restarts and Rng(config.seed).
+/// distributions[p] in id order. With k_override = k and at most
+/// lloyd_threshold parties it is cluster::kmeans over the Hellinger
+/// points with k, restarts and Rng(config.seed).
 [[nodiscard]] ctrl::MembershipView cluster_privately(
-    ctrl::StreamingClusterConfig config,
+    const ctrl::StreamingClusterConfig& config,
     const std::vector<data::LabelDistribution>& distributions);
 
 }  // namespace flips::core

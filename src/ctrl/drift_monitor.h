@@ -36,7 +36,7 @@ class DriftMonitor {
   void reset(std::vector<double> baselines);
 
   /// One submission landed `residual` (L1) away from the centroid of
-  /// `cluster`. Thread-safe (called from concurrent shard ingesters).
+  /// `cluster`. Thread-safe (called from concurrent submitters).
   void observe(std::size_t cluster, double residual);
 
   /// True once any cluster's EMA exceeded its trigger threshold since

@@ -1,9 +1,10 @@
 // Epoch-versioned snapshot of the control plane's clustering state.
-// Consumers (select::FlipsSelector, the FL job's re-cluster hook)
-// compare `epoch` against the last one they consumed and rebuild their
-// derived structures only when it advances — assignments within one
-// epoch are stable for existing parties (late joiners are appended
-// incrementally without bumping the epoch).
+// Consumers (select::FlipsSelector::consume, typically fed by a
+// ctrl::ReclusterObserver's epoch sink) compare `epoch` against the
+// last one they consumed and rebuild their derived structures only
+// when it advances — assignments within one epoch are stable for
+// existing parties (late joiners are appended incrementally without
+// bumping the epoch).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 // Control-plane ↔ session bridge: plugs a streaming clustering service
-// into a running fl::FederationSession as a RoundObserver, replacing
-// the legacy FlJobConfig::pre_round_hook wiring.
+// into a running fl::FederationSession as a RoundObserver.
 //
 // Each round, before selection, the observer (1) feeds the service any
 // scheduled label-distribution refreshes (a rolling schedule supplied
@@ -13,7 +12,7 @@
 //
 // ClusterControl is the minimal service surface the bridge needs;
 // core::PrivateClusteringService implements it (the attested
-// sealed-channel path), and tests can substitute fakes.
+// sealed-channel path). bench_drift_recluster is the one driver.
 #pragma once
 
 #include <cstddef>

@@ -15,12 +15,12 @@ namespace {
 
 // Control-plane instruments, registered once process-wide. submit()
 // only bumps cached counters (relaxed atomics, no allocation); the
-// reservoir/epoch gauges update on the rebuild path.
+// point/epoch gauges update on the rebuild path.
 struct CtrlInstruments {
   obs::Counter* submissions;
   obs::Counter* rebuilds_lloyd;
   obs::Counter* rebuilds_minibatch;
-  obs::Gauge* reservoir_points;
+  obs::Gauge* points;
   obs::Gauge* epoch;
   obs::Gauge* clusters;
 };
@@ -31,7 +31,7 @@ const CtrlInstruments& ctrl_instruments() {
       &r.counter("flips_ctrl_submissions_total"),
       &r.counter("flips_ctrl_rebuilds_total", {{"path", "lloyd"}}),
       &r.counter("flips_ctrl_rebuilds_total", {{"path", "minibatch"}}),
-      &r.gauge("flips_ctrl_reservoir_points"),
+      &r.gauge("flips_ctrl_points"),
       &r.gauge("flips_ctrl_epoch"),
       &r.gauge("flips_ctrl_clusters")};
   return g;
@@ -42,31 +42,7 @@ const CtrlInstruments& ctrl_instruments() {
 StreamingClusterEngine::StreamingClusterEngine(
     const StreamingClusterConfig& config)
     : config_(config), epoch_(std::make_shared<const Epoch>()),
-      drift_(config.drift) {
-  config_.num_shards = std::max<std::size_t>(1, config_.num_shards);
-  config_.shard_capacity = std::max<std::size_t>(1, config_.shard_capacity);
-  shards_.reserve(config_.num_shards);
-  for (std::size_t s = 0; s < config_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->rng = common::Rng(common::mix_seed(config_.seed, 0x5A4D, s));
-    shards_.push_back(std::move(shard));
-  }
-}
-
-StreamingClusterEngine::Shard& StreamingClusterEngine::shard_for(
-    std::size_t party_id) {
-  // Finalized hash, not a plain modulus: sequential party ids must not
-  // all land in ascending shards in lock-step (that would serialize
-  // round-robin submitters on neighbouring locks).
-  return *shards_[common::mix_seed(config_.seed, 0x51A2D, party_id) %
-                  shards_.size()];
-}
-
-std::shared_ptr<const StreamingClusterEngine::Epoch>
-StreamingClusterEngine::current_epoch() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
-  return epoch_;
-}
+      drift_(config.drift) {}
 
 std::size_t StreamingClusterEngine::nearest_centroid(
     const cluster::Point& point, const std::vector<cluster::Point>& cs) {
@@ -89,106 +65,64 @@ std::size_t StreamingClusterEngine::hash_spread(std::size_t party_id,
 
 bool StreamingClusterEngine::submit(std::size_t party_id,
                                     cluster::Point point) {
-  Shard& shard = shard_for(party_id);
   bool first_time = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.max_party = std::max(shard.max_party, party_id);
-    auto it = shard.slot_of.find(party_id);
-    if (it != shard.slot_of.end()) {
-      // Re-submission: refresh the buffered point in place (if still
-      // resident). The party is never duplicated.
-      if (it->second != kNoSlot) shard.buffer[it->second] = point;
-    } else {
-      first_time = true;
-      ++shard.seen;
-      if (shard.buffer.size() < config_.shard_capacity) {
-        shard.slot_of.emplace(party_id, shard.buffer.size());
-        shard.party_at.push_back(party_id);
-        shard.buffer.push_back(point);
-      } else {
-        // Reservoir sampling: the new point replaces a uniformly
-        // chosen resident with probability capacity / seen, keeping
-        // the buffer an unbiased sample of everything ingested.
-        const std::size_t j = shard.rng.uniform_index(
-            static_cast<std::size_t>(shard.seen));
-        if (j < config_.shard_capacity) {
-          shard.slot_of[shard.party_at[j]] = kNoSlot;
-          shard.party_at[j] = party_id;
-          shard.buffer[j] = point;
-          shard.slot_of.emplace(party_id, j);
-        } else {
-          shard.slot_of.emplace(party_id, kNoSlot);
-        }
-      }
-    }
-  }
-  ctrl_instruments().submissions->inc();
-  if (first_time) parties_.fetch_add(1, std::memory_order_relaxed);
-
-  // Pre-epoch bulk ingestion never touches the global membership lock
-  // — only the shard lock above (rebuild() sizes the assignment table
-  // from the shards' max ids).
-  if (epoch_id_.load(std::memory_order_acquire) == 0) return first_time;
-
-  std::shared_ptr<const Epoch> epoch;
   std::size_t assigned = kUnassigned;
+  double residual = 0.0;
   {
-    // Epoch snapshot, assignment lookup and the late-joiner
+    // The point write, the epoch snapshot and the late-joiner
     // nearest-centroid write happen under one lock so a concurrent
     // rebuild() can never interleave a stale epoch's cluster index
     // into the new epoch's table.
-    std::lock_guard<std::mutex> lock(membership_mutex_);
-    epoch = epoch_;
-    if (epoch->id == 0) return first_time;
-    if (assignment_.size() <= party_id) {
-      assignment_.resize(party_id + 1, kUnassigned);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (points_.size() <= party_id) points_.resize(party_id + 1);
+    first_time = !points_[party_id].has_value();
+    if (first_time) ++parties_;
+    const Epoch& epoch = *epoch_;
+    if (epoch.id > 0) {
+      if (assignment_.size() <= party_id) {
+        assignment_.resize(party_id + 1, kUnassigned);
+      }
+      if (assignment_[party_id] == kUnassigned) {
+        // Late joiner (or a first-time submitter racing a rebuild):
+        // incremental nearest-centroid assignment.
+        assignment_[party_id] = nearest_centroid(point, epoch.centroids);
+      }
+      assigned = assignment_[party_id];
+      residual = common::l1_distance(point, epoch.centroids[assigned]);
     }
-    if (assignment_[party_id] == kUnassigned) {
-      // Late joiner (or a party that slipped through a mid-rebuild
-      // gather): incremental nearest-centroid assignment.
-      assignment_[party_id] = nearest_centroid(point, epoch->centroids);
-    }
-    assigned = assignment_[party_id];
+    // Re-submission refreshes the point in place; the party is never
+    // duplicated.
+    points_[party_id] = std::move(point);
   }
-  if (assigned < epoch->centroids.size()) {
-    drift_.observe(assigned,
-                   common::l1_distance(point, epoch->centroids[assigned]));
-  }
+  ctrl_instruments().submissions->inc();
+  // observe() takes the monitor's own lock, never under mutex_.
+  if (assigned != kUnassigned) drift_.observe(assigned, residual);
   return first_time;
 }
 
 MembershipView StreamingClusterEngine::rebuild() {
-  // Gather the reservoirs shard by shard (submissions to not-yet-read
-  // shards keep flowing; they are picked up next epoch via the
-  // old->new centroid remap below). Reservoir-evicted parties carry no
-  // point; they are covered by sizing the assignment table to the max
-  // ingested id and remapping/hash-spreading below.
-  std::vector<std::pair<std::size_t, cluster::Point>> gathered;
-  std::size_t max_party = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (std::size_t slot = 0; slot < shard->buffer.size(); ++slot) {
-      gathered.emplace_back(shard->party_at[slot], shard->buffer[slot]);
+  // Copy the submitted points out in party-id order (the elbow and
+  // k-means++ seeding depend on point order, and arrival order must
+  // not reach them), then cluster without the lock so submissions keep
+  // flowing; first-time submitters that land meanwhile are picked up
+  // by the old->new centroid remap below.
+  std::vector<cluster::Point> points;
+  std::vector<std::size_t> owners;
+  std::shared_ptr<const Epoch> previous;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    points.reserve(parties_);
+    owners.reserve(parties_);
+    for (std::size_t p = 0; p < points_.size(); ++p) {
+      if (!points_[p]) continue;
+      owners.push_back(p);
+      points.push_back(*points_[p]);
     }
-    if (!shard->slot_of.empty()) {
-      max_party = std::max(max_party, shard->max_party);
-    }
+    previous = epoch_;
   }
-  if (gathered.empty()) return view();
-  // Unique party ids, so this is party-id order: the elbow and k-means++
-  // seeding depend on point order, and arrival order must not reach them.
-  std::sort(gathered.begin(), gathered.end());
-  std::vector<cluster::Point> points(gathered.size());
-  std::vector<std::size_t> owners(gathered.size());
-  for (std::size_t i = 0; i < gathered.size(); ++i) {
-    owners[i] = gathered[i].first;
-    points[i] = std::move(gathered[i].second);
-  }
+  if (points.empty()) return view();
 
-  const std::shared_ptr<const Epoch> previous = current_epoch();
-  const std::size_t n_parties = parties_.load(std::memory_order_relaxed);
-  const bool lloyd_path = n_parties <= config_.lloyd_threshold;
+  const bool lloyd_path = points.size() <= config_.lloyd_threshold;
   // Epoch 1 draws from Rng(seed) itself: below the Lloyd threshold with
   // k fixed it is then cluster::kmeans(points, {k, restarts}, Rng(seed)).
   common::Rng rng(previous->id == 0
@@ -233,7 +167,7 @@ MembershipView StreamingClusterEngine::rebuild() {
   }
   k = result.centroids.size();
 
-  // Per-cluster mean L1 residual of the buffered points — the drift
+  // Per-cluster mean L1 residual of the clustered points — the drift
   // monitor's baseline for this epoch.
   std::vector<double> baseline(k, 0.0);
   std::vector<double> counts(k, 0.0);
@@ -247,9 +181,8 @@ MembershipView StreamingClusterEngine::rebuild() {
     if (counts[c] > 0.0) baseline[c] /= counts[c];
   }
 
-  // Old cluster -> nearest new centroid, so parties without a buffered
-  // point (reservoir-evicted, or ingested into an already-gathered
-  // shard mid-rebuild) carry over at cluster granularity.
+  // Old cluster -> nearest new centroid, so parties that first
+  // submitted after the copy above carry over at cluster granularity.
   std::vector<std::size_t> old_to_new(previous->centroids.size(), 0);
   for (std::size_t c = 0; c < previous->centroids.size(); ++c) {
     old_to_new[c] = nearest_centroid(previous->centroids[c],
@@ -263,18 +196,15 @@ MembershipView StreamingClusterEngine::rebuild() {
 
   MembershipView published;
   {
-    std::lock_guard<std::mutex> lock(membership_mutex_);
-    std::vector<std::size_t> fresh(
-        std::max(assignment_.size(), max_party + 1), kUnassigned);
+    std::lock_guard<std::mutex> lock(mutex_);
+    // assignment_ never outgrows points_: both grow in submit().
+    std::vector<std::size_t> fresh(points_.size(), kUnassigned);
     for (std::size_t p = 0; p < assignment_.size(); ++p) {
       if (assignment_[p] < old_to_new.size()) {
         fresh[p] = old_to_new[assignment_[p]];
       }
     }
     for (std::size_t i = 0; i < owners.size(); ++i) {
-      if (fresh.size() <= owners[i]) {
-        fresh.resize(owners[i] + 1, kUnassigned);
-      }
       fresh[owners[i]] = result.assignments[i];
     }
     for (std::size_t p = 0; p < fresh.size(); ++p) {
@@ -283,22 +213,21 @@ MembershipView StreamingClusterEngine::rebuild() {
     assignment_ = std::move(fresh);
     epoch_ = next;
     last_path_ = lloyd_path ? "lloyd" : "minibatch";
-    epoch_id_.store(next->id, std::memory_order_release);
     published.epoch = next->id;
     published.k = next->k;
     published.cluster_of = assignment_;
     published.centroids = next->centroids;
-    // Reset before releasing the membership lock: a submit landing
-    // between epoch publish and monitor reset would otherwise feed a
-    // new-epoch residual into the old epoch's EMA and could leave a
-    // spurious trigger for a concurrent maybe_rebuild(). (Lock order
-    // membership -> drift is unique to this call site; observe()/
-    // triggered() are never called with membership_mutex_ held.)
+    // Reset before releasing the lock: a submit landing between epoch
+    // publish and monitor reset would otherwise feed a new-epoch
+    // residual into the old epoch's EMA and could leave a spurious
+    // trigger for a concurrent maybe_rebuild(). (Lock order engine ->
+    // drift is unique to this call site; observe()/triggered() are
+    // never called with mutex_ held.)
     drift_.reset(std::move(baseline));
   }
   const CtrlInstruments& ins = ctrl_instruments();
   (lloyd_path ? ins.rebuilds_lloyd : ins.rebuilds_minibatch)->inc();
-  ins.reservoir_points->set(static_cast<double>(points.size()));
+  ins.points->set(static_cast<double>(points.size()));
   ins.epoch->set(static_cast<double>(published.epoch));
   ins.clusters->set(static_cast<double>(published.k));
   return published;
@@ -311,7 +240,7 @@ bool StreamingClusterEngine::maybe_rebuild() {
 }
 
 MembershipView StreamingClusterEngine::view() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   MembershipView out;
   out.epoch = epoch_->id;
   out.k = epoch_->k;
@@ -323,25 +252,17 @@ MembershipView StreamingClusterEngine::view() const {
 }
 
 std::uint64_t StreamingClusterEngine::epoch() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return epoch_->id;
 }
 
 std::size_t StreamingClusterEngine::parties() const {
-  return parties_.load(std::memory_order_relaxed);
-}
-
-std::size_t StreamingClusterEngine::buffered_points() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->buffer.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return parties_;
 }
 
 const char* StreamingClusterEngine::last_path() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return last_path_;
 }
 

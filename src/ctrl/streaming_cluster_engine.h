@@ -1,11 +1,11 @@
 // The FLIPS streaming control plane. Replaces the "buffer every label
 // distribution, then run full Lloyd once" preprocessing step with a
-// live service shaped for very large federations:
+// live service:
 //
-//  - Sharded ingestion: submissions hash to one of `num_shards`
-//    independently-locked shards, each holding a FIXED-SIZE reservoir
-//    sample of points. Memory is O(num_shards * shard_capacity), not
-//    O(parties); per-party state is one assignment slot.
+//  - One resident point per party: submissions land in a table indexed
+//    by party id, under the one lock that also guards membership.
+//    Callers do their per-party work (the enclave's seal/open, the
+//    Hellinger embedding) before submit(), outside that lock.
 //  - Threshold-scaled clustering: at or below `lloyd_threshold`
 //    parties, rebuilds run full Lloyd k-means (with the DBI elbow when
 //    k is not fixed); above it they run cluster::MiniBatchKMeans with
@@ -20,18 +20,17 @@
 //
 // Assignments are published as epoch-versioned MembershipViews;
 // within an epoch, existing parties' assignments never change. A
-// rebuild clusters the resident points in party-id order, so it does
-// not depend on submission order unless shards evict.
+// rebuild clusters every submitted point in party-id order, so a view
+// is a function of the submitted set, the seed and the config alone:
+// neither submission order nor thread scheduling reaches it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
-#include "common/rng.h"
 #include "ctrl/drift_monitor.h"
 #include "ctrl/membership_view.h"
 
@@ -44,14 +43,9 @@ struct StreamingClusterConfig {
   std::size_t k_max = 30;
   std::size_t restarts = 3;
   std::size_t elbow_repeats = 5;
-  /// Ingestion shards (independent locks + reservoirs).
-  std::size_t num_shards = 8;
-  /// Reservoir capacity per shard; total buffered points never exceed
-  /// num_shards * shard_capacity regardless of party count.
-  std::size_t shard_capacity = 4096;
   /// Party-count threshold picking the clustering path: <= runs full
   /// Lloyd (+ DBI elbow), > runs mini-batch k-means (+ elbow on a
-  /// sample of `elbow_sample` buffered points).
+  /// sample of `elbow_sample` points).
   std::size_t lloyd_threshold = 5000;
   std::size_t elbow_sample = 1024;
   std::size_t minibatch_size = 256;
@@ -66,18 +60,18 @@ class StreamingClusterEngine {
 
   /// Ingests one party's point (Hellinger-embedded label distribution).
   /// Thread-safe across parties. Re-submission updates the party's
-  /// buffered point in place — it never duplicates the party. When an
-  /// epoch exists, first-time submitters are assigned to the nearest
-  /// centroid incrementally and every submission feeds the drift
-  /// monitor. Returns true for a first-time submission.
+  /// point in place — it never duplicates the party. When an epoch
+  /// exists, first-time submitters are assigned to the nearest centroid
+  /// incrementally and every submission feeds the drift monitor.
+  /// Returns true for a first-time submission.
   bool submit(std::size_t party_id, cluster::Point point);
 
-  /// Clusters the buffered reservoir, publishes a new epoch and resets
-  /// the drift monitor. Parties whose points were evicted from the
-  /// reservoir are carried over by mapping their previous cluster's
+  /// Clusters every submitted point, publishes a new epoch and resets
+  /// the drift monitor. Parties that first submit while the rebuild
+  /// clusters are carried over by mapping their previous cluster's
   /// centroid to the nearest new centroid (deterministic hash spread
-  /// when they predate the first epoch). No-op when nothing has been
-  /// submitted.
+  /// before the first epoch, and for ids that never submitted). No-op
+  /// when nothing has been submitted.
   MembershipView rebuild();
 
   /// rebuild() iff the drift monitor has flagged; returns whether a
@@ -90,26 +84,13 @@ class StreamingClusterEngine {
 
   std::uint64_t epoch() const;
   std::size_t parties() const;
-  std::size_t buffered_points() const;
   /// "none", "lloyd" or "minibatch" — the path the last rebuild took.
   const char* last_path() const;
 
   bool drift_detected() const { return drift_.triggered(); }
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   static constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
-
-  struct Shard {
-    mutable std::mutex mutex;
-    /// party -> reservoir slot (kNoSlot once evicted).
-    std::unordered_map<std::size_t, std::size_t> slot_of;
-    std::vector<std::size_t> party_at;  ///< slot -> party
-    std::vector<cluster::Point> buffer;
-    std::uint64_t seen = 0;  ///< distinct parties ever ingested here
-    std::size_t max_party = 0;  ///< largest party id ingested here
-    common::Rng rng{0};
-  };
 
   /// Immutable per-epoch clustering state (assignments live separately
   /// so late joiners can be appended without copying centroids).
@@ -119,27 +100,21 @@ class StreamingClusterEngine {
     std::vector<cluster::Point> centroids;
   };
 
-  Shard& shard_for(std::size_t party_id);
-  std::shared_ptr<const Epoch> current_epoch() const;
   static std::size_t nearest_centroid(const cluster::Point& point,
                                       const std::vector<cluster::Point>& cs);
-  /// Zero-information fallback for parties with no buffered point and
+  /// Zero-information fallback for parties with no clustered point and
   /// no previous assignment (deterministic, spreads across clusters).
   static std::size_t hash_spread(std::size_t party_id, std::size_t k);
 
   StreamingClusterConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> parties_{0};
 
-  mutable std::mutex membership_mutex_;
-  std::shared_ptr<const Epoch> epoch_;          ///< never null
-  std::vector<std::size_t> assignment_;         ///< party -> cluster
+  mutable std::mutex mutex_;
+  /// party -> its latest point (nullopt until the party submits).
+  std::vector<std::optional<cluster::Point>> points_;
+  std::size_t parties_ = 0;  ///< submitted entries of points_
+  std::shared_ptr<const Epoch> epoch_;   ///< never null
+  std::vector<std::size_t> assignment_;  ///< party -> cluster
   const char* last_path_ = "none";
-  /// Mirrors epoch_->id so the bulk-ingestion hot path can skip all
-  /// membership bookkeeping before the first epoch without touching
-  /// membership_mutex_ (pre-epoch submits only contend on their
-  /// shard's lock).
-  std::atomic<std::uint64_t> epoch_id_{0};
 
   DriftMonitor drift_;
 };

@@ -1,8 +1,7 @@
-// Streaming control plane: threshold path selection, bounded-memory
-// sharded ingestion (incl. concurrent submitters), rebuilds that do
-// not depend on submission order, incremental late-joiner assignment,
-// drift trigger/no-trigger behaviour, and the epoch-versioned selector
-// rebind.
+// Streaming control plane: threshold path selection, one point per
+// party under concurrent submitters, rebuilds that do not depend on
+// submission order at any size, incremental late-joiner assignment,
+// and drift trigger/no-trigger behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,8 +37,6 @@ StreamingClusterConfig small_config() {
   StreamingClusterConfig config;
   config.k_override = 3;
   config.restarts = 2;
-  config.num_shards = 4;
-  config.shard_capacity = 64;
   config.seed = 7;
   return config;
 }
@@ -128,38 +125,17 @@ TEST(StreamingClusterEngine, ResubmissionUpdatesInPlace) {
   for (std::size_t p = 0; p < 10; ++p) {
     EXPECT_TRUE(engine.submit(p, mode_point(p % 3, 6)));
   }
-  // Re-submissions must not inflate the party count or the buffer.
+  // Re-submissions must not inflate the party count.
   for (std::size_t p = 0; p < 10; ++p) {
     EXPECT_FALSE(engine.submit(p, mode_point(p % 3, 6, 0.02)));
   }
   EXPECT_EQ(engine.parties(), 10u);
-  EXPECT_EQ(engine.buffered_points(), 10u);
   const MembershipView view = engine.rebuild();
   EXPECT_EQ(view.cluster_of.size(), 10u);
 }
 
-TEST(StreamingClusterEngine, BoundedBuffersStillCoverEveryParty) {
-  StreamingClusterConfig config = small_config();
-  config.num_shards = 2;
-  config.shard_capacity = 8;  // 16 slots for 100 parties
-  StreamingClusterEngine engine(config);
-  for (std::size_t p = 0; p < 100; ++p) {
-    engine.submit(p, mode_point(p % 3, 6));
-  }
-  EXPECT_EQ(engine.parties(), 100u);
-  EXPECT_LE(engine.buffered_points(), 16u);
-  const MembershipView view = engine.rebuild();
-  ASSERT_EQ(view.cluster_of.size(), 100u);
-  for (const std::size_t c : view.cluster_of) {
-    EXPECT_LT(c, view.k);  // evicted parties still get a live cluster
-  }
-}
-
-TEST(StreamingClusterEngine, ConcurrentShardedSubmissions) {
-  StreamingClusterConfig config = small_config();
-  config.num_shards = 8;
-  config.shard_capacity = 256;
-  StreamingClusterEngine engine(config);
+TEST(StreamingClusterEngine, ConcurrentSubmissions) {
+  StreamingClusterEngine engine(small_config());
   const std::size_t per_thread = 250;
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < 4; ++t) {
@@ -172,7 +148,6 @@ TEST(StreamingClusterEngine, ConcurrentShardedSubmissions) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(engine.parties(), 1000u);
-  EXPECT_EQ(engine.buffered_points(), 1000u);
   const MembershipView view = engine.rebuild();
   ASSERT_EQ(view.cluster_of.size(), 1000u);
   for (std::size_t p = 3; p < 1000; ++p) {
@@ -215,6 +190,37 @@ MembershipView striped_rebuild(const StreamingClusterConfig& config,
   return view;
 }
 
+/// Submits `points` in party-id order from one thread, then in three
+/// shuffled orders from 1, 4 and 8 threads; every rebuild must take
+/// `path` and equal the first bit for bit.
+void expect_order_independent(const StreamingClusterConfig& config,
+                              const std::vector<Point>& points,
+                              const char* path) {
+  const std::size_t n = points.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t p = 0; p < n; ++p) order[p] = p;
+  const MembershipView reference =
+      striped_rebuild(config, points, order, 1, path);
+  ASSERT_EQ(reference.cluster_of.size(), n);
+  for (const std::size_t c : reference.cluster_of) {
+    ASSERT_LT(c, reference.k) << "n=" << n;
+  }
+
+  flips::common::Rng shuffle_rng(31);
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    shuffle_rng.shuffle(order);
+    const MembershipView view =
+        striped_rebuild(config, points, order, threads, path);
+    EXPECT_EQ(view.epoch, reference.epoch);
+    EXPECT_EQ(view.k, reference.k) << "n=" << n << " threads=" << threads;
+    EXPECT_EQ(view.cluster_of, reference.cluster_of)
+        << "n=" << n << " threads=" << threads;
+    // Bit for bit: operator== on doubles, no tolerance.
+    EXPECT_EQ(view.centroids, reference.centroids)
+        << "n=" << n << " threads=" << threads;
+  }
+}
+
 TEST(StreamingClusterEngine, RebuildIndependentOfSubmissionOrder) {
   // Random Dirichlet points have no planted modes, so k-means++
   // seeding and the elbow would land differently for a different
@@ -225,38 +231,29 @@ TEST(StreamingClusterEngine, RebuildIndependentOfSubmissionOrder) {
   for (std::size_t p = 0; p < n; ++p) points.push_back(rng.dirichlet(1.0, 6));
 
   for (const std::size_t threshold : {n, n / 2}) {
-    const char* path = threshold >= n ? "lloyd" : "minibatch";
     StreamingClusterConfig config = small_config();
     config.k_override = 0;  // the elbow sees the order too
     config.k_min = 2;
     config.k_max = 6;
     config.elbow_repeats = 2;
     config.elbow_sample = 128;
-    config.num_shards = 8;
-    config.shard_capacity = n;  // no eviction
     config.lloyd_threshold = threshold;
-
-    std::vector<std::size_t> order(n);
-    for (std::size_t p = 0; p < n; ++p) order[p] = p;
-    const MembershipView reference =
-        striped_rebuild(config, points, order, 1, path);
-    ASSERT_EQ(reference.cluster_of.size(), n);
-
-    flips::common::Rng shuffle_rng(31);
-    for (const std::size_t threads : {1u, 4u, 8u}) {
-      shuffle_rng.shuffle(order);
-      const MembershipView view =
-          striped_rebuild(config, points, order, threads, path);
-      EXPECT_EQ(view.epoch, reference.epoch);
-      EXPECT_EQ(view.k, reference.k)
-          << "threshold=" << threshold << " threads=" << threads;
-      EXPECT_EQ(view.cluster_of, reference.cluster_of)
-          << "threshold=" << threshold << " threads=" << threads;
-      // Bit for bit: operator== on doubles, no tolerance.
-      EXPECT_EQ(view.centroids, reference.centroids)
-          << "threshold=" << threshold << " threads=" << threads;
-    }
+    expect_order_independent(config, points,
+                             threshold >= n ? "lloyd" : "minibatch");
   }
+
+  // Default config at 40,000 parties, more than any bounded buffer of
+  // 8 x 4096 points would hold: every party stays resident, so the
+  // view still depends on the submitted set alone.
+  const std::size_t large = 40'000;
+  std::vector<Point> many;
+  many.reserve(large);
+  for (std::size_t p = 0; p < large; ++p) {
+    many.push_back(rng.dirichlet(1.0, 6));
+  }
+  StreamingClusterConfig config;
+  config.k_override = 4;
+  expect_order_independent(config, many, "minibatch");
 }
 
 TEST(DriftMonitor, WarmupThenTriggerOnShift) {

