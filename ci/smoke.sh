@@ -11,8 +11,9 @@
 #    aggregation, evaluation — so TSan sees the real multi-threaded
 #    round loop, not a synthetic test.
 # 3. bench_scalability at 2k parties with threads=4 drives the
-#    control plane's sharded ingestion from four concurrent
-#    submitters (shard locks, reservoir eviction, late-joiner
+#    control plane's ingestion from four concurrent submitters
+#    (seal/open in each submitting thread, then the engine lock that
+#    guards every party's point and the membership table, late-joiner
 #    assignment, drift observation) — the streaming-service paths
 #    TSan must see under real contention.
 # 4. the 4-thread codec smokes drive the streaming aggregator's
