@@ -19,10 +19,10 @@
 // representation" is now mis-aimed), random stays worst.
 //
 // Defaults: 60 ECG parties, 20 rounds per phase, class separation 0.4
-// (`--set dataset=` picks another dataset). At the ECG preset's own
-// separation every arm, random included, reads 100 % after drift, so
-// the table could not tell the arms apart; EXPERIMENTS.md lists the
-// settings tried.
+// (`--set dataset=` picks another dataset). At the ECG catalog's
+// separation (1.4) every arm, random included, reads 100 % after
+// drift, so the table could not tell the arms apart; EXPERIMENTS.md
+// lists the settings tried.
 #include <algorithm>
 #include <iostream>
 #include <memory>

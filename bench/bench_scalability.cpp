@@ -335,9 +335,9 @@ int main(int argc, char** argv) {
                    std::to_string(kLloydThreshold) +
                    "-party threshold, where it grows ~linearly and "
                    "overtakes Lloyd while agreeing with its cluster "
-                   "structure (Rand agreement ~0.9+); ingestion time is "
-                   "the sealed channel, which the submission threads "
-                   "share out; late joiners "
+                   "structure (Rand agreement ~0.9+); ingestion costs "
+                   "about a microsecond per party (seal/open plus one "
+                   "table write) at any fan-in; late joiners "
                    "cost microseconds (one nearest-centroid scan); "
                    "selection stays microseconds-per-round at every N "
                    "(one O(N) shuffle and partial sort per round).\n";

@@ -6,6 +6,7 @@
 
 #include "cluster/dbi.h"
 #include "cluster/minibatch_kmeans.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
 

@@ -83,7 +83,7 @@ TEST(PrivateClustering, ResubmissionUpdatesInPlaceWithoutDuplicating) {
     service.submit_label_distribution(p, ld);
   }
   // A drift refresh re-submits every party; the service must update
-  // in place, not append (this used to inflate the party count).
+  // in place, not append.
   for (std::size_t p = 0; p < 12; ++p) {
     flips::data::LabelDistribution ld(4, 1.0);
     ld[(p + 1) % 2] = 40.0;  // every party flips its dominant label
