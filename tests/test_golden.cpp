@@ -57,24 +57,24 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
     kGolden = {
         {"GNU-12",
          {
-             {"async_dense64", 0x0ba723305495fd1d},
-             {"async_faults", 0x24e3d1c19d0df372},
-             {"async_faults_stragglers", 0xd52bb727086090f3},
-             {"async_quant8_dp", 0x4d82f70c2c1fd1dd},
-             {"builder_ecg_fedyogi_async_faults", 0x040ffe9bad0e09f2},
-             {"builder_femnist_fedavg", 0x1470763e0ed3cb5e},
-             {"select_flips", 0x6e1fc8000fdf16c6},
-             {"select_oort", 0x3b5392a20a22547a},
-             {"select_random", 0x523a3582e1d8f554},
-             {"sync_deadline", 0xd4b51650f5f25fd9},
-             {"sync_dp", 0xcd3e1b1d21f55d15},
-             {"sync_drop_fraction", 0x9f7a8a1f72c35fd8},
-             {"sync_faults_quant8", 0x912c92253671c9b2},
-             {"sync_fedavg_dense64", 0xff6a7adad4aa8c8c},
-             {"sync_feddyn_topk", 0xa07434680a7d014b},
-             {"sync_fedprox_quant8", 0x9be47ae6cc814bff},
-             {"sync_masking", 0x6842c43a8c487e25},
-             {"sync_scaffold", 0x44e44884efbad54b},
+             {"async_dense64", 0x7e7f291b0c34b3dd},
+             {"async_faults", 0x74d855d5b93067b2},
+             {"async_faults_stragglers", 0x5db96b3a0cc3dc13},
+             {"async_quant8_dp", 0x17707be557be123d},
+             {"builder_ecg_fedyogi_async_faults", 0x28bec44a8161e172},
+             {"builder_femnist_fedavg", 0xe56244cc114baede},
+             {"select_flips", 0x5d69ecf75aec7006},
+             {"select_oort", 0xc85501a1ea19bd3a},
+             {"select_random", 0x23f3a25140edb4d4},
+             {"sync_deadline", 0x18fcda7788a556f9},
+             {"sync_dp", 0x365d96e395820335},
+             {"sync_drop_fraction", 0x940868ce2f130998},
+             {"sync_faults_quant8", 0x1765173b72a13b72},
+             {"sync_fedavg_dense64", 0x44d3ae0b4a149f6c},
+             {"sync_feddyn_topk", 0x4b3fefa3b4e2dd8b},
+             {"sync_fedprox_quant8", 0xdb9267d41aa111bf},
+             {"sync_masking", 0x44d3ae0b4a149f6c},
+             {"sync_scaffold", 0x013adb02ece4de4b},
          }},
 };
 
@@ -290,7 +290,6 @@ std::uint64_t fingerprint(const FlJobResult& result) {
     f.value(r.mean_train_loss);
     f.value(r.upload_bytes);
     f.value(r.download_bytes);
-    f.value(r.setup_bytes);
     f.value(r.selected);
     f.value(r.responded);
     f.value(r.dropped_stale);
