@@ -173,9 +173,7 @@ SelectorResult run_selector(const ExperimentConfig& config,
           : 0.0;
   // Stable machine-readable perf line (schema documented in the
   // header): host wall-clock per simulated round next to the
-  // rounds-to-target the tables report. Emitted through the
-  // registry-backed PerfLine so the numbers also land in the kMetrics
-  // exposition (`flips_perf` gauges).
+  // rounds-to-target the tables report.
   PerfLine(result.selector)
       .num("wall_s_per_round", result.wall_s_per_round, 6)
       .num("rounds_to_target",

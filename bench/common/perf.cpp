@@ -6,60 +6,36 @@
 
 namespace flips::bench {
 
-PerfLine::PerfLine(std::string_view tag) : tag_(tag) {}
-
-obs::Gauge* PerfLine::field_gauge(std::string_view field) const {
-  return &obs::Registry::global().gauge(
-      "flips_perf",
-      {{"line", tag_}, {"field", std::string(field)}});
+PerfLine::PerfLine(std::string_view tag) : line_("perf,") {
+  line_ += tag;
 }
 
 PerfLine& PerfLine::num(std::string_view field, double value,
                         int decimals) {
-  Field f;
-  f.gauge = field_gauge(field);
-  f.decimals = decimals;
-  f.gauge->set(value);
-  fields_.push_back(std::move(f));
+  (void)field;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+  line_ += ',';
+  line_ += buf;
   return *this;
 }
 
 PerfLine& PerfLine::uint(std::string_view field, std::uint64_t value) {
-  Field f;
-  f.gauge = field_gauge(field);
-  f.integral = true;
-  f.gauge->set(static_cast<double>(value));
-  fields_.push_back(std::move(f));
+  (void)field;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%" PRIu64, value);
+  line_ += ',';
+  line_ += buf;
   return *this;
 }
 
 PerfLine& PerfLine::text(std::string_view field, std::string_view value) {
   (void)field;
-  Field f;
-  f.literal = std::string(value);
-  fields_.push_back(std::move(f));
+  line_ += ',';
+  line_ += value;
   return *this;
 }
 
-void PerfLine::print() const {
-  std::string line = "perf," + tag_;
-  char buf[64];
-  for (const Field& f : fields_) {
-    line += ',';
-    if (f.gauge == nullptr) {
-      line += f.literal;
-    } else if (f.integral) {
-      std::snprintf(buf, sizeof buf, "%" PRIu64,
-                    static_cast<std::uint64_t>(f.gauge->value()));
-      line += buf;
-    } else {
-      std::snprintf(buf, sizeof buf, "%.*f", f.decimals,
-                    f.gauge->value());
-      line += buf;
-    }
-  }
-  line += '\n';
-  std::cout << line;
-}
+void PerfLine::print() const { std::cout << line_ << '\n'; }
 
 }  // namespace flips::bench

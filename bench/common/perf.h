@@ -1,13 +1,7 @@
 // The one perf-line emitter behind every `perf,...` CSV line the CI
-// perf job scrapes into BENCH_*.csv artifacts.
-//
-// Each numeric field is published as a `flips_perf{line=...,field=...}`
-// gauge in the global obs registry BEFORE the line is printed, and the
-// printed text is formatted from the values read back out of those
-// gauges — the registry is the single source of numeric truth, the
-// kMetrics / text_exposition view can never disagree with the scraped
-// CSV, and the legacy printf schemas stay byte-identical (gauges store
-// doubles losslessly, so the round-trip is exact).
+// perf job scrapes into BENCH_*.csv artifacts. Each field is formatted
+// as it is appended, so the printed schemas stay byte-identical to the
+// historical printf ones.
 //
 // Usage (replaces an ad-hoc snprintf):
 //
@@ -16,14 +10,13 @@
 //       .num("p50_ms", p50, 3)
 //       .text("verify", "yes")
 //       .print();                 // -> "perf,serving,8,1.234,yes\n"
+//
+// Field names are not printed; they name each column at the call site.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "obs/metrics.h"
 
 namespace flips::bench {
 
@@ -37,26 +30,14 @@ class PerfLine {
   PerfLine& num(std::string_view field, double value, int decimals);
   /// Integer field printed as %llu.
   PerfLine& uint(std::string_view field, std::uint64_t value);
-  /// Non-numeric field (verdicts, codec names) printed verbatim; not
-  /// published to the registry.
+  /// Non-numeric field (verdicts, codec names) printed verbatim.
   PerfLine& text(std::string_view field, std::string_view value);
 
-  /// Prints "perf,<tag>[,<field value>...]\n" to stdout, reading every
-  /// numeric field back from its registry gauge.
+  /// Prints "perf,<tag>[,<field value>...]\n" to stdout.
   void print() const;
 
  private:
-  struct Field {
-    obs::Gauge* gauge = nullptr;  ///< null = verbatim text field
-    std::string literal;
-    int decimals = 0;
-    bool integral = false;
-  };
-
-  obs::Gauge* field_gauge(std::string_view field) const;
-
-  std::string tag_;
-  std::vector<Field> fields_;
+  std::string line_;
 };
 
 }  // namespace flips::bench

@@ -34,7 +34,11 @@
 #    quorum-degraded folds) and a 4-thread async run with churn +
 #    crashes (in-place retry redispatch) — the recovery paths ASan
 #    and TSan must see under real worker-pool contention.
-# 8. the UDS serving smoke runs flips_serve + flips_loadgen as real
+# 8. the DP smokes run one sync and one async flips_run with
+#    privacy=dp and dp_noise=0.5 on 4 workers: the clip inside each
+#    worker's dispatch, and the noise calibration both drivers share
+#    (sigma from the aggregator's fold weights), under ASan and TSan.
+# 9. the UDS serving smoke runs flips_serve + flips_loadgen as real
 #    processes: two tenants over a unix socket, frame parsing, the
 #    reader/builder/scheduler thread handoff, admission accounting, and
 #    graceful drain — the socket plane TSan and ASan must see end to
@@ -44,10 +48,10 @@
 #    mandatory telemetry family is missing from the snapshot or the
 #    server-side rejection counters disagree with the clients' own
 #    kRejected tally.
-# 9. the elbow serving smoke re-runs the UDS pair with
+# 10. the elbow serving smoke re-runs the UDS pair with
 #    flips_clusters=0, so each session's DBI elbow runs inside the
 #    clustering enclave on the server's builder thread.
-# 10. the chaos serving smoke re-runs the UDS pair with --fault: the
+# 11. the chaos serving smoke re-runs the UDS pair with --fault: the
 #    loadgen kills its connection every few steps (half of them with
 #    a request in flight) and recovers via reconnect + idempotent
 #    replay; it still exits non-zero unless the served results are
@@ -88,6 +92,14 @@ tables=("${build_dir}/bench/flips_tables" --scenario ecg-fedavg
 "${build_dir}/bench/flips_run" --set mode=async --set buffer_k=2 \
     --set parties=12 --set samples=24 --set rounds=8 --set runs=1 \
     --set threads=4 --set churn=1 --set fault_rate=0.1
+
+"${build_dir}/bench/flips_run" --set parties=12 --set samples=24 \
+    --set rounds=4 --set runs=1 --set threads=4 --set privacy=dp \
+    --set dp_noise=0.5
+
+"${build_dir}/bench/flips_run" --set mode=async --set buffer_k=2 \
+    --set parties=12 --set samples=24 --set rounds=8 --set runs=1 \
+    --set threads=4 --set privacy=dp --set dp_noise=0.5
 
 # Starts flips_serve on a fresh unix socket (its extra flags come before
 # `--`), drives two tenants with flips_loadgen (the flags after `--`)

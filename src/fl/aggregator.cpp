@@ -1,23 +1,17 @@
 #include "fl/aggregator.h"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/simd.h"
 #include "obs/metrics.h"
 
 namespace flips::fl {
 
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Process-wide aggregation-plane instruments. Registered once on first
 // use (function-local static); the hot paths below only touch the
@@ -187,6 +181,7 @@ void StreamingAggregator::begin_round(std::size_t dim,
   resolved_ = 0;
   contributions_ = 0;
   total_weight_ = 0.0;
+  max_weight_ = 0.0;
   finalized_ = false;
 }
 
@@ -247,7 +242,7 @@ void StreamingAggregator::fold_ready_prefix(bool drain) {
       if (end <= begin) break;
       folded_ = end;
     }
-    if (fold_start_ns == 0) fold_start_ns = steady_now_ns();
+    if (fold_start_ns == 0) fold_start_ns = common::steady_now_ns();
     // Slots in [begin, end) are resolved: their rows_/weights_ entries
     // were published under state_mutex_ and are immutable from now on.
     const double* run_rows[kFoldBlock];
@@ -258,6 +253,7 @@ void StreamingAggregator::fold_ready_prefix(bool drain) {
       run_rows[run] = rows_[slot];
       run_weights[run] = weights_[slot];
       total_weight_ += weights_[slot];
+      max_weight_ = std::max(max_weight_, weights_[slot]);
       ++contributions_;
       if (++run == kFoldBlock) {
         fold_rows(acc_.data(), run_rows, run_weights, run, dim_);
@@ -270,7 +266,8 @@ void StreamingAggregator::fold_ready_prefix(bool drain) {
     const AggInstruments& ins = agg_instruments();
     ins.folds->inc();
     ins.fold_seconds->record(
-        static_cast<double>(steady_now_ns() - fold_start_ns) * 1e-9);
+        static_cast<double>(common::steady_now_ns() - fold_start_ns) *
+        1e-9);
   }
 }
 

@@ -88,6 +88,10 @@ class StreamingAggregator {
 
   /// Responding slots folded so far this round.
   std::size_t contributions() const { return contributions_; }
+  /// Sum and maximum of the folded slots' weights, summed in slot order
+  /// (the weighted mean's sensitivity to one update, for DP noise).
+  double total_weight() const { return total_weight_; }
+  double max_weight() const { return max_weight_; }
 
  private:
   enum class SlotState : unsigned char { kPending, kReady, kSkipped };
@@ -109,6 +113,7 @@ class StreamingAggregator {
   std::size_t resolved_ = 0;
   std::size_t contributions_ = 0;
   double total_weight_ = 0.0;
+  double max_weight_ = 0.0;
   bool finalized_ = false;
 };
 

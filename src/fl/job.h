@@ -79,8 +79,7 @@ struct AsyncConfig {
 
 enum class PrivacyMechanism {
   kNone,
-  kDp,       ///< clip + Gaussian noise on the aggregate, RDP-accounted
-  kMasking,  ///< pairwise-mask SecAgg (exact sum; extra setup bytes)
+  kDp,  ///< clip + Gaussian noise on the aggregate, RDP-accounted
 };
 
 struct DpParams {
@@ -157,10 +156,9 @@ struct FlJobConfig {
   std::size_t threads = 1;
   std::size_t eval_every = 1;
   double target_accuracy = 0.0;  ///< 0 = no target tracking
-  /// Stepping discipline: kSync reproduces the historical round
-  /// barrier bit-for-bit; kAsync runs the FedBuff-style buffered event
-  /// loop configured by `async`. Control-plane work that used to hang
-  /// off a pre-round hook plugs in as a RoundObserver instead (see
+  /// Stepping discipline: kSync runs the round barrier; kAsync runs
+  /// the FedBuff-style buffered event loop configured by `async`.
+  /// Control-plane work plugs in as a RoundObserver (see
   /// ctrl::ReclusterObserver for the streaming-clustering service).
   FederationMode mode = FederationMode::kSync;
   AsyncConfig async;
@@ -168,13 +166,12 @@ struct FlJobConfig {
   /// nominal device; scaled by each party's speed_factor.
   double compute_s_per_sample = 2e-3;
   /// Wire codec for updates (uplink) and the broadcast delta
-  /// (downlink). kDense64 reproduces the PR 1-3 byte accounting
-  /// exactly. Lossy codecs (kQuant8 / kTopK) run with client-side
-  /// error-feedback residuals; the server compresses its own
-  /// per-round parameter delta with a server-side residual, applies
-  /// the DECODED delta to the global model (so server and client
-  /// replicas agree bit-for-bit), and the byte accounting charges the
-  /// encoded sizes. Under DP the decoded uplink update is what gets
+  /// (downlink). kDense64 ships raw doubles. Lossy codecs (kQuant8 /
+  /// kTopK) run with client-side error-feedback residuals; the server
+  /// compresses its own per-round parameter delta with a server-side
+  /// residual, applies the DECODED delta to the global model (so server
+  /// and client replicas agree bit-for-bit), and the byte accounting
+  /// charges the encoded sizes. Under DP the decoded uplink update is what gets
   /// clipped — selectors that read PartyFeedback::delta see the wire
   /// (decoded, clipped) update, i.e. exactly what the server sees.
   net::CodecConfig codec;
@@ -184,8 +181,7 @@ struct FlJobConfig {
   /// byte-identical to a fault-free build. When enabled, the legacy
   /// per-pick availability/fault_rate Bernoulli draws are replaced by
   /// the plan's churn trace and crash stream (which folds the device's
-  /// fault_rate in), so the dead Device reliability fields finally
-  /// fire through exactly one mechanism.
+  /// fault_rate in).
   net::FaultConfig faults;
 };
 
@@ -201,7 +197,6 @@ struct RoundRecord {
   /// observer sinks; FlJobResult's totals are their running sums.
   std::uint64_t upload_bytes = 0;    ///< update traffic this round
   std::uint64_t download_bytes = 0;  ///< broadcast traffic this round
-  std::uint64_t setup_bytes = 0;     ///< SecAgg key-share traffic
   /// Async mode only: arrivals discarded by the bounded-staleness
   /// cutoff during this server step (counted toward `selected` but not
   /// `responded`).
@@ -224,9 +219,7 @@ struct FlJobResult {
   std::vector<RoundRecord> history;  ///< one record per round
   std::vector<double> final_parameters;
   double peak_accuracy = 0.0;
-  /// download_bytes + upload_bytes (+ SecAgg key-share setup traffic,
-  /// which is counted in the total only).
-  std::uint64_t total_bytes = 0;
+  std::uint64_t total_bytes = 0;  ///< download_bytes + upload_bytes
   std::uint64_t download_bytes = 0;  ///< broadcast traffic (codec-aware)
   std::uint64_t upload_bytes = 0;    ///< update traffic (codec-aware)
   double epsilon_spent = 0.0;     ///< DP budget (0 when DP off)

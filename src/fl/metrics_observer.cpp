@@ -1,20 +1,13 @@
 #include "fl/metrics_observer.h"
 
-#include <chrono>
 #include <stdexcept>
 
+#include "common/clock.h"
 #include "fl/job.h"
 
 namespace flips::fl {
 
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Phase durations span sub-microsecond folds to minutes of training.
 constexpr obs::HistogramConfig kPhaseConfig{1e-7, 1e3, 3};
@@ -74,7 +67,7 @@ void MetricsObserver::on_round_begin(std::size_t round,
                                      ParticipantSelector& selector) {
   (void)round;
   (void)selector;
-  round_start_ns_ = steady_now_ns();
+  round_start_ns_ = common::steady_now_ns();
   round_span_id_ = tracer_->next_id();
 }
 
@@ -135,7 +128,7 @@ void MetricsObserver::on_round_end(std::size_t round,
     span.parent = 0;
     span.round = round;
     span.start_ns = round_start_ns_;
-    span.end_ns = steady_now_ns();
+    span.end_ns = common::steady_now_ns();
     tracer_->record(span);
     // Stepping thread drains its own spans: the ring only has to
     // absorb one round's worth, and a full ring still never blocks.

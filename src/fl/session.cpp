@@ -1,7 +1,6 @@
 #include "fl/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/stats.h"
 
 namespace flips::fl {
@@ -119,8 +119,7 @@ void ResultAccounting::on_round_end(std::size_t round,
                                     const RoundRecord& record) {
   download_bytes_ += record.download_bytes;
   upload_bytes_ += record.upload_bytes;
-  total_bytes_ +=
-      record.download_bytes + record.upload_bytes + record.setup_bytes;
+  total_bytes_ += record.download_bytes + record.upload_bytes;
   total_time_s_ += record.round_time_s;
   peak_accuracy_ = std::max(peak_accuracy_, record.balanced_accuracy);
   if (!rounds_to_target_ && target_accuracy_ > 0.0 &&
@@ -173,7 +172,7 @@ FederationSession::FederationSession(
 
   dp_on_ = config_.privacy.mechanism == PrivacyMechanism::kDp &&
            config_.privacy.dp.noise_multiplier > 0.0;
-  masking_on_ = config_.privacy.mechanism == PrivacyMechanism::kMasking;
+  party_in_flight_.assign(n, 0);
 
   codec_on_ = config_.codec.codec != net::Codec::kDense64;
   if (codec_on_) {
@@ -198,17 +197,12 @@ FederationSession::FederationSession(
           "FederationSession: async mode supports ClientAlgo::kSgd only "
           "(SCAFFOLD/FedDyn are round-synchronous)");
     }
-    if (masking_on_) {
-      throw std::invalid_argument(
-          "FederationSession: pairwise-mask SecAgg needs a round barrier "
-          "and is not available in async mode");
-    }
     if (config_.stragglers.mode == StragglerMode::kDeadline &&
         config_.stragglers.deadline_s > 0.0) {
       // There is no round to bound in async mode: slow updates are
       // discounted and eventually dropped by the staleness cutoff, so a
       // configured deadline would be silently ignored. Fail fast like
-      // SCAFFOLD/masking rather than run a config that means nothing.
+      // SCAFFOLD rather than run a config that means nothing.
       throw std::invalid_argument(
           "FederationSession: StragglerMode::kDeadline has no effect in "
           "async mode (the bounded-staleness cutoff subsumes it) — use "
@@ -226,7 +220,6 @@ FederationSession::FederationSession(
     for (std::size_t k = 0; k < cohort; ++k) {
       free_slots_[k] = cohort - 1 - k;
     }
-    party_in_flight_.assign(n, 0);
   }
 
   observers_.push_back(&accounting_);
@@ -290,18 +283,11 @@ void FederationSession::emit_phase(std::size_t round, SessionPhase phase,
   PhaseRecord record;
   record.phase = phase;
   record.start_ns = start_ns;
-  record.end_ns = steady_now_ns();
+  record.end_ns = common::steady_now_ns();
   record.sim_time_s = sim_time_s_;
   for (RoundObserver* obs : observers_) {
     obs->on_phase(round, record);
   }
-}
-
-std::uint64_t FederationSession::steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 FederationSession::Dispatch FederationSession::dispatch_party(
@@ -524,9 +510,64 @@ double FederationSession::fold_weight(const PartyFeedback& fb) const {
   return fb.num_samples > 0 ? static_cast<double>(fb.num_samples) : 1.0;
 }
 
+std::vector<std::size_t> FederationSession::pick_parties(std::size_t round,
+                                                         std::size_t want,
+                                                         std::size_t limit) {
+  // Selectors should return distinct, valid ids; a pick that names no
+  // party, repeats one or names one already dispatched is dropped.
+  std::vector<std::size_t> kept;
+  for (const std::size_t p : selector_->select(round, want)) {
+    if (kept.size() == limit) break;
+    if (p >= parties_->size() || party_in_flight_[p] != 0) continue;
+    party_in_flight_[p] = 1;
+    kept.push_back(p);
+  }
+  return kept;
+}
+
+void FederationSession::begin_dispatch(Dispatch& d, std::size_t p,
+                                       double time_s) {
+  d.fb.party_id = p;
+  d.event = dispatch_seq_++;
+  // Stateful churn cursor: stepping thread only, at dispatch time. The
+  // workers then use only the plan's stateless crash and link streams.
+  const PartyProfile& profile = (*parties_)[p].profile();
+  d.churned = faults_on_ && !faults_.available(p, time_s, profile.mean_up_s,
+                                               profile.mean_down_s);
+}
+
+void FederationSession::add_dp_noise(std::vector<double>& aggregate) {
+  if (!dp_on_) return;
+  // Weighted-mean sensitivity: one clipped update moves the aggregate by
+  // at most clip_norm * w_i / sum(w), so sigma is calibrated on the
+  // LARGEST folded weight. Sync weights are all 1.0 (fold_weight), which
+  // gives clip_norm / K; async weights are staleness discounts, and a
+  // fresh update among stale ones has influence above clip_norm / K.
+  // sigma / sensitivity stays noise_multiplier either way, so the
+  // accountant's per-step z is unchanged.
+  const double sigma = config_.privacy.dp.noise_multiplier *
+                       config_.privacy.dp.clip_norm *
+                       aggregator_.max_weight() / aggregator_.total_weight();
+  privacy::add_gaussian_noise(aggregate, sigma, rng_);
+  accountant_.step(config_.privacy.dp.noise_multiplier);
+}
+
+void FederationSession::emit_retry(std::size_t round, std::size_t party,
+                                   std::size_t attempt, double backoff_s,
+                                   double time_s) {
+  RetryRecord retry;
+  retry.party_id = party;
+  retry.attempt = attempt;
+  retry.backoff_s = backoff_s;
+  retry.time_s = time_s;
+  for (RoundObserver* obs : observers_) {
+    obs->on_retry(round, retry);
+  }
+}
+
 const RoundRecord& FederationSession::finish_step(std::size_t step,
                                                   RoundRecord& record) {
-  const std::uint64_t t = steady_now_ns();
+  const std::uint64_t t = common::steady_now_ns();
   evaluate_round(step, record);
   emit_phase(step, SessionPhase::kEval, t);
   history_.push_back(std::move(record));

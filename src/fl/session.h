@@ -38,16 +38,17 @@
 //       retried in place after a backoff; other non-responders
 //       (stragglers, empty parties) are not. Async supports
 //       ClientAlgo::kSgd (with FedProx mu), DP and the lossy uplink
-//       codecs; SCAFFOLD / FedDyn / masking are round-synchronous by
-//       construction and rejected at build time, as is
-//       StragglerMode::kDeadline (the staleness cutoff subsumes it).
-//       Under DP the noise sigma is calibrated on the weighted-mean
-//       sensitivity clip * max(w) / sum(w), which reduces to the sync
-//       clip / K when all weights are equal. The downlink ships the
-//       full model per dispatch (no broadcast-delta compression).
+//       codecs; SCAFFOLD / FedDyn are round-synchronous by construction
+//       and rejected at build time, as is StragglerMode::kDeadline (the
+//       staleness cutoff subsumes it). The downlink ships the full model
+//       per dispatch (no broadcast-delta compression).
 //
-// Both drivers end a step with the same epilogue (finish_step): eval,
-// history, observer fan-out, report_round and arena release.
+// Every decision the two drivers share has one implementation in
+// fl/session.cpp: pick_parties() (selector picks, minus unknown and
+// already-dispatched ids), begin_dispatch() (dispatch sequence and churn
+// verdict), add_dp_noise() (sigma from the aggregator's fold weights),
+// emit_retry() and the step epilogue finish_step() (eval, history,
+// observer fan-out, report_round and arena release).
 //
 // Ownership: the session owns (or shares) its parties — a value
 // vector or a shared_ptr<const std::vector<Party>> — so a session can
@@ -124,9 +125,8 @@ class FederationSession {
   [[nodiscard]] bool done() const;
 
   /// Runs the next server step (sync: one barrier round; async: one
-  /// buffered step) and returns its record — the single public
-  /// stepping entry point (the sync-only run_round() alias is gone).
-  /// Throws std::logic_error when done().
+  /// buffered step) and returns its record. Throws std::logic_error when
+  /// done().
   const RoundRecord& advance();
 
   /// Server steps completed so far.
@@ -169,7 +169,6 @@ class FederationSession {
   common::ThreadPool& pool() {
     return shared_pool_ != nullptr ? *shared_pool_ : *owned_pool_;
   }
-  static std::uint64_t steady_now_ns();
 
   // ---- The party-dispatch kernel (session.cpp). ----
   /// Runs one dispatch of `party` end to end: duration draw, straggler
@@ -186,6 +185,23 @@ class FederationSession {
   /// Base fold weight of a trained dispatch: its sample count, or 1.0
   /// under DP (equal weights keep the clip-based sensitivity valid).
   double fold_weight(const PartyFeedback& fb) const;
+
+  // ---- Step decisions shared by both drivers (session.cpp). ----
+  /// Asks the selector for `want` parties at `round` and keeps, in pick
+  /// order and at most `limit` of them, the ids that name a party not
+  /// already dispatched. Marks each kept party in party_in_flight_.
+  std::vector<std::size_t> pick_parties(std::size_t round, std::size_t want,
+                                        std::size_t limit);
+  /// Prepares `d` for a fresh dispatch of `party` at simulated time
+  /// `time_s`: takes the next dispatch sequence and checks the churn
+  /// trace (stepping thread only).
+  void begin_dispatch(Dispatch& d, std::size_t party, double time_s);
+  /// Under DP, adds Gaussian noise to the finalized aggregate and steps
+  /// the accountant; a no-op otherwise.
+  void add_dp_noise(std::vector<double>& aggregate);
+  /// Fans one fault-plan retry out to observers.
+  void emit_retry(std::size_t round, std::size_t party, std::size_t attempt,
+                  double backoff_s, double time_s);
   /// Shared step epilogue: eval, history, observer fan-out,
   /// report_round and arena release of the step's feedback_.
   const RoundRecord& finish_step(std::size_t step, RoundRecord& record);
@@ -197,7 +213,6 @@ class FederationSession {
 
   // ---- Sync driver (session_sync.cpp). ----
   const RoundRecord& sync_step();
-  std::vector<std::size_t> select_cohort(std::size_t round);
   /// Trains the cohort; under a fault plan, follows up with backfill
   /// waves that replace fault-failed slots from the selector (cohort
   /// grows in place). Returns the round's simulated elapsed seconds
@@ -220,10 +235,6 @@ class FederationSession {
   /// dispatch batch in parallel, and schedules its arrivals. Returns
   /// the number of parties dispatched.
   std::size_t refill_inflight(std::size_t step);
-  /// Prepares `slot` for a fresh dispatch of `party` at simulated time
-  /// `time_s`: clears the previous outcome, takes the next dispatch
-  /// sequence and checks the churn trace (stepping thread only).
-  void begin_dispatch(std::size_t slot, std::size_t party, double time_s);
   /// Runs the dispatch kernel for a slot prepared by begin_dispatch(),
   /// on the slot's dispatch-sequence-keyed RNG stream.
   void run_dispatch(InFlight& flight, double lr);
@@ -246,7 +257,7 @@ class FederationSession {
   std::vector<std::shared_ptr<RoundObserver>> owned_observers_;
   ResultAccounting accounting_;
 
-  // ---- Cross-round state (what the monolithic run() kept in locals).
+  // ---- Cross-round state.
   bool inert_ = false;  ///< empty federation / zero rounds
   std::size_t next_round_ = 1;
   std::size_t dim_ = 0;
@@ -263,7 +274,6 @@ class FederationSession {
   std::vector<std::vector<double>> feddyn_hi_;
 
   bool dp_on_ = false;
-  bool masking_on_ = false;
 
   // Aggregation plane + wire codec state (see fl/job.h for the codec
   // contract; buffers recycle across rounds — zero steady-state
@@ -282,6 +292,11 @@ class FederationSession {
   // Hoisted per-round containers: capacity survives across rounds.
   std::vector<Dispatch> outcomes_;
   std::vector<PartyFeedback> feedback_;
+  /// Per-party dispatch guard: set by pick_parties(), cleared when the
+  /// party's dispatch ends (sync: at round end; async: when its slot
+  /// frees).
+  std::vector<char> party_in_flight_;
+  std::uint64_t dispatch_seq_ = 0;  ///< next dispatch sequence number
 
   // ---- Async (FedBuff) engine state. Slots are in-flight dispatch
   // records; the arrival queue holds (time, seq, slot) events. The
@@ -289,11 +304,9 @@ class FederationSession {
   // dispatch record during the parallel training batch.
   std::vector<InFlight> inflight_;
   std::vector<std::size_t> free_slots_;
-  std::vector<char> party_in_flight_;  ///< per-party dispatch guard
   net::ArrivalQueue arrivals_;
-  std::uint64_t dispatch_seq_ = 0;
   std::size_t server_version_ = 0;  ///< completed async server steps
-  double sim_time_s_ = 0.0;         ///< async simulated clock
+  double sim_time_s_ = 0.0;         ///< simulated clock
   std::size_t buffer_k_ = 0;        ///< resolved async.buffer_k
   bool exhausted_ = false;          ///< async: no arrivals left to drive
 

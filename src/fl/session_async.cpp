@@ -3,10 +3,9 @@
 // its staleness discount and steps the server every buffer_k folds.
 // Every dispatch, first try or retry, goes through begin_dispatch() and
 // the shared dispatch kernel.
-#include <algorithm>
-#include <unordered_set>
 #include <utility>
 
+#include "common/clock.h"
 #include "fl/session.h"
 
 namespace flips::fl {
@@ -22,26 +21,19 @@ constexpr std::uint64_t kAsyncStreamSalt = 0x0A57'0000'0000'0000ull;
 
 std::size_t FederationSession::refill_inflight(std::size_t step) {
   if (free_slots_.empty()) return 0;
-  const std::size_t n = parties_->size();
-  const std::vector<std::size_t> picks =
-      selector_->select(step, config_.parties_per_round);
-
   // Stepping thread assigns slots and dispatch metadata; the worker
   // pool then trains the whole batch against the CURRENT server state
   // (every dispatch in the batch shares one model version, so training
   // eagerly at dispatch time is equivalent to training on arrival).
   std::vector<std::size_t> batch;
-  std::unordered_set<std::size_t> seen;
-  for (const std::size_t p : picks) {
-    if (free_slots_.empty()) break;
-    if (p >= n || party_in_flight_[p] != 0 || !seen.insert(p).second) {
-      continue;
-    }
-    party_in_flight_[p] = 1;
+  for (const std::size_t p : pick_parties(step, config_.parties_per_round,
+                                          free_slots_.size())) {
     const std::size_t slot = free_slots_.back();
     free_slots_.pop_back();
-    inflight_[slot].attempt = 0;
-    begin_dispatch(slot, p, sim_time_s_);
+    InFlight& f = inflight_[slot];
+    f.attempt = 0;
+    f.dispatch_version = server_version_;
+    begin_dispatch(f, p, sim_time_s_);
     batch.push_back(slot);
   }
   if (batch.empty()) return 0;
@@ -58,18 +50,6 @@ std::size_t FederationSession::refill_inflight(std::size_t step) {
   return batch.size();
 }
 
-void FederationSession::begin_dispatch(std::size_t slot, std::size_t p,
-                                       double time_s) {
-  InFlight& f = inflight_[slot];
-  f.fb.party_id = p;
-  f.event = dispatch_seq_++;
-  f.dispatch_version = server_version_;
-  // Stateful churn cursor: stepping thread only, at dispatch time.
-  const PartyProfile& profile = (*parties_)[p].profile();
-  f.churned = faults_on_ && !faults_.available(p, time_s, profile.mean_up_s,
-                                               profile.mean_down_s);
-}
-
 void FederationSession::run_dispatch(InFlight& f, double lr) {
   const std::size_t p = f.fb.party_id;
   static_cast<Dispatch&>(f) = dispatch_party(
@@ -84,7 +64,7 @@ const RoundRecord& FederationSession::async_step() {
   }
 
   const double step_start_s = sim_time_s_;
-  std::uint64_t t = steady_now_ns();
+  std::uint64_t t = common::steady_now_ns();
   const std::size_t dispatched = refill_inflight(step);
   emit_phase(step, SessionPhase::kTrainCohort, t);
 
@@ -99,7 +79,7 @@ const RoundRecord& FederationSession::async_step() {
     return finish_step(step, record);
   }
 
-  t = steady_now_ns();
+  t = common::steady_now_ns();
   aggregator_.begin_round(dim_, buffer_k_);
   feedback_.clear();
   RoundRecord record;
@@ -109,8 +89,6 @@ const RoundRecord& FederationSession::async_step() {
   std::size_t folded = 0;
   std::size_t redispatched = 0;  ///< fault-plan retries this step
   double loss_sum = 0.0;
-  double weight_sum = 0.0;  ///< folded fold-weights (DP sensitivity)
-  double weight_max = 0.0;
   // Folded slots stay occupied until the server step: the aggregator
   // borrows their delta buffers until finalize().
   std::vector<std::pair<std::size_t, std::size_t>> folded_slots;
@@ -144,8 +122,6 @@ const RoundRecord& FederationSession::async_step() {
       case ArrivalOutcome::kFolded:
         up_bytes += f.wire_bytes;
         loss_sum += f.fb.mean_loss;
-        weight_sum += arec.weight;
-        weight_max = std::max(weight_max, arec.weight);
         aggregator_.submit(folded, arec.weight, f.delta);
         folded_slots.emplace_back(ev.slot, feedback_.size());
         feedback_.push_back(f.fb);  // delta attached after finalize
@@ -180,18 +156,12 @@ const RoundRecord& FederationSession::async_step() {
           ++redispatched;
           const std::size_t attempt = ++f.attempt;
           const double backoff_s = config_.faults.backoff_s(attempt - 1);
-          RetryRecord retry;
-          retry.party_id = pid;
-          retry.attempt = attempt;
-          retry.backoff_s = backoff_s;
-          retry.time_s = sim_time_s_;
-          for (RoundObserver* obs : observers_) {
-            obs->on_retry(step, retry);
-          }
+          emit_retry(step, pid, attempt, backoff_s, sim_time_s_);
           // The churn trace is re-checked at the retry time — backoff
           // is also how a churned party waits out its downtime.
           const double redispatch_s = sim_time_s_ + backoff_s;
-          begin_dispatch(ev.slot, pid, redispatch_s);
+          f.dispatch_version = server_version_;
+          begin_dispatch(f, pid, redispatch_s);
           run_dispatch(f, local_sgd_.learning_rate_for_round(step));
           arrivals_.push(
               {redispatch_s + f.fb.duration_s, f.event, ev.slot});
@@ -223,24 +193,9 @@ const RoundRecord& FederationSession::async_step() {
   record.mean_train_loss =
       folded > 0 ? loss_sum / static_cast<double>(folded) : 0.0;
 
-  t = steady_now_ns();
+  t = common::steady_now_ns();
   if (aggregator_.contributions() > 0) {
-    if (dp_on_) {
-      // Weighted-mean sensitivity: the fold weights are the staleness
-      // discounts (base weight is forced to 1.0 under DP, as in sync),
-      // so one clipped update moves the aggregate by at most
-      // clip_norm * w_i / sum(w). Calibrate sigma on the LARGEST folded
-      // weight — a fresh update among stale ones has influence above
-      // clip/K, and the equal-weight sync formula would under-noise it.
-      // With all weights equal this reduces to clip_norm / K exactly,
-      // and sigma / sensitivity stays noise_multiplier, so the
-      // accountant's per-step z is unchanged.
-      const double sigma =
-          config_.privacy.dp.noise_multiplier *
-          config_.privacy.dp.clip_norm * weight_max / weight_sum;
-      privacy::add_gaussian_noise(aggregate, sigma, rng_);
-      accountant_.step(config_.privacy.dp.noise_multiplier);
-    }
+    add_dp_noise(aggregate);
     server_.apply(global_params_, aggregate);
     model_.set_parameters(global_params_);
     // Staleness is measured in APPLIED steps: an empty flush does not

@@ -5,26 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_set>
+#include <limits>
 #include <utility>
 
+#include "common/clock.h"
 #include "fl/session.h"
 
 namespace flips::fl {
-
-std::vector<std::size_t> FederationSession::select_cohort(
-    std::size_t round) {
-  std::vector<std::size_t> cohort =
-      selector_->select(round, config_.parties_per_round);
-  // Defensive: clamp ids and dedupe (selectors should already comply).
-  const std::size_t n = parties_->size();
-  std::unordered_set<std::size_t> seen;
-  std::vector<std::size_t> valid;
-  for (const std::size_t p : cohort) {
-    if (p < n && seen.insert(p).second) valid.push_back(p);
-  }
-  return valid;
-}
 
 double FederationSession::train_cohort(std::size_t round,
                                        std::vector<std::size_t>& cohort,
@@ -53,8 +40,6 @@ double FederationSession::train_cohort(std::size_t round,
     // exponential backoff. Wave count is capped by max_retries and the
     // slot budget; everything runs on the stepping thread, so the
     // schedule is a pure function of the seed.
-    std::unordered_set<std::size_t> dispatched(cohort.begin(),
-                                               cohort.end());
     std::size_t wave_begin = 0;
     for (std::size_t wave = 1; wave <= config_.faults.max_retries;
          ++wave) {
@@ -65,25 +50,12 @@ double FederationSession::train_cohort(std::size_t round,
       const std::size_t room = base + budget - outcomes_.size();
       const std::size_t need = std::min(failures, room);
       if (need == 0) break;
-      std::vector<std::size_t> extra;
-      for (const std::size_t p : selector_->select(round, need)) {
-        if (extra.size() == need) break;
-        if (p < parties_->size() && dispatched.insert(p).second) {
-          extra.push_back(p);
-        }
-      }
+      const std::vector<std::size_t> extra = pick_parties(round, need, need);
       if (extra.empty()) break;
       const double backoff_s = config_.faults.backoff_s(wave - 1);
       elapsed_s += backoff_s;
       for (const std::size_t p : extra) {
-        RetryRecord retry;
-        retry.party_id = p;
-        retry.attempt = wave;
-        retry.backoff_s = backoff_s;
-        retry.time_s = sim_time_s_ + elapsed_s;
-        for (RoundObserver* obs : observers_) {
-          obs->on_retry(round, retry);
-        }
+        emit_retry(round, p, wave, backoff_s, sim_time_s_ + elapsed_s);
       }
       record.backfilled += extra.size();
       wave_begin = outcomes_.size();
@@ -107,18 +79,8 @@ double FederationSession::train_wave(std::size_t round,
   const double lr = local_sgd_.learning_rate_for_round(round);
 
   outcomes_.resize(slot_offset + wave.size());
-  // Fault pre-pass on the stepping thread: assign each dispatch its
-  // fault-stream key and query the (stateful) churn trace at the
-  // wave's dispatch time. Workers then only use the stateless streams.
-  if (faults_on_) {
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Dispatch& out = outcomes_[slot_offset + i];
-      out.event = dispatch_seq_++;
-      const PartyProfile& profile = (*parties_)[wave[i]].profile();
-      out.churned = !faults_.available(wave[i], dispatch_time_s,
-                                       profile.mean_up_s,
-                                       profile.mean_down_s);
-    }
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    begin_dispatch(outcomes_[slot_offset + i], wave[i], dispatch_time_s);
   }
 
   // ---- Parallel phase: each party runs the dispatch kernel into its
@@ -211,14 +173,7 @@ std::uint64_t FederationSession::server_step(
     const std::vector<std::size_t>& cohort, bool apply) {
   std::uint64_t round_down_bytes = 0;
   if (apply && aggregator_.contributions() > 0) {
-    if (dp_on_) {
-      const double sigma =
-          config_.privacy.dp.noise_multiplier *
-          config_.privacy.dp.clip_norm /
-          static_cast<double>(aggregator_.contributions());
-      privacy::add_gaussian_noise(aggregate, sigma, rng_);
-      accountant_.step(config_.privacy.dp.noise_multiplier);
-    }
+    add_dp_noise(aggregate);
     if (codec_on_) {
       // The broadcast is the codec-compressed per-round parameter
       // delta (clients cache the model and apply decoded deltas). The
@@ -263,21 +218,26 @@ const RoundRecord& FederationSession::sync_step() {
     obs->on_round_begin(round, *selector_);
   }
 
-  std::uint64_t t = steady_now_ns();
-  std::vector<std::size_t> cohort = select_cohort(round);
+  std::uint64_t t = common::steady_now_ns();
+  // The cohort keeps every valid pick: FLIPS over-provisions past
+  // parties_per_round when parties straggle.
+  std::vector<std::size_t> cohort =
+      pick_parties(round, config_.parties_per_round,
+                   std::numeric_limits<std::size_t>::max());
   const std::size_t base_cohort = cohort.size();
   emit_phase(round, SessionPhase::kSelect, t);
 
-  t = steady_now_ns();
+  t = common::steady_now_ns();
   RoundRecord record;
   record.round = round;
   const double elapsed_s = train_cohort(round, cohort, record);
+  for (const std::size_t p : cohort) party_in_flight_[p] = 0;
   emit_phase(round, SessionPhase::kTrainCohort, t);
 
   // Drain the streaming fold (any trailing partial block) and take the
   // weighted mean BEFORE the delta buffers move into feedback (the
   // aggregator borrows the submitted buffers until finalize()).
-  t = steady_now_ns();
+  t = common::steady_now_ns();
   std::vector<double>& aggregate = aggregator_.finalize();
 
   fold_outcomes(cohort, record, record.upload_bytes);
@@ -301,18 +261,13 @@ const RoundRecord& FederationSession::sync_step() {
     }
   }
 
-  t = steady_now_ns();
+  t = common::steady_now_ns();
   record.download_bytes = server_step(aggregate, cohort, apply);
-  if (masking_on_ && cohort.size() > 1) {
-    record.setup_bytes = static_cast<std::uint64_t>(32) * cohort.size() *
-                         (cohort.size() - 1);  // pairwise key shares
-  }
   emit_phase(round, SessionPhase::kServerStep, t);
 
   const RoundRecord& stored = finish_step(round, record);
   // Advance the simulated clock (drives the churn traces across
-  // rounds; sync phase records historically stamped 0 here, and no
-  // consumer depends on that).
+  // rounds).
   sim_time_s_ += stored.round_time_s;
   return stored;
 }

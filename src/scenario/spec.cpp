@@ -100,7 +100,6 @@ constexpr Choice<fl::ClientAlgo> kClientAlgos[] = {
 constexpr Choice<fl::PrivacyMechanism> kPrivacy[] = {
     {"none", fl::PrivacyMechanism::kNone},
     {"dp", fl::PrivacyMechanism::kDp},
-    {"masking", fl::PrivacyMechanism::kMasking},
 };
 constexpr Choice<fl::FederationMode> kModes[] = {
     {"sync", fl::FederationMode::kSync},

@@ -74,7 +74,7 @@ struct ScenarioSpec {
   std::size_t max_retries = 2;
 
   // Privacy.
-  std::string privacy = "none";  ///< none | dp | masking
+  std::string privacy = "none";  ///< none | dp
   double dp_clip = 1.0;
   double dp_noise = 0.0;
 

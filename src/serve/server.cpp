@@ -12,18 +12,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/clock.h"
 #include "fl/metrics_observer.h"
 
 namespace flips::serve {
 
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 const char* frame_type_label(net::FrameType type) {
   switch (type) {
@@ -340,7 +334,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         // Its session (if any) is untouched, so a reconnecting client
         // resumes stepping exactly where it left off.
         tenant.conn = conn;
-        tenant.last_activity_ns = steady_now_ns();
+        tenant.last_activity_ns = common::steady_now_ns();
         conn->tenant = tenant_ptr;
         send_status(conn, frame.type, net::FrameStatus::kOk,
                     "flips_serve v" + std::to_string(net::kFrameVersion) +
@@ -363,7 +357,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       tenant->reply_seconds = &reg.histogram(
           "flips_serve_reply_seconds", labels, {1e-6, 100.0, 3});
       tenant->conn = conn;
-      tenant->last_activity_ns = steady_now_ns();
+      tenant->last_activity_ns = common::steady_now_ns();
       conn->tenant = tenant;
       tenants_.push_back(std::move(tenant));
       send_status(conn, frame.type, net::FrameStatus::kOk,
@@ -408,7 +402,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
   Pending work;
   work.type = frame.type;
   work.conn = conn;
-  work.enqueued_ns = steady_now_ns();
+  work.enqueued_ns = common::steady_now_ns();
   if (frame.type == net::FrameType::kOpenSession) {
     KvPairs kv;
     std::string error;
@@ -431,7 +425,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(mu_);
     if (refuse_locked(conn, frame.type)) return;
     Tenant& tenant = *conn->tenant;
-    tenant.last_activity_ns = steady_now_ns();
+    tenant.last_activity_ns = common::steady_now_ns();
     if (frame.type == net::FrameType::kStep) {
       // Admission control: bound the tenant's queued + executing steps.
       if (tenant.inflight_steps >= config_.max_inflight_per_tenant) {
@@ -545,7 +539,7 @@ void Server::scheduler_loop() {
       if (evicting) {
         while (!runnable()) {
           work_cv_.wait_for(lock, sweep_every);
-          evict_idle_tenants_locked(steady_now_ns());
+          evict_idle_tenants_locked(common::steady_now_ns());
         }
       } else {
         work_cv_.wait(lock, runnable);
@@ -644,7 +638,8 @@ void Server::execute(Tenant& tenant, Pending work) {
       }
       send_frame(*conn, reply);
       tenant.reply_seconds->record(
-          static_cast<double>(steady_now_ns() - work.enqueued_ns) * 1e-9);
+          static_cast<double>(common::steady_now_ns() - work.enqueued_ns) *
+          1e-9);
       retire_if_finished(tenant);
       std::lock_guard<std::mutex> lock(mu_);
       --tenant.inflight_steps;

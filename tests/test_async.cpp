@@ -127,12 +127,6 @@ TEST(AsyncSession, RejectsRoundSynchronousConfigs) {
                                  tiny_model(7), tiny_selector(fed)),
                std::invalid_argument);
 
-  auto masked = async_config(4, 7);
-  masked.privacy.mechanism = flips::fl::PrivacyMechanism::kMasking;
-  EXPECT_THROW(FederationSession(masked, fed.parties, fed.test,
-                                 tiny_model(7), tiny_selector(fed)),
-               std::invalid_argument);
-
   // A deadline has no round to bound in async mode — fail fast instead
   // of silently ignoring it (a zero deadline means "unbounded" and is
   // still accepted).

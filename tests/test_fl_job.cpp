@@ -310,7 +310,7 @@ TEST(FlJobCodecs, Quant8CutsBytesAndTracksDenseAccuracy) {
   const auto quant = run_with(flips::net::Codec::kQuant8);
   const auto topk = run_with(flips::net::Codec::kTopK);
 
-  // Accounting consistency: no masking, so up + down == total.
+  // Accounting consistency: up + down == total.
   for (const auto* r : {&dense, &quant, &topk}) {
     EXPECT_EQ(r->upload_bytes + r->download_bytes, r->total_bytes);
   }

@@ -73,7 +73,6 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
              {"sync_fedavg_dense64", 0x44d3ae0b4a149f6c},
              {"sync_feddyn_topk", 0x4b3fefa3b4e2dd8b},
              {"sync_fedprox_quant8", 0xdb9267d41aa111bf},
-             {"sync_masking", 0x44d3ae0b4a149f6c},
              {"sync_scaffold", 0x013adb02ece4de4b},
          }},
 };
@@ -198,9 +197,6 @@ std::map<std::string, Cell> cells() {
   sync("sync_dp", [](FlJobConfig& c) {
     c.privacy.mechanism = flips::fl::PrivacyMechanism::kDp;
     c.privacy.dp.noise_multiplier = 0.5;
-  });
-  sync("sync_masking", [](FlJobConfig& c) {
-    c.privacy.mechanism = flips::fl::PrivacyMechanism::kMasking;
   });
   sync("sync_deadline", [](FlJobConfig& c) {
     c.stragglers.mode = flips::fl::StragglerMode::kDeadline;

@@ -54,9 +54,19 @@ TEST(ScenarioSpec, OverridesParseAndValidate) {
         "prox_mu=inf", "dp_noise=-0.5", "dp_noise=nan", "dp_noise=inf",
         "straggler_rate=-0.1", "straggler_rate=1.5", "straggler_rate=nan",
         "target_accuracy=-0.1", "target_accuracy=1.01",
-        "target_accuracy=nan"}) {
+        "target_accuracy=nan", "privacy=masking"}) {
     EXPECT_THROW(flips::apply_override(spec, bad), std::invalid_argument)
         << bad;
+  }
+  // No session masks updates, so masking is not a privacy mechanism;
+  // the rejection names the ones that exist.
+  try {
+    flips::apply_override(spec, "privacy=masking");
+    ADD_FAILURE() << "privacy=masking was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("(expected one of: none dp)"),
+              std::string::npos)
+        << error.what();
   }
   flips::apply_override(spec, "runs=1");
   flips::apply_override(spec, "participation=1");
