@@ -1,15 +1,14 @@
 // Micro-benchmarks for the aggregation path: the legacy collect-then-
-// fold (`aggregate_updates`), the streaming aggregation plane
+// fold (`aggregate_updates`), the aggregation plane's ordered fold
 // (fl/aggregator.h), each wire codec's encode/decode, and each server
 // optimizer's apply step, across model sizes.
 //
 // Besides the BM_ cases, main() emits two machine-readable reports:
-//   aggcmp,<parties>,<dim>,<legacy_GBps>,<streaming_GBps>,<speedup>
-//     — the legacy-vs-streaming throughput comparison the acceptance
-//       gate reads (streaming must be >= 2x at cohort >= 64), and
+//   aggcmp,<mode>,<parties>,<dim>,<legacy_GBps>,<plane_GBps>,<speedup>
+//     — the legacy-vs-plane throughput comparison, and
 //   alloc,steady_state,<count>
 //     — heap allocations observed across measured rounds of the full
-//       lease -> encode/decode -> submit -> finalize -> release cycle
+//       lease -> encode/decode -> add -> finalize -> release cycle
 //       AFTER warm-up. The plane's contract is 0.
 #include <benchmark/benchmark.h>
 
@@ -92,18 +91,18 @@ BENCHMARK(BM_AggregateUpdates)
     ->Args({64, 100000})
     ->Args({200, 100000});
 
-/// One full streaming round over pre-materialized deltas: begin_round,
-/// submit every cohort slot (block folds happen inside), finalize.
-void BM_StreamingAggregator(benchmark::State& state) {
+/// One full aggregator round over pre-materialized deltas:
+/// begin_round, add every cohort slot in order, finalize (one fold).
+void BM_OrderedFold(benchmark::State& state) {
   const auto parties = static_cast<std::size_t>(state.range(0));
   const auto dim = static_cast<std::size_t>(state.range(1));
   const auto updates = make_updates(parties, dim);
-  flips::fl::StreamingAggregator aggregator;
+  flips::fl::Aggregator aggregator;
   for (auto _ : state) {
-    aggregator.begin_round(dim, parties);
+    aggregator.begin_round(dim);
     for (std::size_t k = 0; k < parties; ++k) {
-      aggregator.submit(k, static_cast<double>(updates[k].num_samples),
-                        updates[k].delta);
+      aggregator.add(static_cast<double>(updates[k].num_samples),
+                     updates[k].delta);
     }
     benchmark::DoNotOptimize(aggregator.finalize().data());
   }
@@ -111,7 +110,7 @@ void BM_StreamingAggregator(benchmark::State& state) {
                           static_cast<std::int64_t>(parties * dim *
                                                     sizeof(double)));
 }
-BENCHMARK(BM_StreamingAggregator)
+BENCHMARK(BM_OrderedFold)
     ->Args({10, 1000})
     ->Args({40, 1000})
     ->Args({64, 100000})
@@ -181,7 +180,7 @@ BENCHMARK(BM_ServerFedAdagrad)->Range(1000, 1000000);
 BENCHMARK(BM_ServerFedAdam)->Range(1000, 1000000);
 BENCHMARK(BM_ServerFedYogi)->Range(1000, 1000000);
 
-// ---- Explicit legacy-vs-streaming comparison (the >= 2x gate). ----
+// ---- Explicit legacy-vs-plane comparison. ----
 
 double measure_seconds(const std::function<void()>& fn,
                        double min_seconds) {
@@ -200,25 +199,25 @@ double measure_seconds(const std::function<void()>& fn,
 }
 
 void compare_case(const char* mode, std::size_t parties, std::size_t dim,
-                  double legacy_s, double streaming_s) {
+                  double legacy_s, double plane_s) {
   const double bytes = static_cast<double>(parties * dim * sizeof(double));
   const double legacy_gbps = bytes / legacy_s / 1e9;
-  const double streaming_gbps = bytes / streaming_s / 1e9;
+  const double plane_gbps = bytes / plane_s / 1e9;
   std::printf("%-11s %-8zu %-8zu %14.2f %14.2f %9.2fx\n", mode, parties,
-              dim, legacy_gbps, streaming_gbps, legacy_s / streaming_s);
+              dim, legacy_gbps, plane_gbps, legacy_s / plane_s);
   std::printf("aggcmp,%s,%zu,%zu,%.3f,%.3f,%.3f\n", mode, parties, dim,
-              legacy_gbps, streaming_gbps, legacy_s / streaming_s);
+              legacy_gbps, plane_gbps, legacy_s / plane_s);
 }
 
 void throughput_comparison() {
-  std::printf("\nlegacy vs streaming plane (single-thread, weighted "
+  std::printf("\nlegacy vs aggregation plane (single-thread, weighted "
               "mean, bit-identical results)\n");
   std::printf("  round-path: what the round loop actually did per round "
               "(copy every delta into a LocalUpdate, then fold) vs the "
-              "plane (lease + borrow-submit + block fold)\n");
+              "plane (lease + borrow-add + one ordered fold)\n");
   std::printf("  kernel:     pre-materialized buffers, fold only\n");
   std::printf("%-11s %-8s %-8s %14s %14s %10s\n", "mode", "parties",
-              "dim", "legacy GB/s", "stream GB/s", "speedup");
+              "dim", "legacy GB/s", "plane GB/s", "speedup");
 
   constexpr std::pair<std::size_t, std::size_t> kCases[] = {
       {64, 100000}, {128, 100000}, {200, 100000}, {64, 10000}};
@@ -246,17 +245,17 @@ void throughput_comparison() {
         0.2);
 
     flips::fl::BufferArena arena;
-    flips::fl::StreamingAggregator aggregator;
+    flips::fl::Aggregator aggregator;
     std::vector<std::vector<double>> leased(parties);
-    const double streaming_path_s = measure_seconds(
+    const double plane_path_s = measure_seconds(
         [&] {
-          aggregator.begin_round(dim, parties);
+          aggregator.begin_round(dim);
           for (std::size_t k = 0; k < parties; ++k) {
             leased[k] = arena.lease(dim);
             std::memcpy(leased[k].data(), updates[k].delta.data(),
                         dim * sizeof(double));
-            aggregator.submit(
-                k, static_cast<double>(updates[k].num_samples), leased[k]);
+            aggregator.add(static_cast<double>(updates[k].num_samples),
+                           leased[k]);
           }
           benchmark::DoNotOptimize(aggregator.finalize().data());
           for (std::size_t k = 0; k < parties; ++k) {
@@ -264,33 +263,30 @@ void throughput_comparison() {
           }
         },
         0.2);
-    compare_case("round-path", parties, dim, legacy_path_s,
-                 streaming_path_s);
+    compare_case("round-path", parties, dim, legacy_path_s, plane_path_s);
 
     const double legacy_kernel_s = measure_seconds(
         [&] {
           benchmark::DoNotOptimize(flips::fl::aggregate_updates(updates));
         },
         0.2);
-    const double streaming_kernel_s = measure_seconds(
+    const double plane_kernel_s = measure_seconds(
         [&] {
-          aggregator.begin_round(dim, parties);
+          aggregator.begin_round(dim);
           for (std::size_t k = 0; k < parties; ++k) {
-            aggregator.submit(
-                k, static_cast<double>(updates[k].num_samples),
-                updates[k].delta);
+            aggregator.add(static_cast<double>(updates[k].num_samples),
+                           updates[k].delta);
           }
           benchmark::DoNotOptimize(aggregator.finalize().data());
         },
         0.2);
-    compare_case("kernel", parties, dim, legacy_kernel_s,
-                 streaming_kernel_s);
+    compare_case("kernel", parties, dim, legacy_kernel_s, plane_kernel_s);
   }
 }
 
 // ---- Steady-state allocation audit of the full aggregation plane:
 // lease party buffers, quant8 encode/decode with error feedback,
-// submit, finalize, release — the round loop's wire path. After the
+// add, finalize, release — the round loop's wire path. After the
 // warm-up rounds the arena and the reused codec buffers must make
 // this allocation-free.
 void allocation_audit() {
@@ -314,7 +310,7 @@ void allocation_audit() {
   flips::net::CodecWorkspace ws;
 
   flips::fl::BufferArena arena;
-  flips::fl::StreamingAggregator aggregator;
+  flips::fl::Aggregator aggregator;
   std::vector<std::vector<double>> leased(kParties);
 
   std::uint64_t base = 0;
@@ -322,7 +318,7 @@ void allocation_audit() {
     if (round == kWarmup) {
       base = g_allocations.load(std::memory_order_relaxed);
     }
-    aggregator.begin_round(kDim, kParties);
+    aggregator.begin_round(kDim);
     for (std::size_t k = 0; k < kParties; ++k) {
       std::vector<double> pre = arena.lease(kDim);
       if (residuals[k].empty()) {
@@ -340,7 +336,7 @@ void allocation_audit() {
         residuals[k][i] = pre[i] - leased[k][i];
       }
       arena.release(std::move(pre));
-      aggregator.submit(k, 1.0, leased[k]);
+      aggregator.add(1.0, leased[k]);
     }
     benchmark::DoNotOptimize(aggregator.finalize().data());
     for (std::size_t k = 0; k < kParties; ++k) {

@@ -6,7 +6,7 @@
 // perf job gates on:
 //   obs,counter_inc_ns,<ns>        — must stay < 10
 //   obs,histogram_record_ns,<ns>   — must stay < 25
-//   obs,tracer_record_ns,<ns>      — informational (ring push + drain)
+//   obs,tracer_record_ns,<ns>      — informational (locked sink write)
 //   alloc,obs_steady_state,<count> — the plane's contract is 0
 //   perf,obs,ab,<off_s>,<on_s>,<pct> — instrumented session overhead,
 //       min over reps for both arms; must stay < 1%.
@@ -90,18 +90,16 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 void BM_TracerRecord(benchmark::State& state) {
-  flips::obs::Tracer tracer(4096);
+  flips::obs::Tracer tracer;
   tracer.set_sink(std::make_shared<flips::obs::NullTraceSink>());
   flips::obs::Span span;
   span.set_name("bench");
-  std::size_t pushed = 0;
+  std::size_t recorded = 0;
   for (auto _ : state) {
-    span.id = ++pushed;
+    span.id = ++recorded;
     tracer.record(span);
-    if ((pushed & 1023) == 0) tracer.drain();
   }
-  tracer.drain();
-  benchmark::DoNotOptimize(tracer.dropped());
+  benchmark::DoNotOptimize(span.id);
 }
 BENCHMARK(BM_TracerRecord);
 
@@ -147,7 +145,7 @@ void hot_path_costs() {
       [&](std::size_t i) { histogram.record(samples[i & 63]); });
   benchmark::DoNotOptimize(histogram.count());
 
-  flips::obs::Tracer tracer(4096);
+  flips::obs::Tracer tracer;
   tracer.set_sink(std::make_shared<flips::obs::NullTraceSink>());
   flips::obs::Span span;
   span.set_name("bench");
@@ -155,9 +153,7 @@ void hot_path_costs() {
       min_ns_per_op(kIters / 4, kReps, [&](std::size_t i) {
         span.id = i;
         tracer.record(span);
-        if ((i & 1023) == 1023) tracer.drain();
       });
-  tracer.drain();
 
   std::printf("\ntelemetry hot paths (min over %zu reps): counter.inc "
               "%.2f ns, histogram.record %.2f ns, tracer.record %.2f "
@@ -170,8 +166,8 @@ void hot_path_costs() {
 
 // ---- Steady-state allocation audit: registration (which may
 // allocate) happens once up front; after that, counter/gauge/
-// histogram updates, span records, and ring drains into a null sink
-// must not touch the heap.
+// histogram updates and span records into a null sink must not touch
+// the heap.
 void allocation_audit() {
   constexpr std::size_t kWarmup = 1000;
   constexpr std::size_t kMeasured = 1 << 20;
@@ -182,7 +178,7 @@ void allocation_audit() {
   flips::obs::Gauge* gauge = &registry.gauge("obs_bench_level");
   flips::obs::Histogram* histogram =
       &registry.histogram("obs_bench_seconds");
-  flips::obs::Tracer tracer(4096);
+  flips::obs::Tracer tracer;
   tracer.set_sink(std::make_shared<flips::obs::NullTraceSink>());
   flips::obs::Span span;
   span.set_name("audit");
@@ -195,14 +191,12 @@ void allocation_audit() {
     histogram->record(1e-6 * static_cast<double>((i & 1023) + 1));
     span.id = i;
     tracer.record(span);
-    if ((i & 1023) == 1023) tracer.drain();
   }
-  tracer.drain();
   const std::uint64_t steady =
       g_allocations.load(std::memory_order_relaxed) - base;
   std::printf("\nheap allocations across %zu steady-state telemetry "
-              "iterations (counter + gauge + histogram + span + "
-              "drain): %llu\n",
+              "iterations (counter + gauge + histogram + span): "
+              "%llu\n",
               kMeasured, static_cast<unsigned long long>(steady));
   std::printf("alloc,obs_steady_state,%llu\n",
               static_cast<unsigned long long>(steady));
@@ -238,7 +232,7 @@ void ab_overhead() {
   const auto kind = flips::selector_kind(spec);
 
   flips::obs::Registry registry;
-  flips::obs::Tracer tracer(4096);
+  flips::obs::Tracer tracer;
   tracer.set_sink(std::make_shared<flips::obs::NullTraceSink>());
 
   // One throwaway pair warms caches and the allocator; then alternate

@@ -44,7 +44,7 @@ struct Telemetry {
 
   /// Observers for run/session index `run`. Tracing needs a
   /// MetricsObserver: it is the component that emits phase/round spans
-  /// and drains the trace ring at round end.
+  /// and flushes the trace sink at round end.
   std::vector<std::shared_ptr<flips::fl::RoundObserver>> observers(
       const std::string& scenario, std::size_t run) const {
     std::vector<std::shared_ptr<flips::fl::RoundObserver>> out;
@@ -225,8 +225,7 @@ int main(int argc, char** argv) {
                          ? run_multitenant(spec, args.csv, telemetry)
                          : run_solo(spec, args.csv, telemetry);
   if (telemetry.tracing) {
-    // Flush any spans still buffered past the last round-end drain.
-    flips::obs::Tracer::global().drain();
+    // Releasing the sink closes the trace file.
     flips::obs::Tracer::global().set_sink(nullptr);
   }
   return status;

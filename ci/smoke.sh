@@ -16,10 +16,10 @@
 #    guards every party's point and the membership table, late-joiner
 #    assignment, drift observation) — the streaming-service paths
 #    TSan must see under real contention.
-# 4. the 4-thread codec smokes drive the streaming aggregator's
-#    concurrent submit/skip fold path plus the quant8/topk wire
-#    codecs (per-party error feedback, broadcast-delta compression)
-#    under ASan and TSan.
+# 4. the 4-thread codec smokes drive the workers' hand-off of leased
+#    update buffers to the stepping thread's ordered fold plus the
+#    quant8/topk wire codecs (per-party error feedback,
+#    broadcast-delta compression) under ASan and TSan.
 # 5. the flips_run scenario smokes drive the declarative --set
 #    override parser end-to-end and a 2-session round-robin
 #    interleave over one shared 4-worker pool — the multi-tenant

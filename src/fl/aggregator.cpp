@@ -32,8 +32,8 @@ const ArenaInstruments& arena_instruments() {
 }
 
 struct AggInstruments {
-  obs::Counter* folds;            ///< fold-kernel sweeps
-  obs::Histogram* fold_seconds;   ///< wall time per productive sweep
+  obs::Counter* folds;            ///< finalize() fold sweeps
+  obs::Histogram* fold_seconds;   ///< wall time per sweep
 };
 
 const AggInstruments& agg_instruments() {
@@ -168,126 +168,41 @@ fold_rows(double* acc, const double* const* rows,
 
 }  // namespace
 
-void StreamingAggregator::begin_round(std::size_t dim,
-                                      std::size_t cohort_size) {
-  std::scoped_lock lock(fold_mutex_, state_mutex_);
+void Aggregator::begin_round(std::size_t dim) {
   dim_ = dim;
-  cohort_ = cohort_size;
   acc_.assign(dim, 0.0);
-  states_.assign(cohort_size, SlotState::kPending);
-  rows_.assign(cohort_size, nullptr);
-  weights_.assign(cohort_size, 0.0);
-  folded_ = 0;
-  resolved_ = 0;
-  contributions_ = 0;
+  rows_.clear();
+  weights_.clear();
   total_weight_ = 0.0;
   max_weight_ = 0.0;
-  finalized_ = false;
 }
 
-void StreamingAggregator::submit(std::size_t slot, double weight,
-                                 const std::vector<double>& delta) {
+void Aggregator::add(double weight, const std::vector<double>& delta) {
   if (delta.size() != dim_) {
     throw std::invalid_argument(
-        "StreamingAggregator::submit: update dimension " +
-        std::to_string(delta.size()) + " does not match round dimension " +
-        std::to_string(dim_) +
+        "Aggregator::add: update dimension " + std::to_string(delta.size()) +
+        " does not match round dimension " + std::to_string(dim_) +
         " (mixed-dimension updates are rejected, not max-padded)");
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (slot >= cohort_ || states_[slot] != SlotState::kPending) {
-      throw std::invalid_argument(
-          "StreamingAggregator::submit: bad or duplicate slot " +
-          std::to_string(slot));
-    }
-    rows_[slot] = delta.data();
-    weights_[slot] = weight;
-    states_[slot] = SlotState::kReady;
-    ++resolved_;
-  }
-  // Opportunistic streaming fold: whoever gets the fold lock advances
-  // the block-aligned ready prefix; a failed try_lock just defers the
-  // work to the current holder's rescan or to finalize().
-  std::unique_lock<std::mutex> fold(fold_mutex_, std::try_to_lock);
-  if (fold.owns_lock()) fold_ready_prefix(/*drain=*/false);
+  rows_.push_back(delta.data());
+  weights_.push_back(weight);
+  total_weight_ += weight;
+  max_weight_ = std::max(max_weight_, weight);
 }
 
-void StreamingAggregator::skip(std::size_t slot) {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (slot >= cohort_ || states_[slot] != SlotState::kPending) {
-      throw std::invalid_argument(
-          "StreamingAggregator::skip: bad or duplicate slot " +
-          std::to_string(slot));
-    }
-    states_[slot] = SlotState::kSkipped;
-    ++resolved_;
+std::vector<double>& Aggregator::finalize() {
+  if (rows_.empty()) {
+    acc_.clear();
+    return acc_;
   }
-  std::unique_lock<std::mutex> fold(fold_mutex_, std::try_to_lock);
-  if (fold.owns_lock()) fold_ready_prefix(/*drain=*/false);
-}
-
-void StreamingAggregator::fold_ready_prefix(bool drain) {
-  std::uint64_t fold_start_ns = 0;  ///< set by the first productive sweep
-  for (;;) {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      begin = folded_;
-      end = begin;
-      while (end < cohort_ && states_[end] != SlotState::kPending) ++end;
-      if (!drain) end -= end % kFoldBlock;  // only whole aligned blocks
-      if (end <= begin) break;
-      folded_ = end;
-    }
-    if (fold_start_ns == 0) fold_start_ns = common::steady_now_ns();
-    // Slots in [begin, end) are resolved: their rows_/weights_ entries
-    // were published under state_mutex_ and are immutable from now on.
-    const double* run_rows[kFoldBlock];
-    double run_weights[kFoldBlock];
-    std::size_t run = 0;
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      if (states_[slot] != SlotState::kReady) continue;
-      run_rows[run] = rows_[slot];
-      run_weights[run] = weights_[slot];
-      total_weight_ += weights_[slot];
-      max_weight_ = std::max(max_weight_, weights_[slot]);
-      ++contributions_;
-      if (++run == kFoldBlock) {
-        fold_rows(acc_.data(), run_rows, run_weights, run, dim_);
-        run = 0;
-      }
-    }
-    if (run > 0) fold_rows(acc_.data(), run_rows, run_weights, run, dim_);
-  }
-  if (fold_start_ns != 0) {
-    const AggInstruments& ins = agg_instruments();
-    ins.folds->inc();
-    ins.fold_seconds->record(
-        static_cast<double>(common::steady_now_ns() - fold_start_ns) *
-        1e-9);
-  }
-}
-
-std::vector<double>& StreamingAggregator::finalize() {
-  std::lock_guard<std::mutex> fold(fold_mutex_);
-  if (!finalized_) {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (resolved_ != cohort_) {
-        throw std::logic_error(
-            "StreamingAggregator::finalize: unresolved slots remain");
-      }
-    }
-    fold_ready_prefix(/*drain=*/true);
-    if (contributions_ == 0) {
-      acc_.clear();
-    } else if (total_weight_ > 0.0) {
-      for (double& v : acc_) v /= total_weight_;
-    }
-    finalized_ = true;
+  const std::uint64_t start_ns = common::steady_now_ns();
+  fold_rows(acc_.data(), rows_.data(), weights_.data(), rows_.size(), dim_);
+  const AggInstruments& ins = agg_instruments();
+  ins.folds->inc();
+  ins.fold_seconds->record(
+      static_cast<double>(common::steady_now_ns() - start_ns) * 1e-9);
+  if (total_weight_ > 0.0) {
+    for (double& v : acc_) v /= total_weight_;
   }
   return acc_;
 }

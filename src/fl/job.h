@@ -7,11 +7,11 @@
 //
 // Selected parties train concurrently on a small worker pool
 // (FlJobConfig::threads); every dispatch draws from a private RNG
-// stream. Updates stream into fl::StreamingAggregator as parties finish
-// (block folds in fixed cohort order, overlapped with training); all
-// remaining order-sensitive reductions (SCAFFOLD control-variate
-// updates, loss averaging) run in cohort order on one thread — so
-// results are bit-identical across thread counts. Delta buffers are
+// stream. The stepping thread then adds the updates to fl::Aggregator
+// in cohort (sync) or arrival (async) order and folds them once; it
+// also runs every other order-sensitive reduction (SCAFFOLD
+// control-variate updates, loss averaging) — so results are
+// bit-identical across thread counts. Delta buffers are
 // leased from a fl::BufferArena and reused across rounds: the
 // steady-state aggregation path performs no heap allocation.
 #pragma once

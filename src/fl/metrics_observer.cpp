@@ -31,7 +31,6 @@ MetricsObserver::MetricsObserver(std::string tenant, obs::Registry* registry,
       &registry->counter("flips_session_dropped_stale_total", t);
   accuracy_ = &registry->gauge("flips_session_accuracy", t);
   sim_time_s_ = &registry->gauge("flips_session_sim_time_seconds", t);
-  trace_dropped_ = &registry->gauge("flips_trace_dropped_spans", t);
   for (std::size_t i = 0; i < kNumSessionPhases; ++i) {
     obs::Labels labels = t;
     labels.emplace_back("phase", to_string(static_cast<SessionPhase>(i)));
@@ -130,10 +129,7 @@ void MetricsObserver::on_round_end(std::size_t round,
     span.start_ns = round_start_ns_;
     span.end_ns = common::steady_now_ns();
     tracer_->record(span);
-    // Stepping thread drains its own spans: the ring only has to
-    // absorb one round's worth, and a full ring still never blocks.
-    tracer_->drain();
-    trace_dropped_->set(static_cast<double>(tracer_->dropped()));
+    tracer_->flush();
   }
 }
 

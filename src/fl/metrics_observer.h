@@ -6,9 +6,8 @@
 // gauges — all labeled tenant="<label>" so multi-tenant front ends
 // (serve::Server attaches one per opened session) expose per-tenant
 // families from one registry. It also emits one span per phase plus a
-// parent span per round through obs::Tracer and drains the trace ring
-// at round end (on the stepping thread, where draining is allowed to
-// be slow — record() on the hot path never is).
+// parent span per round through obs::Tracer, which writes each span
+// straight to its sink, and flushes the sink at round end.
 //
 // All instruments are registered at construction; every callback is
 // allocation-free relaxed-atomic work, preserving the session's
@@ -58,7 +57,6 @@ class MetricsObserver final : public RoundObserver {
   obs::Counter* dropped_stale_;
   obs::Gauge* accuracy_;
   obs::Gauge* sim_time_s_;
-  obs::Gauge* trace_dropped_;
   std::array<obs::Histogram*, kNumSessionPhases> phase_seconds_{};
   std::array<obs::Counter*, 2> parties_{};   ///< [failed, responded]
   std::array<obs::Counter*, 3> arrivals_{};  ///< by ArrivalOutcome

@@ -27,15 +27,13 @@
 //
 // Observers run on the session's stepping thread in registration
 // order — never concurrently — so they may keep plain state even when
-// local training uses a worker pool. The session's own result
-// accounting (bytes, fairness counts, coverage, target tracking) is
-// itself implemented as an observer (fl::ResultAccounting), so
-// everything FlJobResult aggregates flows through this interface.
+// local training uses a worker pool. FlJobResult does not depend on
+// any observer: the session derives it from its round history
+// (fl/session.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fl/selector.h"
@@ -159,55 +157,6 @@ class RoundObserver {
     (void)round;
     (void)record;
   }
-};
-
-/// The session's own result accounting, expressed as an observer:
-/// communication volume, per-party selection counts (fairness /
-/// coverage), wall-time-to-target tracking, and the peak-accuracy
-/// watermark. The session installs one instance
-/// internally and folds its state into FlJobResult; external tools can
-/// attach their own to account any session the same way.
-class ResultAccounting final : public RoundObserver {
- public:
-  ResultAccounting(std::size_t num_parties, double target_accuracy)
-      : selection_counts_(num_parties, 0),
-        target_accuracy_(target_accuracy) {}
-
-  void on_party_feedback(std::size_t round,
-                         const PartyFeedback& feedback) override;
-  void on_round_end(std::size_t round, const RoundRecord& record) override;
-
-  std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t upload_bytes() const { return upload_bytes_; }
-  std::uint64_t download_bytes() const { return download_bytes_; }
-  double total_time_s() const { return total_time_s_; }
-  double peak_accuracy() const { return peak_accuracy_; }
-  const std::vector<std::size_t>& selection_counts() const {
-    return selection_counts_;
-  }
-  /// First round after which every party had been selected >= once.
-  const std::optional<std::size_t>& coverage_round() const {
-    return coverage_round_;
-  }
-  const std::optional<std::size_t>& rounds_to_target() const {
-    return rounds_to_target_;
-  }
-  const std::optional<double>& time_to_target_s() const {
-    return time_to_target_s_;
-  }
-
- private:
-  std::vector<std::size_t> selection_counts_;
-  double target_accuracy_ = 0.0;
-  std::size_t covered_ = 0;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t upload_bytes_ = 0;
-  std::uint64_t download_bytes_ = 0;
-  double total_time_s_ = 0.0;
-  double peak_accuracy_ = 0.0;
-  std::optional<std::size_t> coverage_round_;
-  std::optional<std::size_t> rounds_to_target_;
-  std::optional<double> time_to_target_s_;
 };
 
 }  // namespace flips::fl

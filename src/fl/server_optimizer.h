@@ -34,8 +34,8 @@ struct LocalUpdate {
 /// Updates with zero samples weigh 1 so pathological inputs still
 /// aggregate. Returns empty when `updates` is empty; throws
 /// std::invalid_argument when updates disagree on dimension. This is
-/// the reference fold the streaming plane (fl/aggregator.h) is
-/// bit-compatible with; the job loop uses the streaming plane.
+/// the reference fold fl::Aggregator (fl/aggregator.h) is
+/// bit-compatible with; the session uses the Aggregator.
 [[nodiscard]] std::vector<double> aggregate_updates(
     const std::vector<LocalUpdate>& updates);
 

@@ -104,35 +104,6 @@ constexpr std::uint64_t kFaultPlanSalt = 0xFA17'0000'0000'0000ull;
 }  // namespace
 
 // ---------------------------------------------------------------------
-// ResultAccounting (fl/observer.h)
-
-void ResultAccounting::on_party_feedback(std::size_t round,
-                                         const PartyFeedback& feedback) {
-  (void)round;
-  if (feedback.party_id < selection_counts_.size() &&
-      selection_counts_[feedback.party_id]++ == 0) {
-    ++covered_;
-  }
-}
-
-void ResultAccounting::on_round_end(std::size_t round,
-                                    const RoundRecord& record) {
-  download_bytes_ += record.download_bytes;
-  upload_bytes_ += record.upload_bytes;
-  total_bytes_ += record.download_bytes + record.upload_bytes;
-  total_time_s_ += record.round_time_s;
-  peak_accuracy_ = std::max(peak_accuracy_, record.balanced_accuracy);
-  if (!rounds_to_target_ && target_accuracy_ > 0.0 &&
-      record.balanced_accuracy >= target_accuracy_) {
-    rounds_to_target_ = round;
-    time_to_target_s_ = total_time_s_;
-  }
-  if (!coverage_round_ && covered_ == selection_counts_.size()) {
-    coverage_round_ = round;
-  }
-}
-
-// ---------------------------------------------------------------------
 // FederationSession
 
 FederationSession::FederationSession(
@@ -146,7 +117,7 @@ FederationSession::FederationSession(
       model_(std::move(model)),
       selector_(std::move(selector)),
       shared_pool_(shared_pool),
-      accounting_(parties_->size(), config_.target_accuracy),
+      selection_counts_(parties_->size(), 0),
       rng_(config_.seed),
       server_(config_.server, model_.num_parameters()),
       local_sgd_(config_.local.sgd),
@@ -221,8 +192,6 @@ FederationSession::FederationSession(
       free_slots_[k] = cohort - 1 - k;
     }
   }
-
-  observers_.push_back(&accounting_);
 }
 
 FederationSession::FederationSession(
@@ -574,9 +543,13 @@ const RoundRecord& FederationSession::finish_step(std::size_t step,
   const RoundRecord& stored = history_.back();
 
   for (const PartyFeedback& fb : feedback_) {
+    if (selection_counts_[fb.party_id]++ == 0) ++covered_;
     for (RoundObserver* obs : observers_) {
       obs->on_party_feedback(step, fb);
     }
+  }
+  if (!coverage_round_ && covered_ == selection_counts_.size()) {
+    coverage_round_ = step;
   }
   for (RoundObserver* obs : observers_) {
     obs->on_round_end(step, stored);
@@ -597,16 +570,22 @@ FlJobResult FederationSession::result() const {
   if (inert_) return result;
   result.history = history_;
   result.final_parameters = global_params_;
-  result.peak_accuracy = accounting_.peak_accuracy();
-  result.total_bytes = accounting_.total_bytes();
-  result.download_bytes = accounting_.download_bytes();
-  result.upload_bytes = accounting_.upload_bytes();
-  result.fairness.jain_index =
-      common::jain_index(accounting_.selection_counts());
-  result.coverage_round = accounting_.coverage_round();
-  result.rounds_to_target = accounting_.rounds_to_target();
-  result.time_to_target_s = accounting_.time_to_target_s();
-  result.total_time_s = accounting_.total_time_s();
+  // Running sums in round order, so time_to_target_s is exactly the
+  // simulated clock at the end of the target round.
+  for (const RoundRecord& r : history_) {
+    result.download_bytes += r.download_bytes;
+    result.upload_bytes += r.upload_bytes;
+    result.total_bytes += r.download_bytes + r.upload_bytes;
+    result.total_time_s += r.round_time_s;
+    result.peak_accuracy = std::max(result.peak_accuracy, r.balanced_accuracy);
+    if (!result.rounds_to_target && config_.target_accuracy > 0.0 &&
+        r.balanced_accuracy >= config_.target_accuracy) {
+      result.rounds_to_target = r.round;
+      result.time_to_target_s = result.total_time_s;
+    }
+  }
+  result.fairness.jain_index = common::jain_index(selection_counts_);
+  result.coverage_round = coverage_round_;
   if (dp_on_) {
     result.epsilon_spent = accountant_.epsilon(config_.privacy.dp.delta);
   }

@@ -19,16 +19,17 @@
 // advance() picks one by FlJobConfig::mode:
 //
 //   kSync (fl/session_sync.cpp) — the round barrier: select a cohort,
-//       run the kernel over it on the worker pool (submitting to the
-//       streaming aggregator inside the worker, so the fold overlaps
-//       training), fold in cohort order, one server step per round.
-//       Under a fault plan, fault-failed slots are backfilled from the
-//       selector in later waves and a quorum rule can skip the step.
+//       run the kernel over it on the worker pool, then add every
+//       trained update to the aggregator in cohort order and fold once,
+//       one server step per round. Under a fault plan, fault-failed
+//       slots are backfilled from the selector in later waves (all
+//       waves end before the fold) and a quorum rule can skip the step.
 //   kAsync (fl/session_async.cpp) — FedBuff-style buffered stepping:
 //       the session keeps `parties_per_round` parties in flight, an
 //       arrival queue ordered by the net/device.h latency model
 //       delivers their updates one at a time, and the server steps
-//       every `async.buffer_k` folded arrivals. Each folded update is
+//       every `async.buffer_k` folded arrivals (each added to the
+//       aggregator as it pops). Each folded update is
 //       weighted by fold_weight() times staleness_discount(server steps
 //       since its dispatch); updates staler than `async.max_staleness`
 //       are dropped (RoundRecord::dropped_stale). Freed in-flight slots
@@ -55,21 +56,29 @@
 // outlive the scope that built it.
 //
 // Observers (fl/observer.h) fire on the stepping thread in
-// registration order; the session's own byte/fairness/target
-// accounting is one of them (fl::ResultAccounting). Async sessions
-// additionally emit on_arrival per queue pop.
+// registration order. Async sessions additionally emit on_arrival per
+// queue pop. result() derives FlJobResult's bytes, times, peak
+// accuracy and target tracking from the round history; the session
+// keeps only the per-party selection counts (Jain's index) and the
+// coverage round beside it.
+//
+// Threads: workers run only dispatch_party() (and evaluation); the
+// aggregator, the observers and every step decision run on the
+// stepping thread.
 //
 // Determinism: per-dispatch RNG streams (sync keyed by (round, party);
 // async by the monotone dispatch sequence, so re-dispatches draw fresh
 // noise), cohort/arrival-ordered reductions, strict-FP aggregation —
 // so every step is bit-identical for any thread count, whether the
 // worker pool is owned or shared with other sessions (the serving
-// front end's tenants, flips_run's sessions=N). Async arrival order is a pure function of the
-// simulated durations: ties break on the dispatch sequence.
+// front end's tenants, flips_run's sessions=N). Async arrival order is
+// a pure function of the simulated durations: ties break on the
+// dispatch sequence.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -153,7 +162,7 @@ class FederationSession {
     std::vector<double> delta;
     std::uint64_t wire_bytes = 0;  ///< encoded uplink size
     std::uint64_t event = 0;       ///< dispatch sequence (fault stream)
-    bool trained = false;          ///< update produced (and submitted)
+    bool trained = false;          ///< update produced (and aggregated)
     bool churned = false;          ///< unreachable at dispatch
     bool fault_failed = false;     ///< lost to churn / crash / link fault
     std::vector<double> scaffold_ci_new;  ///< SCAFFOLD only
@@ -251,11 +260,15 @@ class FederationSession {
   common::ThreadPool* shared_pool_ = nullptr;
   std::unique_ptr<common::ThreadPool> owned_pool_;
 
-  // Observer sinks. accounting_ absorbs the byte/fairness/target
-  // bookkeeping and runs before user observers.
+  // Observer sinks.
   std::vector<RoundObserver*> observers_;
   std::vector<std::shared_ptr<RoundObserver>> owned_observers_;
-  ResultAccounting accounting_;
+
+  // Fairness accounting: per-party feedback counts and the first round
+  // after which every party had reported at least once.
+  std::vector<std::size_t> selection_counts_;
+  std::size_t covered_ = 0;
+  std::optional<std::size_t> coverage_round_;
 
   // ---- Cross-round state.
   bool inert_ = false;  ///< empty federation / zero rounds
@@ -279,7 +292,7 @@ class FederationSession {
   // contract; buffers recycle across rounds — zero steady-state
   // allocation).
   BufferArena arena_;
-  StreamingAggregator aggregator_;
+  Aggregator aggregator_;
   bool codec_on_ = false;
   net::UpdateCodec codec_;
   std::vector<std::vector<double>> ef_residuals_;

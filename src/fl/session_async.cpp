@@ -80,7 +80,7 @@ const RoundRecord& FederationSession::async_step() {
   }
 
   t = common::steady_now_ns();
-  aggregator_.begin_round(dim_, buffer_k_);
+  aggregator_.begin_round(dim_);
   feedback_.clear();
   RoundRecord record;
   record.round = step;
@@ -122,7 +122,7 @@ const RoundRecord& FederationSession::async_step() {
       case ArrivalOutcome::kFolded:
         up_bytes += f.wire_bytes;
         loss_sum += f.fb.mean_loss;
-        aggregator_.submit(folded, arec.weight, f.delta);
+        aggregator_.add(arec.weight, f.delta);
         folded_slots.emplace_back(ev.slot, feedback_.size());
         feedback_.push_back(f.fb);  // delta attached after finalize
         ++folded;
@@ -174,11 +174,6 @@ const RoundRecord& FederationSession::async_step() {
     }
   }
 
-  // Partial flush (queue drained below buffer_k): resolve the tail
-  // slots so finalize() can drain.
-  for (std::size_t k = folded; k < buffer_k_; ++k) {
-    aggregator_.skip(k);
-  }
   std::vector<double>& aggregate = aggregator_.finalize();
   emit_phase(step, SessionPhase::kFold, t);
 

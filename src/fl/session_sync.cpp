@@ -1,7 +1,8 @@
 // The sync driver: one barrier round per advance(). Selects a cohort,
 // runs the dispatch kernel over it on the worker pool (plus backfill
-// waves under a fault plan), folds in cohort order and steps the
-// server once per round.
+// waves under a fault plan), then, on the stepping thread, adds every
+// trained update to the aggregator in cohort order, folds once and
+// steps the server.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -25,10 +26,9 @@ double FederationSession::train_cohort(std::size_t round,
   }
 
   // Under a fault plan the round reserves a backfill budget of one
-  // extra slot per cohort member; unused slots are skipped at the end.
+  // extra slot per cohort member.
   const std::size_t base = cohort.size();
   const std::size_t budget = faults_on_ ? base : 0;
-  aggregator_.begin_round(dim_, base + budget);
   outcomes_.clear();
   outcomes_.reserve(base + budget);
 
@@ -64,11 +64,6 @@ double FederationSession::train_cohort(std::size_t round,
           train_wave(round, extra, wave_begin, sim_time_s_ + elapsed_s);
     }
   }
-
-  // Resolve unused budget slots so finalize() can drain.
-  for (std::size_t k = outcomes_.size(); k < base + budget; ++k) {
-    aggregator_.skip(k);
-  }
   return elapsed_s;
 }
 
@@ -84,19 +79,11 @@ double FederationSession::train_wave(std::size_t round,
   }
 
   // ---- Parallel phase: each party runs the dispatch kernel into its
-  // own outcome slot and submits its wire update to the streaming
-  // aggregator, which folds complete cohort-order blocks while later
-  // parties still train.
+  // own outcome slot.
   pool().parallel_for(wave.size(), [&](std::size_t i) {
-    const std::size_t k = slot_offset + i;
-    Dispatch& out = outcomes_[k];
+    Dispatch& out = outcomes_[slot_offset + i];
     out = dispatch_party(common::mix_seed(config_.seed, round, wave[i]),
                          out.event, wave[i], lr, out.churned);
-    if (out.trained) {
-      aggregator_.submit(k, fold_weight(out.fb), out.delta);
-    } else {
-      aggregator_.skip(k);
-    }
   });
 
   double wave_max_s = 0.0;
@@ -112,6 +99,7 @@ void FederationSession::fold_outcomes(
     std::uint64_t& up_bytes) {
   // ---- Sequential phase: fold outcomes into shared state in cohort
   // order (bit-identical for every thread count).
+  aggregator_.begin_round(dim_);
   feedback_.clear();
   feedback_.reserve(cohort.size());
   double round_time = 0.0;
@@ -124,6 +112,7 @@ void FederationSession::fold_outcomes(
     Dispatch& out = outcomes_[k];
 
     if (out.trained) {
+      aggregator_.add(fold_weight(out.fb), out.delta);
       loss_sum += out.fb.mean_loss;
       ++responded;
       up_bytes += out.wire_bytes;
@@ -143,8 +132,9 @@ void FederationSession::fold_outcomes(
       // (FedDyn's hi refresh happens in the parallel phase.)
 
       // Zero-copy hand-off: the arena buffer travels through the
-      // feedback (selectors and observers may read it) and is released
-      // back to the arena after the round.
+      // feedback (selectors and observers may read it; the aggregator
+      // keeps borrowing it, since a move keeps the buffer) and is
+      // released back to the arena after the round.
       out.fb.delta = std::move(out.delta);
     } else if (out.fault_failed) {
       ++record.crashed;
@@ -234,13 +224,9 @@ const RoundRecord& FederationSession::sync_step() {
   for (const std::size_t p : cohort) party_in_flight_[p] = 0;
   emit_phase(round, SessionPhase::kTrainCohort, t);
 
-  // Drain the streaming fold (any trailing partial block) and take the
-  // weighted mean BEFORE the delta buffers move into feedback (the
-  // aggregator borrows the submitted buffers until finalize()).
   t = common::steady_now_ns();
-  std::vector<double>& aggregate = aggregator_.finalize();
-
   fold_outcomes(cohort, record, record.upload_bytes);
+  std::vector<double>& aggregate = aggregator_.finalize();
   if (faults_on_) {
     // Under a fault plan the round's simulated length is the wave
     // schedule (per-wave maxima + backoffs), not the plain cohort max.

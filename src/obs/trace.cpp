@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <bit>
 #include <stdexcept>
 
 namespace flips::obs {
@@ -20,7 +19,6 @@ JsonlTraceSink::~JsonlTraceSink() {
 }
 
 void JsonlTraceSink::write(const Span& span) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::fprintf(file_,
                "{\"name\":\"%s\",\"tenant\":\"%s\",\"id\":%llu,"
                "\"parent\":%llu,\"round\":%llu,\"start_ns\":%llu,"
@@ -34,94 +32,21 @@ void JsonlTraceSink::write(const Span& span) {
 }
 
 void JsonlTraceSink::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
   std::fflush(file_);
-}
-
-// ---------------------------------------------------------------------------
-// TraceRing
-
-TraceRing::TraceRing(std::size_t capacity) {
-  capacity = std::bit_ceil(capacity < 2 ? 2 : capacity);
-  cells_ = std::vector<Cell>(capacity);
-  mask_ = capacity - 1;
-  for (std::size_t i = 0; i < capacity; ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-bool TraceRing::try_push(const Span& span) {
-  std::size_t pos = enqueue_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<std::intptr_t>(seq) -
-                     static_cast<std::intptr_t>(pos);
-    if (dif == 0) {
-      if (enqueue_.compare_exchange_weak(pos, pos + 1,
-                                         std::memory_order_relaxed)) {
-        cell.span = span;
-        cell.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;  // full
-    } else {
-      pos = enqueue_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool TraceRing::try_pop(Span* span) {
-  std::size_t pos = dequeue_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::size_t seq = cell.seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<std::intptr_t>(seq) -
-                     static_cast<std::intptr_t>(pos + 1);
-    if (dif == 0) {
-      if (dequeue_.compare_exchange_weak(pos, pos + 1,
-                                         std::memory_order_relaxed)) {
-        *span = cell.span;
-        cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = dequeue_.load(std::memory_order_relaxed);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Tracer
 
-Tracer::Tracer(std::size_t capacity) : ring_(capacity) {}
-
 void Tracer::set_sink(std::shared_ptr<TraceSink> sink) {
-  std::lock_guard<std::mutex> lock(drain_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
   enabled_.store(sink_ != nullptr, std::memory_order_relaxed);
 }
 
-std::size_t Tracer::drain() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  if (sink_ == nullptr) {
-    Span span;
-    std::size_t n = 0;
-    while (ring_.try_pop(&span)) ++n;
-    return n;
-  }
-  Span span;
-  std::size_t n = 0;
-  while (ring_.try_pop(&span)) {
-    sink_->write(span);
-    ++n;
-  }
-  if (n != 0) sink_->flush();
-  return n;
+void Tracer::flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sink_ != nullptr) sink_->flush();
 }
 
 Tracer& Tracer::global() {

@@ -1,21 +1,19 @@
-// Span tracing: fixed-size POD records pushed through a bounded
-// lock-free MPMC ring (Vyukov sequence-number queue) to a TraceSink.
+// Span tracing: fixed-size POD records written to a TraceSink.
 //
 // The contract the session stepping thread relies on:
 //
-//   * Tracer::record() NEVER blocks and never allocates. When the ring
-//     is full the span is dropped and counted (Tracer::dropped()); a
-//     slow or absent drainer costs telemetry, not round latency.
+//   * Tracer::record() writes the span to the installed sink under the
+//     tracer's mutex and never allocates; spans from concurrent
+//     producers (several served tenants' stepping threads) reach the
+//     sink one at a time, none lost.
 //   * With no sink installed the tracer is disabled and record() is a
 //     single relaxed load — the "compiled to null sinks" baseline of
 //     the bench_micro_obs A/B.
-//   * drain() pops everything currently in the ring into the sink
-//     under a consumer mutex, so any thread (typically the observer on
-//     round end) may drain.
+//   * flush() pushes buffered sink output out (the session's metrics
+//     observer calls it once per round).
 //
 // Sinks: JsonlTraceSink appends one JSON object per span to a file;
-// NullTraceSink discards (keeps the full ring path hot for
-// benchmarks).
+// NullTraceSink discards (keeps the record path hot for benchmarks).
 #pragma once
 
 #include <atomic>
@@ -26,12 +24,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace flips::obs {
 
-/// One traced interval. Fixed-size so spans can live in the ring by
-/// value; names/tenants longer than the fields are truncated.
+/// One traced interval. Fixed-size so recording never allocates;
+/// names/tenants longer than the fields are truncated.
 struct Span {
   char name[24] = {};
   char tenant[24] = {};
@@ -66,8 +63,7 @@ class NullTraceSink final : public TraceSink {
   void write(const Span& span) override { (void)span; }
 };
 
-/// Appends one JSON object per span. Writes are serialized internally
-/// so multiple drainers may share a sink.
+/// Appends one JSON object per span. Its tracer serializes writes.
 class JsonlTraceSink final : public TraceSink {
  public:
   explicit JsonlTraceSink(const std::string& path);
@@ -77,46 +73,13 @@ class JsonlTraceSink final : public TraceSink {
 
  private:
   std::FILE* file_;
-  std::mutex mu_;
-};
-
-/// Bounded MPMC ring (Vyukov): producers CAS a ticket and publish via
-/// the cell's sequence number; a full ring fails the push immediately.
-class TraceRing {
- public:
-  /// Capacity is rounded up to a power of two, minimum 2.
-  explicit TraceRing(std::size_t capacity);
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
-  /// False (and one dropped() tick) when full. Never blocks.
-  bool try_push(const Span& span);
-  bool try_pop(Span* span);
-
-  std::size_t capacity() const { return mask_ + 1; }
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> seq{0};
-    Span span;
-  };
-  std::vector<Cell> cells_;
-  std::size_t mask_;
-  alignas(64) std::atomic<std::size_t> enqueue_{0};
-  alignas(64) std::atomic<std::size_t> dequeue_{0};
-  alignas(64) std::atomic<std::uint64_t> dropped_{0};
 };
 
 class Tracer {
  public:
-  explicit Tracer(std::size_t capacity = 4096);
-
   /// Installs (or clears, with nullptr) the sink. Enabling is
-  /// observed by record() via one atomic flag; swapping a live sink
-  /// synchronizes with concurrent drains.
+  /// observed by record() via one atomic flag; the swap waits for any
+  /// record() in progress.
   void set_sink(std::shared_ptr<TraceSink> sink);
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -125,27 +88,23 @@ class Tracer {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Push a finished span. Disabled tracer: no-op. Full ring: span is
-  /// dropped and counted. Never blocks, never allocates.
+  /// Writes a finished span to the sink. Disabled tracer: no-op.
   void record(const Span& span) {
     if (!enabled()) return;
-    ring_.try_push(span);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (sink_ != nullptr) sink_->write(span);
   }
 
-  /// Pop everything currently buffered into the sink; returns the
-  /// number of spans delivered.
-  std::size_t drain();
-
-  std::uint64_t dropped() const { return ring_.dropped(); }
+  /// Flushes the sink's buffered output.
+  void flush();
 
   /// Process-wide tracer used by MetricsObserver by default. Disabled
   /// until a sink is installed.
   static Tracer& global();
 
  private:
-  TraceRing ring_;
   std::atomic<bool> enabled_{false};
-  std::mutex drain_mu_;  ///< serializes drains and sink swaps
+  std::mutex mu_;  ///< serializes sink writes, flushes and swaps
   std::shared_ptr<TraceSink> sink_;
   std::atomic<std::uint64_t> next_id_{1};
 };

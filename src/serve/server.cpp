@@ -467,7 +467,16 @@ bool Server::build_session(const std::shared_ptr<Connection>& conn,
     std::packaged_task<Build()> task(
         [this, kv = std::move(kv), name = tenant.name] {
           Build out;
-          out.session = factory_(kv, &workers_, &out.banner);
+          // A rejection comes back as text, not as an exception through
+          // the future: the builder thread would free the exception
+          // object through a reference count TSan cannot see while the
+          // reader still reads its message.
+          try {
+            out.session = factory_(kv, &workers_, &out.banner);
+          } catch (const std::invalid_argument& bad) {
+            out.bad_scenario = bad.what();
+            return out;
+          }
           // Every served session reports per-round/per-phase telemetry
           // under its tenant label — the kMetrics snapshot covers the
           // whole session plane, not just the socket front end.
@@ -479,18 +488,15 @@ bool Server::build_session(const std::shared_ptr<Connection>& conn,
     builds_.push_back(std::move(task));
   }
   build_cv_.notify_one();
-  try {
-    work.built = built.get();
-    return true;
-  } catch (const std::invalid_argument& bad) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tenant.session_requested = false;
-    }
-    send_status(conn, net::FrameType::kOpenSession,
-                net::FrameStatus::kBadScenario, bad.what());
-    return false;
+  work.built = built.get();
+  if (work.built.session != nullptr) return true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tenant.session_requested = false;
   }
+  send_status(conn, net::FrameType::kOpenSession,
+              net::FrameStatus::kBadScenario, work.built.bad_scenario);
+  return false;
 }
 
 bool Server::refuse_locked(const std::shared_ptr<Connection>& conn,
@@ -518,7 +524,7 @@ void Server::builder_loop() {
       task = std::move(builds_.front());
       builds_.pop_front();
     }
-    task();  // the result, or the factory's exception, goes to the reader
+    task();  // the build, or its rejection, goes to the reader
   }
 }
 

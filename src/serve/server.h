@@ -178,6 +178,9 @@ class Server {
   struct Build {
     std::unique_ptr<fl::FederationSession> session;
     std::string banner;  ///< the kOpenSession reply payload
+    /// The factory's std::invalid_argument message; set when no
+    /// session was built.
+    std::string bad_scenario;
   };
 
   /// One queued unit of scheduler work for a tenant.
@@ -199,8 +202,8 @@ class Server {
     std::unique_ptr<fl::FederationSession> session;
     std::optional<std::vector<double>> final_parameters;
     /// Set by the reader that claims the tenant's one session, before
-    /// it posts the build; cleared if the build throws. A second open
-    /// is refused on this flag, without a build.
+    /// it posts the build; cleared if the scenario is rejected. A
+    /// second open is refused on this flag, without a build.
     bool session_requested = false;
     std::size_t inflight_steps = 0;  ///< queued + executing step frames
     std::deque<Pending> queue;

@@ -1,20 +1,19 @@
-// Streaming aggregation plane: bit-compatibility with the reference
-// fold, dimension rejection, skip handling, arena reuse, and
-// bit-identity under concurrent out-of-order submission.
+// Aggregation plane: bit-compatibility with the reference fold, the
+// DP weight tallies, the empty round, dimension rejection and arena
+// reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "fl/aggregator.h"
 #include "fl/server_optimizer.h"
 
 namespace {
 
+using flips::fl::Aggregator;
 using flips::fl::BufferArena;
-using flips::fl::StreamingAggregator;
 
 std::vector<flips::fl::LocalUpdate> random_updates(std::size_t parties,
                                                    std::size_t dim,
@@ -29,22 +28,24 @@ std::vector<flips::fl::LocalUpdate> random_updates(std::size_t parties,
   return updates;
 }
 
-/// The streaming fold must reproduce aggregate_updates EXACTLY: both
-/// walk parties in cohort order with a left-to-right chain and divide
-/// by the same total weight.
-TEST(StreamingAggregator, BitIdenticalWithReferenceFold) {
+double weight_of(const flips::fl::LocalUpdate& update) {
+  return update.num_samples > 0 ? static_cast<double>(update.num_samples)
+                                : 1.0;
+}
+
+/// The ordered fold must reproduce aggregate_updates EXACTLY: both walk
+/// parties in cohort order with a left-to-right chain and divide by the
+/// same total weight.
+TEST(Aggregator, BitIdenticalWithReferenceFold) {
   for (const std::size_t parties : {1u, 7u, 8u, 9u, 23u, 64u}) {
     for (const std::size_t dim : {1u, 5u, 8u, 17u, 1000u}) {
       const auto updates = random_updates(parties, dim, 31 * parties + dim);
       const auto reference = flips::fl::aggregate_updates(updates);
 
-      StreamingAggregator aggregator;
-      aggregator.begin_round(dim, parties);
-      for (std::size_t k = 0; k < parties; ++k) {
-        const double w = updates[k].num_samples > 0
-                             ? static_cast<double>(updates[k].num_samples)
-                             : 1.0;
-        aggregator.submit(k, w, updates[k].delta);
+      Aggregator aggregator;
+      aggregator.begin_round(dim);
+      for (const auto& update : updates) {
+        aggregator.add(weight_of(update), update.delta);
       }
       const auto& mean = aggregator.finalize();
       ASSERT_EQ(mean.size(), reference.size());
@@ -57,121 +58,56 @@ TEST(StreamingAggregator, BitIdenticalWithReferenceFold) {
   }
 }
 
-TEST(StreamingAggregator, SkippedSlotsDoNotContribute) {
-  const std::size_t parties = 13;
-  const std::size_t dim = 37;
-  const auto updates = random_updates(parties, dim, 99);
-
-  // Reference over the responders only (slots 0, 3, 4, ... pattern).
-  std::vector<flips::fl::LocalUpdate> responders;
-  StreamingAggregator aggregator;
-  aggregator.begin_round(dim, parties);
-  for (std::size_t k = 0; k < parties; ++k) {
-    if (k % 3 == 1) {
-      aggregator.skip(k);
-      continue;
+/// total_weight() and max_weight() calibrate the DP noise: they must
+/// equal the add-order sum and the maximum of the added weights, and
+/// restart with every round.
+TEST(Aggregator, WeightsMatchReferenceSums) {
+  const std::size_t dim = 9;
+  Aggregator aggregator;
+  for (const std::size_t parties : {1u, 13u, 40u}) {
+    const auto updates = random_updates(parties, dim, 5 * parties);
+    double total = 0.0;
+    double max = 0.0;
+    aggregator.begin_round(dim);
+    for (const auto& update : updates) {
+      const double w = weight_of(update) * 0.37;
+      aggregator.add(w, update.delta);
+      total += w;
+      max = std::max(max, w);
     }
-    const double w = updates[k].num_samples > 0
-                         ? static_cast<double>(updates[k].num_samples)
-                         : 1.0;
-    aggregator.submit(k, w, updates[k].delta);
-    responders.push_back(updates[k]);
+    EXPECT_EQ(aggregator.total_weight(), total) << "parties=" << parties;
+    EXPECT_EQ(aggregator.max_weight(), max) << "parties=" << parties;
+    (void)aggregator.finalize();
+    EXPECT_EQ(aggregator.total_weight(), total);
   }
-  const auto reference = flips::fl::aggregate_updates(responders);
-  const auto& mean = aggregator.finalize();
-  ASSERT_EQ(mean.size(), reference.size());
-  for (std::size_t i = 0; i < dim; ++i) EXPECT_EQ(mean[i], reference[i]);
-  EXPECT_EQ(aggregator.contributions(), responders.size());
+  aggregator.begin_round(dim);
+  EXPECT_EQ(aggregator.total_weight(), 0.0);
+  EXPECT_EQ(aggregator.max_weight(), 0.0);
 }
 
-TEST(StreamingAggregator, AllSkippedYieldsEmpty) {
-  StreamingAggregator aggregator;
-  aggregator.begin_round(10, 3);
-  for (std::size_t k = 0; k < 3; ++k) aggregator.skip(k);
+TEST(Aggregator, EmptyRoundYieldsEmpty) {
+  Aggregator aggregator;
+  aggregator.begin_round(10);
   EXPECT_TRUE(aggregator.finalize().empty());
   EXPECT_EQ(aggregator.contributions(), 0u);
 
-  aggregator.begin_round(10, 0);
+  // A round after a productive one starts from scratch.
+  const std::vector<double> delta(10, 1.0);
+  aggregator.begin_round(10);
+  aggregator.add(2.0, delta);
+  EXPECT_EQ(aggregator.finalize(), delta);
+  aggregator.begin_round(10);
   EXPECT_TRUE(aggregator.finalize().empty());
 }
 
-TEST(StreamingAggregator, RejectsMismatchedDimension) {
-  StreamingAggregator aggregator;
-  aggregator.begin_round(8, 2);
+TEST(Aggregator, RejectsMismatchedDimension) {
+  Aggregator aggregator;
+  aggregator.begin_round(8);
   const std::vector<double> short_delta(5, 1.0);
-  EXPECT_THROW(aggregator.submit(0, 1.0, short_delta),
-               std::invalid_argument);
+  EXPECT_THROW(aggregator.add(1.0, short_delta), std::invalid_argument);
   const std::vector<double> long_delta(9, 1.0);
-  EXPECT_THROW(aggregator.submit(0, 1.0, long_delta),
-               std::invalid_argument);
-}
-
-TEST(StreamingAggregator, RejectsDuplicateAndOutOfRangeSlots) {
-  StreamingAggregator aggregator;
-  aggregator.begin_round(4, 2);
-  const std::vector<double> delta(4, 1.0);
-  aggregator.submit(0, 1.0, delta);
-  EXPECT_THROW(aggregator.submit(0, 1.0, delta), std::invalid_argument);
-  EXPECT_THROW(aggregator.skip(0), std::invalid_argument);
-  EXPECT_THROW(aggregator.submit(2, 1.0, delta), std::invalid_argument);
-}
-
-/// Concurrent submission in shuffled order must produce exactly the
-/// single-threaded cohort-order result (the PR 2 invariant, now held
-/// by the aggregation plane itself).
-TEST(StreamingAggregator, ConcurrentShuffledSubmissionBitIdentical) {
-  const std::size_t parties = 41;  // not a block multiple
-  const std::size_t dim = 513;     // not a strip multiple
-  const auto updates = random_updates(parties, dim, 7);
-
-  StreamingAggregator serial;
-  serial.begin_round(dim, parties);
-  for (std::size_t k = 0; k < parties; ++k) {
-    serial.submit(k, 1.0 + static_cast<double>(k), updates[k].delta);
-  }
-  const std::vector<double> reference = serial.finalize();
-
-  flips::common::Rng shuffle_rng(3);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    std::vector<std::size_t> order(parties);
-    for (std::size_t k = 0; k < parties; ++k) order[k] = k;
-    shuffle_rng.shuffle(order);
-
-    StreamingAggregator aggregator;
-    aggregator.begin_round(dim, parties);
-    flips::common::ThreadPool pool(4);
-    pool.parallel_for(parties, [&](std::size_t j) {
-      const std::size_t k = order[j];
-      if (k % 5 == 4) {
-        // Mix skips in: they resolve slots without contributing.
-        aggregator.skip(k);
-      } else {
-        aggregator.submit(k, 1.0 + static_cast<double>(k),
-                          updates[k].delta);
-      }
-    });
-    const auto& mean = aggregator.finalize();
-
-    // Rebuild the expected mean serially with the same skip pattern.
-    StreamingAggregator expected;
-    expected.begin_round(dim, parties);
-    for (std::size_t k = 0; k < parties; ++k) {
-      if (k % 5 == 4) {
-        expected.skip(k);
-      } else {
-        expected.submit(k, 1.0 + static_cast<double>(k),
-                        updates[k].delta);
-      }
-    }
-    const auto& expected_mean = expected.finalize();
-    ASSERT_EQ(mean.size(), expected_mean.size());
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_EQ(mean[i], expected_mean[i]) << "repeat=" << repeat;
-    }
-  }
-  // Silence the unused-variable warning for reference (documents that
-  // the full-cohort fold differs from the skip-pattern fold).
-  EXPECT_EQ(reference.size(), dim);
+  EXPECT_THROW(aggregator.add(1.0, long_delta), std::invalid_argument);
+  EXPECT_EQ(aggregator.contributions(), 0u);
 }
 
 TEST(BufferArena, LeaseReleaseRecyclesBuffers) {

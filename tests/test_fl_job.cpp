@@ -264,7 +264,7 @@ TEST(FlJobThreads, RoundResultsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-/// The streaming aggregator + codecs must preserve the PR 2 invariant:
+/// The aggregator + codecs must preserve the thread-count invariant:
 /// lossy codecs draw their stochastic rounding from the per-party RNG
 /// streams and the broadcast encode runs sequentially, so results are
 /// bit-identical across thread counts for every codec.

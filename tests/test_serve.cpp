@@ -382,17 +382,53 @@ TEST(ServeEndToEnd, StepWithoutHelloOrSessionIsRefused) {
   EXPECT_GE(server.stats().frames, 4u);
 }
 
+/// Holds a session's first step until `released` is ready (or the
+/// timeout passes, which fails the test instead of hanging it).
+class HoldFirstStep final : public flips::fl::RoundObserver {
+ public:
+  explicit HoldFirstStep(std::shared_future<void> released)
+      : released_(std::move(released)) {}
+
+  void on_round_begin(std::size_t round,
+                      flips::fl::ParticipantSelector& selector) override {
+    (void)selector;
+    if (round != 1) return;
+    if (released_.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "the flooder never received a kRejected";
+    }
+  }
+
+ private:
+  std::shared_future<void> released_;
+};
+
 TEST(ServeEndToEnd, FloodingTenantIsRejectedWhileVictimStaysBounded) {
   const std::string socket = test_socket_path("flood");
+  const auto flood_spec = small_spec(6, 11);
+  const auto victim_spec = small_spec(6, 9011);
+
+  // The flooder's first step waits until the flooder has received a
+  // kRejected. That step stays in flight meanwhile, so with
+  // max_inflight_per_tenant = 2 the burst's third frame is refused
+  // however the scheduler and the reader interleave.
+  std::promise<void> rejected;
+  const std::shared_future<void> rejected_seen = rejected.get_future().share();
+  auto factory = [&](const flips::serve::KvPairs& kv,
+                     flips::common::ThreadPool* workers,
+                     std::string* banner) {
+    auto session = test_factory(kv, workers, banner);
+    if (flips::ScenarioSpec::from_key_values(kv).seed == flood_spec.seed) {
+      session->add_observer(std::make_shared<HoldFirstStep>(rejected_seen));
+    }
+    return session;
+  };
   flips::serve::ServerConfig config;
   config.uds_path = socket;
   config.worker_threads = 2;
   config.max_inflight_per_tenant = 2;
-  flips::serve::Server server(config, test_factory);
+  flips::serve::Server server(config, factory);
   server.start();
-
-  const auto flood_spec = small_spec(6, 11);
-  const auto victim_spec = small_spec(6, 9011);
 
   std::size_t flood_rejections = 0;
   std::size_t flood_steps = 0;
@@ -412,7 +448,7 @@ TEST(ServeEndToEnd, FloodingTenantIsRejectedWhileVictimStaysBounded) {
           flips::serve::decode_step_reply(response.payload, reply));
       --outstanding;
       if (response.status == FrameStatus::kRejected) {
-        ++flood_rejections;
+        if (flood_rejections++ == 0) rejected.set_value();
       } else if (response.status == FrameStatus::kOk) {
         ++flood_steps;
         if (reply.finished) finished = true;
