@@ -59,12 +59,13 @@ Fleet build_fleet(const flips::ScenarioSpec& spec) {
                                flips::fl::PartyProfile::from_device(device));
   }
 
-  flips::ctrl::StreamingClusterConfig cc;
-  cc.k_override = 10;
+  flips::core::PrivateClusteringConfig cc;
+  cc.k = 10;
   cc.seed = spec.seed ^ 0xC1;
-  auto view = flips::core::cluster_privately(cc, data.label_distributions);
-  fleet.clusters = std::move(view.cluster_of);
-  fleet.k = view.k;
+  auto clustering =
+      flips::core::cluster_privately(cc, data.label_distributions);
+  fleet.clusters = std::move(clustering.assignments);
+  fleet.k = clustering.centroids.size();
   return fleet;
 }
 

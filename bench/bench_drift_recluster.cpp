@@ -2,21 +2,16 @@
 // premise that clustering holds "as long as … the data at participants
 // does not change significantly").
 //
-// Protocol: train with FLIPS selection; at mid-run every party's label
-// prior rotates (data drift). Compare four continuations:
+// Protocol: train with FLIPS selection; at mid-run half the parties'
+// label priors rotate (data drift). Compare three continuations:
 //   stale    — keep the pre-drift clusters (what baseline FLIPS does);
-//   refresh  — manually re-cluster on fresh label distributions (a
-//              one-shot core::cluster_privately);
-//   service  — parties re-report their label distributions to the
-//              streaming control plane on a rolling schedule; its
-//              DriftMonitor flags the shift and the service
-//              re-clusters itself, the selector consuming the new
-//              epoch mid-job (the automated version of `refresh`);
+//   refresh  — re-cluster once on the fresh label distributions
+//              (core::cluster_privately again);
 //   random   — random selection throughout (drift-oblivious control).
-// Expected shape: all FLIPS arms dip at the drift point; refresh and
-// service recover to the pre-drift trajectory (service a trigger-lag
-// behind), stale converges slower post-drift (its "equitable
-// representation" is now mis-aimed), random stays worst.
+// Expected shape: both FLIPS arms dip at the drift point; refresh
+// recovers to the pre-drift trajectory, stale converges slower
+// post-drift (its "equitable representation" is now mis-aimed),
+// random stays worst.
 //
 // Defaults: 60 ECG parties, 20 rounds per phase, class separation 0.4
 // (`--set dataset=` picks another dataset). At the ECG catalog's
@@ -31,12 +26,10 @@
 #include "common/scenario.h"
 #include "common/stats.h"
 #include "core/private_clustering.h"
-#include "ctrl/recluster_observer.h"
 #include "data/drift.h"
 #include "data/federated.h"
 #include "fl/session.h"
 #include "selection/factory.h"
-#include "selection/flips_selector.h"
 
 namespace {
 
@@ -62,23 +55,19 @@ flips::fl::FlJobConfig job_config(std::size_t rounds, std::size_t nr,
 }
 
 /// Runs `rounds` of FL through a steppable FederationSession and
-/// returns final parameters + accuracy curve. `observer` (optional) is
-/// the control-plane attachment point — the service arm hangs a
-/// ctrl::ReclusterObserver here.
+/// returns final parameters + accuracy curve.
 Phase run_phase(const std::vector<flips::fl::Party>& parties,
                 const flips::data::Dataset& test,
                 flips::ml::Sequential model,
                 std::unique_ptr<flips::fl::ParticipantSelector> selector,
                 std::size_t rounds, std::size_t nr, std::uint64_t seed,
-                std::vector<double>* final_params,
-                flips::fl::RoundObserver* observer = nullptr) {
+                std::vector<double>* final_params) {
   // Non-owning alias: the bench's party vectors outlive every phase.
   flips::fl::FederationSession session(
       job_config(rounds, nr, seed),
       std::shared_ptr<const std::vector<flips::fl::Party>>(
           std::shared_ptr<const void>{}, &parties),
       test, std::move(model), std::move(selector));
-  session.add_observer(observer);
   while (!session.done()) session.advance();
   const auto result = session.result();
   Phase phase;
@@ -122,21 +111,14 @@ int main(int argc, char** argv) {
   auto initial = flips::ml::ModelFactory::mlp(dc.spec.feature_dim, 24,
                                               dc.spec.num_classes, model_rng);
 
-  // The streaming control plane clusters the pre-drift federation once
-  // (epoch 1). Phase 1 and the stale arm select over that epoch; the
-  // service arm keeps the service running through phase 2.
-  auto enclave = std::make_shared<flips::tee::Enclave>("drift-ctrl", 1.05);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
-  flips::ctrl::StreamingClusterConfig cc;
-  cc.k_override = k;
+  // The pre-drift federation is clustered once; phase 1 and the stale
+  // arm select over those clusters.
+  flips::core::PrivateClusteringConfig cc;
+  cc.k = k;
   cc.seed = spec.seed;
-  flips::core::PrivateClusteringService service(cc, enclave, attestation);
-  for (std::size_t p = 0; p < parties.size(); ++p) {
-    service.submit_label_distribution(p, data.label_distributions[p]);
-  }
-  const std::vector<std::size_t> pre_clusters = service.finalize().cluster_of;
+  const std::vector<std::size_t> pre_clusters =
+      flips::core::cluster_privately(cc, data.label_distributions)
+          .assignments;
 
   flips::select::SelectorContext ctx;
   ctx.num_parties = parties.size();
@@ -191,61 +173,11 @@ int main(int argc, char** argv) {
       spec.rounds, nr, spec.seed + 1, &ignore);
 
   cc.seed = spec.seed + 7;
-  ctx.cluster_of = flips::core::cluster_privately(cc, drifted_lds).cluster_of;
+  ctx.cluster_of = flips::core::cluster_privately(cc, drifted_lds).assignments;
   const Phase refreshed = run_phase(
       drifted_parties, data.global_test, resume_model(),
       flips::select::make_selector(flips::select::SelectorKind::kFlips, ctx),
       spec.rounds, nr, spec.seed + 1, &ignore);
-
-  // Service arm: the streaming control plane holds the pre-drift
-  // clustering (epoch 1); during phase 2 parties re-report their label
-  // distributions on a rolling schedule and the drift monitor decides
-  // when to re-cluster — no manual refresh anywhere.
-  flips::select::FlipsSelectorConfig fsc;
-  fsc.seed = spec.seed;
-  auto service_selector = std::make_unique<flips::select::FlipsSelector>(
-      std::vector<std::size_t>{}, 0, fsc);
-  flips::select::FlipsSelector* service_sel = service_selector.get();
-  service_sel->consume(service.membership());  // bind epoch 1
-
-  // Rolling refresh: each round the next slice of parties reports its
-  // current label distribution, so the monitor sees drift the way a
-  // live deployment would — incrementally, mixed with unchanged
-  // parties. The ReclusterObserver rides the session's round events.
-  const std::size_t refresh_rounds = 5;
-  const std::size_t n_parties = drifted_parties.size();
-  flips::ctrl::ReclusterObserver recluster_observer(
-      service,
-      [&](const flips::ctrl::MembershipView& view) {
-        service_sel->consume(view);
-      },
-      [&](std::size_t round, flips::ctrl::ClusterControl& control) {
-        const std::size_t chunk =
-            (n_parties + refresh_rounds - 1) / refresh_rounds;
-        const std::size_t begin = (round - 1) * chunk;
-        for (std::size_t p = begin;
-             p < std::min(n_parties, begin + chunk); ++p) {
-          control.submit_label_distribution(p, drifted_lds[p]);
-        }
-      });
-  const Phase service_phase = run_phase(
-      drifted_parties, data.global_test, resume_model(),
-      std::move(service_selector), spec.rounds, nr,
-      spec.seed + 1, &ignore, &recluster_observer);
-  const std::size_t trigger_round = recluster_observer.trigger_round();
-  const std::size_t recluster_round =
-      recluster_observer.first_recluster_round();
-
-  flips::bench::print_table_header(
-      "drift protocol",
-      {"trigger round", "first recluster", "epochs", "path",
-       "submissions"});
-  flips::bench::print_table_row(
-      {trigger_round == 0 ? "never" : std::to_string(trigger_round),
-       recluster_round == 0 ? "never" : std::to_string(recluster_round),
-       std::to_string(service.epoch()), service.clustering_path(),
-       std::to_string(service.submissions())});
-  std::cout << "\n";
 
   const Phase random_phase = run_phase(
       drifted_parties, data.global_test, resume_model(),
@@ -275,7 +207,6 @@ int main(int argc, char** argv) {
   };
   row("flips-stale-clusters", stale);
   row("flips-reclustered", refreshed);
-  row("flips-service-recluster", service_phase);
   row("random", random_phase);
 
   std::cout << "\npre-drift peak: "
@@ -285,21 +216,17 @@ int main(int argc, char** argv) {
             << " %\n";
   std::cout << "Expected shape: every FLIPS continuation clearly beats "
                "random selection after the drift (the cluster prior, even "
-               "stale, still spreads selection across label modes). The "
-               "service arm tracks the manual-refresh trajectory — it IS "
-               "the refresh arm, minus the human: the drift monitor "
-               "flags within the rolling-refresh window and re-clusters "
-               "on its own. At this reduced scale stale vs re-clustered "
-               "sit within run noise of each other; the re-clustering "
-               "machinery's value is structural (stale assignments "
-               "provably mis-group the drifted sub-modes) and grows with "
-               "federation size — use --paper-scale to widen the gap.\n";
+               "stale, still spreads selection across label modes). At "
+               "this reduced scale stale vs re-clustered sit within run "
+               "noise of each other; re-clustering's value is structural "
+               "(stale assignments provably mis-group the drifted "
+               "sub-modes) and grows with federation size — use "
+               "--paper-scale to widen the gap.\n";
 
   if (args.csv) {
     for (std::size_t r = 0; r < refreshed.accuracy.size(); ++r) {
       std::cout << "csv,drift," << r + 1 << "," << stale.accuracy[r] << ","
                 << refreshed.accuracy[r] << ","
-                << service_phase.accuracy[r] << ","
                 << random_phase.accuracy[r] << "\n";
     }
   }

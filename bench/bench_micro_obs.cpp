@@ -9,13 +9,14 @@
 //   obs,tracer_record_ns,<ns>      — informational (locked sink write)
 //   alloc,obs_steady_state,<count> — the plane's contract is 0
 //   perf,obs,ab,<off_s>,<on_s>,<pct> — instrumented session overhead,
-//       min over reps for both arms; must stay < 1%.
+//       thread CPU time, min over reps for both arms; must stay < 1%.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <memory>
 #include <new>
 
@@ -205,7 +206,18 @@ void allocation_audit() {
 // ---- A/B overhead: the same federation stepped bare vs fully
 // instrumented (MetricsObserver emitting into a private registry plus
 // phase/round spans through a null-sink tracer — the serving plane's
-// exact per-session wiring). Min wall time over reps for both arms.
+// exact per-session wiring). Each arm is timed in CPU time of the
+// calling thread, not wall time: with threads = 1 the session trains
+// and evaluates inline on that thread, so the clock sees all of its
+// work and none of the time the thread spends descheduled. Min over
+// reps for both arms.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 double run_arm(const flips::ExperimentConfig& config,
                flips::select::SelectorKind kind, bool instrumented,
                flips::obs::Registry* registry, flips::obs::Tracer* tracer) {
@@ -214,15 +226,15 @@ double run_arm(const flips::ExperimentConfig& config,
     session->add_observer(std::make_shared<flips::fl::MetricsObserver>(
         "ab", registry, tracer));
   }
-  const auto start = Clock::now();
+  const double start = thread_cpu_seconds();
   while (!session->done()) session->advance();
   benchmark::DoNotOptimize(session->result().final_parameters.data());
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return thread_cpu_seconds() - start;
 }
 
 void ab_overhead() {
-  // Sized so one arm runs ~0.1 s: long enough that scheduler noise
-  // stays well under the 1% gate with min-over-reps on both sides.
+  // Sized so one arm runs tens of milliseconds; threads = 1 keeps
+  // every phase on the timed thread.
   flips::ScenarioSpec spec = flips::scenario_preset("ecg-fedavg");
   spec.parties = 24;
   spec.samples_per_party = 40;
@@ -248,9 +260,9 @@ void ab_overhead() {
     on_s = std::min(on_s, run_arm(config, kind, true, &registry, &tracer));
   }
   const double pct = (on_s - off_s) / off_s * 100.0;
-  std::printf("\ninstrumented session A/B (%zu parties, %zu rounds, min "
-              "over %zu reps): bare %.4f s, instrumented %.4f s, "
-              "overhead %.3f%%\n",
+  std::printf("\ninstrumented session A/B (%zu parties, %zu rounds, "
+              "thread CPU time, min over %zu reps): bare %.4f s, "
+              "instrumented %.4f s, overhead %.3f%%\n",
               spec.parties, spec.rounds, kReps, off_s, on_s, pct);
   std::printf("perf,obs,ab,%.4f,%.4f,%.3f\n", off_s, on_s, pct);
 }

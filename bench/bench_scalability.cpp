@@ -1,41 +1,34 @@
-// Scalability of the FLIPS control plane (paper §3.4: "k-means++ …
-// has been demonstrated to scale to millions of data points, i.e.,
+// Scalability of FLIPS's clustering (paper §3.4: "k-means++ … has
+// been demonstrated to scale to millions of data points, i.e.,
 // parties"; FLIPS is "as scalable as the underlying aggregation
 // algorithm").
 //
-// Runs end-to-end through core::PrivateClusteringService (attested
-// sealed submissions into the streaming engine), measuring, as the
-// party count N grows:
-//   1. multi-threaded ingestion throughput (seal/open runs in the
-//      submitting threads, the engine's one-point-per-party table
-//      behind one lock);
-//   2. clustering wall-clock — a service pinned to full Lloyd vs the
-//      threshold-scaled service (mini-batch k-means past
-//      `lloyd_threshold` parties);
-//   3. clustering agreement between the two paths (mini-batch must
-//      find the same mode structure for FLIPS to be correct at scale);
-//   4. incremental late-joiner assignment latency;
-//   5. per-round selection latency of the Algorithm-1 selector fed
-//      from the service's MembershipView.
+// Runs end-to-end through core::cluster_privately (attested sealed
+// channels into the enclave), measuring, as the party count N grows:
+//   1. clustering wall-clock — the Lloyd kernel pinned at every size
+//      (cluster::kmeans on the same Hellinger points, k, restarts and
+//      stream) vs the enclave's threshold-scaled clustering
+//      (mini-batch k-means past `lloyd_threshold` parties), read from
+//      the enclave's execution ledger;
+//   2. clustering agreement between the two (mini-batch must find the
+//      same mode structure for FLIPS to be correct at scale);
+//   3. per-round selection latency of the Algorithm-1 selector over
+//      the enclave's assignments.
 //
 // Emits stable `perf,<name>,<seconds>,-1` lines (same schema as the
 // engine's per-selector lines) so the CI perf rail can scrape
-// control-plane scaling:
-//   ctrl-ingest-<N>, ctrl-lloyd-<N>, ctrl-auto-<N>, ctrl-select-<N>.
+// clustering scaling: ctrl-lloyd-<N>, ctrl-auto-<N>, ctrl-select-<N>.
 //
 // Flags: `--set parties=N` pins a single size (CI smoke uses 10000,
 // past the threshold); default sweeps 1k/5k/20k (+100k with
-// --paper-scale). `--set threads=T` sets the ingestion fan-in (0 = all
-// cores). The engine clusters every party's point in party-id order,
-// so the clustering columns are bit-identical for every fan-in, like
-// the FL benches' --threads contract; only the timing columns move.
+// --paper-scale). `--set threads=T` sizes the multi-tenant arm's
+// shared worker pool (0 = all cores); the clustering columns do not
+// depend on it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/experiment.h"
@@ -52,9 +45,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kModes = 10;
 constexpr std::size_t kDim = 10;
-/// The control plane's Lloyd/mini-batch crossover knob (engine
-/// default; EXPERIMENTS.md documents the calibration).
-constexpr std::size_t kLloydThreshold = 5000;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -103,41 +93,6 @@ double rand_index(const std::vector<std::size_t>& a,
   return static_cast<double>(agree) / static_cast<double>(trials);
 }
 
-std::unique_ptr<flips::core::PrivateClusteringService> make_service(
-    std::size_t lloyd_threshold, std::uint64_t seed) {
-  auto enclave =
-      std::make_shared<flips::tee::Enclave>("ctrl-scalability", 1.05);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
-  flips::ctrl::StreamingClusterConfig config;
-  config.k_override = kModes;
-  config.restarts = 1;
-  config.seed = seed;
-  config.lloyd_threshold = lloyd_threshold;
-  return std::make_unique<flips::core::PrivateClusteringService>(
-      config, enclave, attestation);
-}
-
-/// Striped multi-threaded submission — the ingestion hot path.
-double ingest(flips::core::PrivateClusteringService& service,
-              const std::vector<flips::cluster::Point>& lds,
-              std::size_t threads) {
-  const std::size_t t_count = std::max<std::size_t>(1, threads);
-  const auto start = Clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(t_count);
-  for (std::size_t t = 0; t < t_count; ++t) {
-    workers.emplace_back([&, t] {
-      for (std::size_t p = t; p < lds.size(); p += t_count) {
-        service.submit_label_distribution(p, lds[p]);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  return seconds_since(start);
-}
-
 void perf_line(const std::string& name, double seconds) {
   flips::bench::PerfLine(name)
       .num("seconds", seconds, 6)
@@ -155,9 +110,6 @@ int main(int argc, char** argv) {
   defaults.target_accuracy = 0.6;
   const auto args = flips::parse_scenario_args(argc, argv, defaults);
   const flips::ScenarioSpec& spec = args.spec;
-  const std::size_t threads =
-      flips::common::ThreadPool::resolve_threads(spec.threads);
-
   // --paper-scale wins over its generic parties=200 (this bench's sizes
   // are its own axis): it extends the sweep to 100k. Otherwise an
   // explicit parties=N pins a single size.
@@ -170,60 +122,56 @@ int main(int argc, char** argv) {
     sizes = {1'000, 5'000, 20'000};
   }
 
-  std::cout << "=== FLIPS control-plane scalability (through "
-               "PrivateClusteringService, threshold "
-            << kLloydThreshold << " parties, " << threads
-            << " ingest threads) ===\n\n";
-  flips::bench::print_table_header(
-      "clustering", {"parties", "path", "ingest (s)", "lloyd (s)",
-                     "auto (s)", "speedup", "rand-agreement",
-                     "late-join (us)"});
+  flips::core::PrivateClusteringConfig config;
+  config.k = kModes;
+  config.restarts = 1;
+  config.seed = spec.seed;
 
-  // Per-size MembershipViews, reused by the selection-latency section.
+  std::cout << "=== FLIPS clustering scalability (through "
+               "core::cluster_privately, threshold "
+            << config.lloyd_threshold << " parties) ===\n\n";
+  flips::bench::print_table_header(
+      "clustering", {"parties", "path", "lloyd (s)", "auto (s)", "speedup",
+                     "rand-agreement"});
+
+  // Per-size assignments, reused by the selection-latency section.
   std::vector<std::vector<std::size_t>> assignments_by_size;
 
   for (const std::size_t n : sizes) {
     const auto lds = planted_lds(n, kModes, kDim, spec.seed);
 
-    // Reference service pinned to full Lloyd regardless of size.
-    auto lloyd_service =
-        make_service(std::numeric_limits<std::size_t>::max(), spec.seed);
-    ingest(*lloyd_service, lds, threads);
+    // Reference: the Lloyd kernel pinned regardless of size.
+    std::vector<flips::cluster::Point> points;
+    points.reserve(n);
+    for (const auto& ld : lds) {
+      points.push_back(flips::core::hellinger_point(ld));
+    }
+    flips::cluster::KMeansConfig kc;
+    kc.k = config.k;
+    kc.restarts = config.restarts;
+    flips::common::Rng lloyd_rng(config.seed);
     const auto t_lloyd = Clock::now();
-    const auto lloyd_view = lloyd_service->finalize();
+    const auto lloyd = flips::cluster::kmeans(points, kc, lloyd_rng);
     const double lloyd_s = seconds_since(t_lloyd);
 
-    // Threshold-scaled service — the production configuration.
-    auto auto_service = make_service(kLloydThreshold, spec.seed);
-    const double ingest_s = ingest(*auto_service, lds, threads);
-    const auto t_auto = Clock::now();
-    const auto auto_view = auto_service->finalize();
-    const double auto_s = seconds_since(t_auto);
+    // Threshold-scaled clustering in the enclave — the production path.
+    flips::core::AttestedEnclave attested;
+    auto clustering = flips::core::cluster_privately(
+        config, lds, attested.enclave, attested.attestation);
+    const double auto_s = attested.enclave.raw_execution_seconds();
 
     flips::common::Rng pair_rng(spec.seed + 2);
     const double agreement =
-        rand_index(lloyd_view.cluster_of, auto_view.cluster_of, pair_rng);
-    assignments_by_size.push_back(auto_view.cluster_of);
-
-    // Late joiners: incremental nearest-centroid assignment, no
-    // re-clustering, epoch unchanged.
-    const std::size_t late = 100;
-    const auto late_lds = planted_lds(late, kModes, kDim, spec.seed + 9);
-    const auto t_late = Clock::now();
-    for (std::size_t i = 0; i < late; ++i) {
-      auto_service->submit_label_distribution(n + i, late_lds[i]);
-    }
-    const double late_us =
-        seconds_since(t_late) * 1e6 / static_cast<double>(late);
+        rand_index(lloyd.assignments, clustering.assignments, pair_rng);
+    assignments_by_size.push_back(std::move(clustering.assignments));
 
     flips::bench::print_table_row(
-        {std::to_string(n), auto_service->clustering_path(),
-         std::to_string(ingest_s), std::to_string(lloyd_s),
-         std::to_string(auto_s),
+        {std::to_string(n),
+         n <= config.lloyd_threshold ? "lloyd" : "minibatch",
+         std::to_string(lloyd_s), std::to_string(auto_s),
          std::to_string(lloyd_s / std::max(auto_s, 1e-9)) + "x",
-         std::to_string(agreement), std::to_string(late_us)});
+         std::to_string(agreement)});
 
-    perf_line("ctrl-ingest-" + std::to_string(n), ingest_s);
     perf_line("ctrl-lloyd-" + std::to_string(n), lloyd_s);
     perf_line("ctrl-auto-" + std::to_string(n), auto_s);
   }
@@ -235,8 +183,8 @@ int main(int argc, char** argv) {
 
   for (std::size_t s = 0; s < sizes.size(); ++s) {
     const std::size_t n = sizes[s];
-    // The selector consumes the service's epoch-versioned view — the
-    // same wiring the FL job's re-cluster hook uses.
+    // The selector over the enclave's assignments, as every session
+    // builds it.
     flips::select::FlipsSelector selector(assignments_by_size[s], kModes,
                                           {});
 
@@ -330,16 +278,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "\nExpected shape: the service switches to mini-batch "
+  std::cout << "\nExpected shape: the enclave switches to mini-batch "
                "k-means past the " +
-                   std::to_string(kLloydThreshold) +
+                   std::to_string(config.lloyd_threshold) +
                    "-party threshold, where it grows ~linearly and "
                    "overtakes Lloyd while agreeing with its cluster "
-                   "structure (Rand agreement ~0.9+); ingestion costs "
-                   "about a microsecond per party (seal/open plus one "
-                   "table write) at any fan-in; late joiners "
-                   "cost microseconds (one nearest-centroid scan); "
-                   "selection stays microseconds-per-round at every N "
-                   "(one O(N) shuffle and partial sort per round).\n";
+                   "structure (Rand agreement ~0.9+); selection stays "
+                   "microseconds-per-round at every N (one O(N) shuffle "
+                   "and partial sort per round).\n";
   return 0;
 }

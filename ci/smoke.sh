@@ -10,12 +10,10 @@
 #    with threads=4 drives the FL worker pool — selection, concurrent local training, ordered
 #    aggregation, evaluation — so TSan sees the real multi-threaded
 #    round loop, not a synthetic test.
-# 3. bench_scalability at 2k parties with threads=4 drives the
-#    control plane's ingestion from four concurrent submitters
-#    (seal/open in each submitting thread, then the engine lock that
-#    guards every party's point and the membership table, late-joiner
-#    assignment, drift observation) — the streaming-service paths
-#    TSan must see under real contention.
+# 3. bench_scalability at 2k parties with threads=4 runs
+#    cluster_privately (attestation, sealed channels, in-enclave
+#    Lloyd k-means) and the 2- and 4-tenant interleave over one shared
+#    4-worker pool.
 # 4. the 4-thread codec smokes drive the workers' hand-off of leased
 #    update buffers to the stepping thread's ordered fold plus the
 #    quant8/topk wire codecs (per-party error feedback,

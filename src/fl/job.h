@@ -158,8 +158,6 @@ struct FlJobConfig {
   double target_accuracy = 0.0;  ///< 0 = no target tracking
   /// Stepping discipline: kSync runs the round barrier; kAsync runs
   /// the FedBuff-style buffered event loop configured by `async`.
-  /// Control-plane work plugs in as a RoundObserver (see
-  /// ctrl::ReclusterObserver for the streaming-clustering service).
   FederationMode mode = FederationMode::kSync;
   AsyncConfig async;
   /// Simulated seconds of local compute per (sample x epoch) on a

@@ -62,10 +62,8 @@ MetricsObserver::MetricsObserver(std::string tenant, obs::Registry* registry,
                                           t, kBackoffConfig);
 }
 
-void MetricsObserver::on_round_begin(std::size_t round,
-                                     ParticipantSelector& selector) {
+void MetricsObserver::on_round_begin(std::size_t round) {
   (void)round;
-  (void)selector;
   round_start_ns_ = common::steady_now_ns();
   round_span_id_ = tracer_->next_id();
 }

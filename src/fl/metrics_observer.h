@@ -38,8 +38,7 @@ class MetricsObserver final : public RoundObserver {
                            obs::Registry* registry = &obs::Registry::global(),
                            obs::Tracer* tracer = &obs::Tracer::global());
 
-  void on_round_begin(std::size_t round,
-                      ParticipantSelector& selector) override;
+  void on_round_begin(std::size_t round) override;
   void on_party_feedback(std::size_t round,
                          const PartyFeedback& feedback) override;
   void on_arrival(std::size_t round, const ArrivalRecord& arrival) override;

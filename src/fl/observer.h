@@ -4,10 +4,7 @@
 // and emits three events per step (a "round" in sync mode, a buffered
 // server step in async mode):
 //
-//   on_round_begin(round, selector)   before selection — the control
-//       plane's slot (feed refreshed label distributions, trigger a
-//       re-clustering epoch, rebind the selector; see
-//       ctrl::ReclusterObserver).
+//   on_round_begin(round)             before selection.
 //   on_party_feedback(round, fb)      once per selected party, in
 //       cohort order (sync) / arrival order (async), after the fold
 //       (fb.delta is the wire update the server saw; valid only for
@@ -112,14 +109,8 @@ class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
 
-  /// Start of 1-based `round`, before selection. `selector` is the
-  /// session's own selector (mutable: re-clustering observers rebind
-  /// membership here).
-  virtual void on_round_begin(std::size_t round,
-                              ParticipantSelector& selector) {
-    (void)round;
-    (void)selector;
-  }
+  /// Start of 1-based `round`, before selection.
+  virtual void on_round_begin(std::size_t round) { (void)round; }
 
   /// One selected party's outcome, in cohort order. Fires for every
   /// cohort member — non-responders arrive with fb.responded == false

@@ -60,7 +60,7 @@ void FederationSession::run_dispatch(InFlight& f, double lr) {
 const RoundRecord& FederationSession::async_step() {
   const std::size_t step = next_round_;
   for (RoundObserver* obs : observers_) {
-    obs->on_round_begin(step, *selector_);
+    obs->on_round_begin(step);
   }
 
   const double step_start_s = sim_time_s_;

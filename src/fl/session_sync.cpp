@@ -205,7 +205,7 @@ const RoundRecord& FederationSession::sync_step() {
   const std::size_t round = next_round_;
 
   for (RoundObserver* obs : observers_) {
-    obs->on_round_begin(round, *selector_);
+    obs->on_round_begin(round);
   }
 
   std::uint64_t t = common::steady_now_ns();

@@ -83,12 +83,12 @@ Federation build_federation(const ExperimentConfig& config,
   out.global_test = std::move(data.global_test);
 
   // FLIPS's clustering, inside the enclave (§3.4).
-  ctrl::StreamingClusterConfig cc;
-  cc.k_override = config.flips_clusters;
+  core::PrivateClusteringConfig cc;
+  cc.k = config.flips_clusters;
   cc.seed = seed ^ 0xC1u;
-  auto view = core::cluster_privately(cc, data.label_distributions);
-  out.clusters = std::move(view.cluster_of);
-  out.num_clusters = view.k;
+  auto clustering = core::cluster_privately(cc, data.label_distributions);
+  out.clusters = std::move(clustering.assignments);
+  out.num_clusters = clustering.centroids.size();
   out.label_distributions = std::move(data.label_distributions);
   return out;
 }

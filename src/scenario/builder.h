@@ -89,7 +89,7 @@ struct Federation {
 /// Builds the data, the fleet and FLIPS's clustering: every party's
 /// label histogram goes through core::cluster_privately (a self-attested
 /// enclave, Hellinger space, k = config.flips_clusters or the DBI elbow
-/// at 0, engine seed `seed` ^ 0xC1).
+/// at 0, seed `seed` ^ 0xC1).
 [[nodiscard]] Federation build_federation(const ExperimentConfig& config,
                                           std::uint64_t seed);
 

@@ -2,37 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace flips::select {
 
 FlipsSelector::FlipsSelector(std::vector<std::size_t> cluster_of,
                              std::size_t num_clusters,
                              const FlipsSelectorConfig& config)
-    : config_(config), rng_(config.seed) {
-  rebind_clusters(std::move(cluster_of), num_clusters);
-}
-
-void FlipsSelector::rebind_clusters(std::vector<std::size_t> cluster_of,
-                                    std::size_t num_clusters) {
-  cluster_of_ = std::move(cluster_of);
+    : cluster_of_(std::move(cluster_of)),
+      times_selected_(cluster_of_.size(), 0),
+      config_(config),
+      rng_(config.seed) {
   std::size_t k = num_clusters;
   for (const std::size_t c : cluster_of_) k = std::max(k, c + 1);
   members_.assign(std::max<std::size_t>(k, 1), {});
   for (std::size_t p = 0; p < cluster_of_.size(); ++p) {
     members_[cluster_of_[p]].push_back(p);
   }
-  // Fairness counts survive the rebind: parties keep their history,
-  // newly joined parties start least-selected (and are therefore
-  // favoured by the least-selected-first pick right away).
-  if (times_selected_.size() < cluster_of_.size()) {
-    times_selected_.resize(cluster_of_.size(), 0);
-  }
-}
-
-void FlipsSelector::consume(const ctrl::MembershipView& view) {
-  if (view.epoch == 0 || view.epoch == membership_epoch_) return;
-  rebind_clusters(view.cluster_of, view.k);
-  membership_epoch_ = view.epoch;
 }
 
 std::vector<std::size_t> FlipsSelector::pick_from_cluster(

@@ -1,7 +1,8 @@
 // The FLIPS selector (paper Algorithm 1): parties are grouped by label
-// distribution ahead of time; each round the Nr slots are spread evenly
-// across clusters (rotating which clusters absorb the remainder), and
-// within a cluster the least-often-picked parties go first: the
+// distribution once, before training (core::cluster_privately), and
+// the grouping stays fixed for the job. Each round the Nr slots are
+// spread evenly across clusters (rotating which clusters absorb the
+// remainder), and within a cluster the least-often-picked parties go first: the
 // cluster's members are shuffled with the selector's seed (so ties
 // rotate) and partially sorted by selection count. Every member of
 // every cluster is touched, so a round costs O(N) for N parties. This
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ctrl/membership_view.h"
 #include "fl/selector.h"
 
 namespace flips::select {
@@ -43,24 +43,6 @@ class FlipsSelector final : public fl::ParticipantSelector {
 
   double observed_straggle_rate() const { return straggle_rate_; }
 
-  /// Re-binds cluster membership in place (control-plane epoch
-  /// change): the per-cluster member lists are rebuilt, while
-  /// `times_selected_` fairness counts are preserved for existing
-  /// parties (new parties start at zero).
-  void rebind_clusters(std::vector<std::size_t> cluster_of,
-                       std::size_t num_clusters);
-
-  /// Consumes an epoch-versioned control-plane view; no-op unless
-  /// `view.epoch` advanced past the last epoch consumed (or the view
-  /// carries no clustering yet).
-  void consume(const ctrl::MembershipView& view);
-
-  std::uint64_t membership_epoch() const { return membership_epoch_; }
-  /// Per-party selection counts (fairness state; survives rebinds).
-  const std::vector<std::size_t>& selection_counts() const {
-    return times_selected_;
-  }
-
  private:
   std::vector<std::size_t> pick_from_cluster(std::size_t cluster,
                                              std::size_t count);
@@ -71,7 +53,6 @@ class FlipsSelector final : public fl::ParticipantSelector {
   FlipsSelectorConfig config_;
   common::Rng rng_;
   double straggle_rate_ = 0.0;
-  std::uint64_t membership_epoch_ = 0;
 };
 
 }  // namespace flips::select

@@ -10,7 +10,7 @@
 
 #include "cluster/dbi.h"
 #include "common/stats.h"
-#include "ctrl/streaming_cluster_engine.h"
+#include "core/private_clustering.h"
 #include "scenario/spec.h"
 
 namespace {
@@ -316,7 +316,7 @@ std::vector<flips::cluster::Point> hellinger_points(
 }
 
 TEST(BuildFederation, ClustersInTheEnclaveLikePlainKMeans) {
-  // Below the Lloyd threshold with k fixed, the service's epoch 1 is
+  // Below the Lloyd threshold with k fixed, the enclave's clustering is
   // plain k-means over the Hellinger points on stream seed ^ 0xC1.
   flips::ScenarioSpec spec = flips::scenario_preset("ham-fedyogi");
   spec.parties = 40;
@@ -347,11 +347,11 @@ TEST(BuildFederation, ZeroClustersPicksKWithTheElbow) {
   const flips::Federation fed =
       flips::build_federation(flips::to_experiment_config(spec), seed);
 
-  const flips::ctrl::StreamingClusterConfig defaults;  // the elbow's knobs
+  const flips::core::PrivateClusteringConfig defaults;  // the elbow's knobs
   flips::cluster::OptimalKConfig okc;
   okc.k_min = defaults.k_min;
   okc.k_max = defaults.k_max;
-  okc.repeats = defaults.elbow_repeats;
+  okc.repeats = flips::core::kElbowRepeats;
   okc.kmeans.restarts = defaults.restarts;
   flips::common::Rng rng(seed ^ 0xC1u);
   const std::size_t k =

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <set>
 
-#include "ctrl/membership_view.h"
 #include "selection/baselines.h"
 #include "selection/factory.h"
 #include "selection/flips_selector.h"
@@ -157,58 +156,6 @@ TEST(FlipsSelector, OverprovisionsAfterStragglers) {
     plain_cohort = plain.select(round + 1, 8);
   }
   EXPECT_EQ(plain_cohort.size(), 8u);
-}
-
-TEST(FlipsSelector, ConsumeRebindsOnEpochChangePreservingCounts) {
-  // 2 clusters over 12 parties; run a few rounds to accumulate counts.
-  std::vector<std::size_t> cluster_of(12);
-  for (std::size_t p = 0; p < 12; ++p) cluster_of[p] = p % 2;
-  flips::select::FlipsSelector selector(cluster_of, 2, {});
-  for (std::size_t round = 1; round <= 6; ++round) {
-    selector.select(round, 4);
-  }
-  const std::vector<std::size_t> counts = selector.selection_counts();
-  std::size_t total = 0;
-  for (const std::size_t c : counts) total += c;
-  EXPECT_EQ(total, 24u);  // 6 rounds x 4 picks
-  EXPECT_EQ(selector.membership_epoch(), 0u);
-
-  // Control-plane epoch 1: re-partition into 3 clusters and add 2
-  // late-joining parties.
-  flips::ctrl::MembershipView view;
-  view.epoch = 1;
-  view.k = 3;
-  view.cluster_of.resize(14);
-  for (std::size_t p = 0; p < 14; ++p) view.cluster_of[p] = p % 3;
-  selector.consume(view);
-  EXPECT_EQ(selector.membership_epoch(), 1u);
-
-  // Fairness counts survived the rebind; newcomers start at 0.
-  const auto& after = selector.selection_counts();
-  ASSERT_EQ(after.size(), 14u);
-  for (std::size_t p = 0; p < 12; ++p) {
-    EXPECT_EQ(after[p], counts[p]);
-  }
-  EXPECT_EQ(after[12], 0u);
-  EXPECT_EQ(after[13], 0u);
-
-  // Same epoch again: a no-op (counts untouched, no rebind).
-  selector.consume(view);
-  EXPECT_EQ(selector.selection_counts(), after);
-
-  // New membership actually steers selection: with 3 clusters and
-  // Nr = 6, every new cluster contributes exactly 2 parties.
-  const auto cohort = selector.select(7, 6);
-  ASSERT_EQ(cohort.size(), 6u);
-  std::vector<std::size_t> per_cluster(3, 0);
-  for (const std::size_t p : cohort) ++per_cluster[view.cluster_of[p]];
-  for (const std::size_t count : per_cluster) {
-    EXPECT_EQ(count, 2u);
-  }
-  // And the least-selected newcomers are picked first in their
-  // clusters (they start with zero history).
-  EXPECT_NE(std::find(cohort.begin(), cohort.end(), 12u), cohort.end());
-  EXPECT_NE(std::find(cohort.begin(), cohort.end(), 13u), cohort.end());
 }
 
 TEST(OortSelector, ConcentratesOnHighLossParties) {

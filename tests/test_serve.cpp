@@ -389,9 +389,7 @@ class HoldFirstStep final : public flips::fl::RoundObserver {
   explicit HoldFirstStep(std::shared_future<void> released)
       : released_(std::move(released)) {}
 
-  void on_round_begin(std::size_t round,
-                      flips::fl::ParticipantSelector& selector) override {
-    (void)selector;
+  void on_round_begin(std::size_t round) override {
     if (round != 1) return;
     if (released_.wait_for(std::chrono::seconds(30)) !=
         std::future_status::ready) {

@@ -186,8 +186,7 @@ struct EventLog final : flips::fl::RoundObserver {
   int* sequence = nullptr;      ///< shared registration-order probe
   std::vector<int> seen_order;  ///< value of *sequence at each begin
 
-  void on_round_begin(std::size_t round,
-                      flips::fl::ParticipantSelector&) override {
+  void on_round_begin(std::size_t round) override {
     if (sequence != nullptr) seen_order.push_back((*sequence)++);
     events.push_back({'b', round});
   }

@@ -1,9 +1,10 @@
-// TEE simulation: sealing integrity, attestation gating, and the
-// private clustering service end-to-end.
+// TEE simulation: sealing integrity, attestation gating, and private
+// clustering end to end: the Lloyd and mini-batch paths either side of
+// the threshold, and the DBI elbow on both.
 #include <gtest/gtest.h>
 
+#include "cluster/minibatch_kmeans.h"
 #include "core/private_clustering.h"
-#include "data/federated.h"
 
 namespace {
 
@@ -41,104 +42,128 @@ TEST(Attestation, VerifiesOnlyTrustedMeasurements) {
   EXPECT_FALSE(server.verify(rogue.measurement(), enclave.platform_key()));
 }
 
-TEST(PrivateClustering, ClustersSubmissionsInsideEnclave) {
-  auto enclave = std::make_shared<flips::tee::Enclave>("clustering", 1.05);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
-
-  flips::ctrl::StreamingClusterConfig config;
-  config.k_override = 3;
-  flips::core::PrivateClusteringService service(config, enclave,
-                                                attestation);
-
-  // Three obvious label-distribution modes.
-  for (std::size_t p = 0; p < 30; ++p) {
-    flips::data::LabelDistribution ld(6, 1.0);
-    ld[p % 3] = 50.0;
-    service.submit_label_distribution(p, ld);
-  }
-  const auto result = service.finalize();
-  EXPECT_EQ(result.k, 3u);
-  ASSERT_EQ(result.cluster_of.size(), 30u);
-  for (std::size_t p = 3; p < 30; ++p) {
-    EXPECT_EQ(result.cluster_of[p], result.cluster_of[p % 3]);
-  }
-  EXPECT_GT(enclave->raw_execution_seconds(), 0.0);
+/// A label histogram concentrated on `mode`.
+flips::data::LabelDistribution mode_distribution(std::size_t mode,
+                                                 std::size_t dim) {
+  flips::data::LabelDistribution ld(dim, 0.02);
+  ld[mode % dim] = 0.8;
+  return ld;
 }
 
-TEST(PrivateClustering, ResubmissionUpdatesInPlaceWithoutDuplicating) {
-  auto enclave = std::make_shared<flips::tee::Enclave>("re-submit", 1.0);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
-
-  flips::ctrl::StreamingClusterConfig config;
-  config.k_override = 2;
-  flips::core::PrivateClusteringService service(config, enclave,
-                                                attestation);
-  for (std::size_t p = 0; p < 12; ++p) {
-    flips::data::LabelDistribution ld(4, 1.0);
-    ld[p % 2] = 40.0;
-    service.submit_label_distribution(p, ld);
+std::vector<flips::data::LabelDistribution> planted(std::size_t parties,
+                                                    std::size_t modes,
+                                                    std::size_t dim) {
+  std::vector<flips::data::LabelDistribution> lds;
+  for (std::size_t p = 0; p < parties; ++p) {
+    lds.push_back(mode_distribution(p % modes, dim));
   }
-  // A drift refresh re-submits every party; the service must update
-  // in place, not append.
-  for (std::size_t p = 0; p < 12; ++p) {
-    flips::data::LabelDistribution ld(4, 1.0);
-    ld[(p + 1) % 2] = 40.0;  // every party flips its dominant label
-    service.submit_label_distribution(p, ld);
-  }
-  EXPECT_EQ(service.submissions(), 12u);
+  return lds;
+}
 
-  const auto result = service.finalize();
-  ASSERT_EQ(result.cluster_of.size(), 12u);
-  EXPECT_EQ(result.k, 2u);
-  // The clustering reflects the refreshed distributions: parity still
-  // partitions the parties (labels flipped for everyone).
-  for (std::size_t p = 2; p < 12; ++p) {
-    EXPECT_EQ(result.cluster_of[p], result.cluster_of[p % 2]);
+std::vector<flips::cluster::Point> hellinger_points(
+    const std::vector<flips::data::LabelDistribution>& lds) {
+  std::vector<flips::cluster::Point> points;
+  for (const auto& ld : lds) {
+    points.push_back(flips::core::hellinger_point(ld));
+  }
+  return points;
+}
+
+flips::core::PrivateClusteringConfig small_config() {
+  flips::core::PrivateClusteringConfig config;
+  config.k = 3;
+  config.restarts = 2;
+  config.seed = 7;
+  return config;
+}
+
+/// Every party sits in the cluster of the party with its mode.
+void expect_modes_recovered(const flips::cluster::KMeansResult& result,
+                            std::size_t parties, std::size_t modes) {
+  ASSERT_EQ(result.assignments.size(), parties);
+  for (std::size_t p = modes; p < parties; ++p) {
+    EXPECT_EQ(result.assignments[p], result.assignments[p % modes]);
   }
 }
 
-TEST(PrivateClustering, DriftDetectionTriggersRecluster) {
-  auto enclave = std::make_shared<flips::tee::Enclave>("drift", 1.0);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  attestation->trust_measurement(enclave->measurement());
-  attestation->register_platform_key(enclave->platform_key());
+TEST(PrivateClustering, ClustersInsideTheEnclave) {
+  flips::core::AttestedEnclave attested;
+  const auto lds = planted(30, 3, 6);
+  const auto result = flips::core::cluster_privately(
+      small_config(), lds, attested.enclave, attested.attestation);
+  EXPECT_EQ(result.centroids.size(), 3u);
+  expect_modes_recovered(result, 30, 3);
+  EXPECT_GT(attested.enclave.raw_execution_seconds(), 0.0);
+}
 
-  flips::ctrl::StreamingClusterConfig config;
-  config.k_override = 2;
-  flips::core::PrivateClusteringService service(config, enclave,
-                                                attestation);
-  auto submit_all = [&](std::size_t rotation) {
-    for (std::size_t p = 0; p < 20; ++p) {
-      flips::data::LabelDistribution ld(4, 1.0);
-      ld[(p + rotation) % 2] = 60.0;
-      service.submit_label_distribution(p, ld);
+TEST(PrivateClustering, LloydPathAtOrBelowThreshold) {
+  flips::core::PrivateClusteringConfig config = small_config();
+  config.lloyd_threshold = 30;
+  const auto lds = planted(30, 3, 6);
+  const auto result = flips::core::cluster_privately(config, lds);
+  expect_modes_recovered(result, 30, 3);
+
+  // Bit for bit the Lloyd kernel on Rng(seed).
+  flips::cluster::KMeansConfig kc;
+  kc.k = 3;
+  kc.restarts = config.restarts;
+  flips::common::Rng rng(config.seed);
+  const auto lloyd = flips::cluster::kmeans(hellinger_points(lds), kc, rng);
+  EXPECT_EQ(result.assignments, lloyd.assignments);
+  EXPECT_EQ(result.centroids, lloyd.centroids);
+}
+
+TEST(PrivateClustering, MiniBatchPathAboveThreshold) {
+  flips::core::PrivateClusteringConfig config = small_config();
+  config.lloyd_threshold = 20;  // 40 parties > 20 => mini-batch
+  const auto lds = planted(40, 3, 6);
+  const auto result = flips::core::cluster_privately(config, lds);
+  EXPECT_EQ(result.centroids.size(), 3u);
+  // Mini-batch must recover the same obvious mode structure.
+  expect_modes_recovered(result, 40, 3);
+
+  // Bit for bit the mini-batch kernel on Rng(seed).
+  flips::cluster::MiniBatchKMeansConfig mb;
+  mb.k = 3;
+  mb.batch_size = flips::core::kMiniBatchSize;
+  mb.iterations = flips::core::kMiniBatchIterations;
+  flips::common::Rng rng(config.seed);
+  const auto minibatch =
+      flips::cluster::minibatch_kmeans(hellinger_points(lds), mb, rng);
+  EXPECT_EQ(result.assignments, minibatch.assignments);
+  EXPECT_EQ(result.centroids, minibatch.centroids);
+}
+
+TEST(PrivateClustering, ElbowFindsPlantedKOnBothPaths) {
+  // Every k >= 3 splits the three exact modes with a DBI of rounding
+  // noise, so only the elbow's tie rule (smallest k within noise of the
+  // minimum) makes k = 3 hold on every seed, not just lucky ones.
+  const std::size_t thresholds[] = {100, 10};
+  const auto lds = planted(60, 3, 8);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const std::size_t threshold : thresholds) {
+      flips::core::PrivateClusteringConfig config = small_config();
+      config.k = 0;  // engage the elbow
+      config.k_min = 2;
+      config.k_max = 6;
+      config.lloyd_threshold = threshold;
+      config.elbow_sample = 48;
+      config.seed = seed;
+      const auto result = flips::core::cluster_privately(config, lds);
+      const char* path = lds.size() <= threshold ? "lloyd" : "minibatch";
+      EXPECT_EQ(result.centroids.size(), 3u) << path << " seed " << seed;
     }
-  };
-  submit_all(0);
-  service.finalize();
-  EXPECT_EQ(service.epoch(), 1u);
-
-  submit_all(0);  // unchanged refresh: no drift
-  EXPECT_FALSE(service.drift_detected());
-  EXPECT_FALSE(service.maybe_recluster());
-
-  submit_all(1);  // rotated refresh: drift flags, service re-clusters
-  EXPECT_TRUE(service.drift_detected());
-  EXPECT_TRUE(service.maybe_recluster());
-  EXPECT_EQ(service.epoch(), 2u);
-  EXPECT_EQ(service.membership().cluster_of.size(), 20u);
+  }
 }
 
 TEST(PrivateClustering, RejectsUnattestedEnclave) {
-  auto enclave = std::make_shared<flips::tee::Enclave>("untrusted", 1.0);
-  auto attestation = std::make_shared<flips::tee::AttestationServer>();
-  flips::core::PrivateClusteringService service({}, enclave, attestation);
-  EXPECT_THROW(service.submit_label_distribution(0, {1.0, 2.0}),
+  flips::tee::Enclave rogue("untrusted", 1.0);
+  flips::tee::AttestationServer none;  // trusts no measurement
+  const auto config = small_config();
+  const std::vector<flips::data::LabelDistribution> one = {{1.0, 2.0}};
+  EXPECT_THROW((void)flips::core::cluster_privately(config, one, rogue, none),
                std::runtime_error);
+  EXPECT_EQ(rogue.raw_execution_seconds(), 0.0);
 }
 
 }  // namespace
