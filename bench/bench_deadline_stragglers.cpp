@@ -25,10 +25,11 @@
 
 namespace {
 
-// Not built through scenario/builder.h: this bench samples a
-// device-physics fleet with availability pinned and runs without LR
-// decay, which the builder has no keys for; routing it there would
-// move its published numbers.
+// Not built through scenario/builder.h: this bench samples the
+// senior-care device fleet even with the fault plan off (the builder
+// then gives parties speed factors only), pins its fault rate at 0 and
+// runs without LR decay, which the builder has no keys for; routing it
+// there would move its published numbers.
 struct Fleet {
   std::vector<flips::fl::Party> parties;
   flips::data::Dataset test;
@@ -53,8 +54,7 @@ Fleet build_fleet(const flips::ScenarioSpec& spec) {
   const flips::net::FleetBuilder devices(flips::net::FleetMix::senior_care());
   for (std::size_t p = 0; p < data.party_data.size(); ++p) {
     auto device = devices.sample(rng);
-    device.availability = 1.0;  // isolate the deadline effect
-    device.fault_rate = 0.0;
+    device.fault_rate = 0.0;  // the fault arm crashes at crash_rate only
     fleet.parties.emplace_back(p, data.party_data[p],
                                flips::fl::PartyProfile::from_device(device));
   }

@@ -96,7 +96,9 @@ struct PrivacyConfig {
 struct PartyProfile {
   double speed_factor = 1.0;  ///< local-training slowdown multiplier
   double network_mbps = 10.0;
-  double availability = 1.0;
+  /// Device crash probability per dispatch; read only by the fault
+  /// plan's crash stream (net/faults.h), so it acts only when a plan is
+  /// on.
   double fault_rate = 0.0;
   /// Markov churn trace means (net/faults.h); 0 = this party never
   /// churns even when the fault plan's churn knob is on.
@@ -107,7 +109,6 @@ struct PartyProfile {
     PartyProfile profile;
     profile.speed_factor = device.compute_factor;
     profile.network_mbps = device.network_mbps;
-    profile.availability = device.availability;
     profile.fault_rate = device.fault_rate;
     profile.mean_up_s = device.mean_up_s;
     profile.mean_down_s = device.mean_down_s;
@@ -174,12 +175,11 @@ struct FlJobConfig {
   /// (decoded, clipped) update, i.e. exactly what the server sees.
   net::CodecConfig codec;
   /// Deterministic fault plan (churn / crashes / link faults) plus the
-  /// recovery knobs (retry backoff, sync backfill budget, quorum).
-  /// Default-constructed = disabled, and every session path is
-  /// byte-identical to a fault-free build. When enabled, the legacy
-  /// per-pick availability/fault_rate Bernoulli draws are replaced by
-  /// the plan's churn trace and crash stream (which folds the device's
-  /// fault_rate in).
+  /// recovery knobs (retry backoff, sync backfill budget, quorum). It
+  /// is the only way a dispatch is unreachable, crashes or loses its
+  /// uplink: the churn trace reads each profile's mean_up_s/mean_down_s
+  /// and the crash stream folds its fault_rate in. Default-constructed
+  /// = disabled, and then no dispatch fails (stragglers aside).
   net::FaultConfig faults;
 };
 

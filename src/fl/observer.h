@@ -43,7 +43,7 @@ struct RoundRecord;
 enum class ArrivalOutcome {
   kFolded,        ///< update folded into the buffer (discounted weight)
   kDroppedStale,  ///< bounded-staleness cutoff discarded the update
-  kFailed,        ///< straggler / availability / fault — no update
+  kFailed,        ///< straggler or fault-plan failure — no update
 };
 
 /// The phases a server step decomposes into. Sync mode times each of

@@ -294,21 +294,17 @@ FederationSession::Dispatch FederationSession::dispatch_party(
              fb.duration_s > config_.stragglers.deadline_s) {
     responds = false;
   }
-  if (!faults_on_) {
-    // Legacy per-pick reliability draws (kept byte-identical when no
-    // fault plan is configured).
-    if (prng.uniform() > party.profile().availability) responds = false;
-    if (prng.uniform() < party.profile().fault_rate) responds = false;
-  } else if (responds &&
-             faults_.crashes(p, event, party.profile().fault_rate)) {
-    // Mid-training crash: the full simulated duration elapses before
-    // the server gives up on the dispatch, but no update lands (and
-    // the party burns no persistent client state).
-    responds = false;
-    out.fault_failed = true;
-  } else if (responds) {
-    const net::LinkFault link = faults_.transfer(p, event);
-    if (link.failed) {
+  // The fault plan is the only reliability model: with it off, every
+  // dispatch that beats the straggler rules responds.
+  if (faults_on_ && responds) {
+    if (faults_.crashes(p, event, party.profile().fault_rate)) {
+      // Mid-training crash: the full simulated duration elapses before
+      // the server gives up on the dispatch, but no update lands (and
+      // the party burns no persistent client state).
+      responds = false;
+      out.fault_failed = true;
+    } else if (const net::LinkFault link = faults_.transfer(p, event);
+               link.failed) {
       // Uplink lost in transit: full duration consumed and the encoded
       // update's bytes are charged as waste (the dense size — the
       // failed transfer never reaches the codec path, which also keeps

@@ -11,8 +11,8 @@
 //
 // Every party dispatch, in either mode, runs through one kernel,
 // dispatch_party() in fl/session.cpp: the duration draw, straggler
-// checks, the legacy reliability draws or the fault plan's crash and
-// link draws, local SGD / FedProx / SCAFFOLD / FedDyn over batches
+// checks, the fault plan's crash and link draws (the only reliability
+// model: with the plan off, no dispatch fails), local SGD / FedProx / SCAFFOLD / FedDyn over batches
 // gathered row by row from the party's feature tensor, the arena delta
 // lease, the client-state refresh, codec error feedback and the DP
 // clip. It returns one Dispatch record. Two thin drivers call it, and
@@ -181,8 +181,8 @@ class FederationSession {
 
   // ---- The party-dispatch kernel (session.cpp). ----
   /// Runs one dispatch of `party` end to end: duration draw, straggler
-  /// checks, the legacy reliability draws or the fault plan's crash and
-  /// link draws, local training at rate `lr`, the delta lease, the
+  /// checks, the fault plan's crash and link draws (when the plan is
+  /// on), local training at rate `lr`, the delta lease, the
   /// SCAFFOLD / FedDyn client-state refresh, codec error feedback and
   /// the DP clip. `stream_key` seeds the dispatch's private RNG stream
   /// and `event` keys its fault draws; `churned` is the churn verdict
@@ -323,9 +323,10 @@ class FederationSession {
   std::size_t buffer_k_ = 0;        ///< resolved async.buffer_k
   bool exhausted_ = false;          ///< async: no arrivals left to drive
 
-  // ---- Fault plan (FlJobConfig::faults). When faults_on_ is false
-  // every path above is byte-identical to a fault-free build; the
-  // plan's churn cursor is only touched on the stepping thread.
+  // ---- Fault plan (FlJobConfig::faults), the only way a dispatch is
+  // unreachable, crashes or loses its uplink. When faults_on_ is false
+  // no dispatch fails; the plan's churn cursor is only touched on the
+  // stepping thread.
   net::FaultPlan faults_;
   bool faults_on_ = false;
 

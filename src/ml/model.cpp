@@ -456,18 +456,6 @@ double Sequential::evaluate_loss(const Tensor& features,
   return loss / static_cast<double>(features.rows());
 }
 
-std::uint32_t Sequential::predict(const std::vector<double>& x) {
-  single_.resize(1, x.size());
-  std::copy(x.begin(), x.end(), single_.row(0));
-  const Tensor& logits = forward(single_);
-  const double* row = logits.row(0);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < logits.cols(); ++i) {
-    if (row[i] > row[best]) best = i;
-  }
-  return static_cast<std::uint32_t>(best);
-}
-
 // ------------------------------------------------------------------
 // ModelFactory
 

@@ -5,8 +5,8 @@
 // ONE contiguous gradient buffer; every layer is bound to a segment of
 // each. Activations are contiguous row-major `Tensor`s. This keeps the
 // whole FL data path (local SGD steps, FedProx/SCAFFOLD/FedDyn
-// corrections, aggregation, server optimizers, DP clipping, SecAgg
-// masking) operating on flat double arrays with no per-step allocation.
+// corrections, aggregation, server optimizers, DP clipping and noise)
+// operating on flat double arrays with no per-step allocation.
 //
 // A Sequential is value-semantic (deep copy) because the FL job clones
 // the global model into every selected party each round; layers cache
@@ -88,8 +88,6 @@ class Sequential {
   double evaluate_loss(const Tensor& features,
                        const std::vector<std::uint32_t>& labels);
 
-  std::uint32_t predict(const std::vector<double>& x);
-
  private:
   void rebind();
 
@@ -97,7 +95,6 @@ class Sequential {
   std::vector<double> params_;  ///< all layer parameters, contiguous
   std::vector<double> grads_;   ///< matching gradient accumulator
   Tensor probs_;                ///< softmax / loss-gradient scratch
-  Tensor single_;               ///< predict() input scratch
 };
 
 struct ModelFactory {

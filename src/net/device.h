@@ -1,8 +1,9 @@
 // Simulated device fleet: the senior-care deployment mix from the
-// paper's §7 case study. Devices carry compute/network/reliability
-// parameters that the FL session turns into per-dispatch durations —
-// the physical origin of deadline stragglers and, in the event-driven
-// async mode, of the arrival order itself.
+// paper's §7 case study. Devices carry compute and network parameters
+// that the FL session turns into per-dispatch durations — the physical
+// origin of deadline stragglers and, in the event-driven async mode, of
+// the arrival order itself — plus the reliability columns (fault rate,
+// churn means) that only the fault plan (net/faults.h) reads.
 //
 // Two session-facing pieces live here:
 //   simulated_duration_s()  — the latency model proper: compute time
@@ -31,15 +32,13 @@ struct Device {
   /// Local-training slowdown vs the nominal device (1.0 = nominal).
   double compute_factor = 1.0;
   double network_mbps = 10.0;
-  /// Probability of being reachable when selected.
-  double availability = 1.0;
-  /// Per-round probability of an independent fault (crash, battery).
+  /// Per-dispatch probability of an independent fault (crash, battery),
+  /// drawn by the fault plan's crash stream.
   double fault_rate = 0.0;
   /// Markov churn trace (net/faults.h): mean seconds of continuous
-  /// reachability / outage. Chosen so the stationary up fraction
-  /// mean_up / (mean_up + mean_down) equals `availability` — the churn
-  /// plan and the legacy Bernoulli field describe the same device.
-  /// 0 = the device never churns.
+  /// reachability / outage. The stationary up fraction
+  /// mean_up / (mean_up + mean_down) is the device type's long-run
+  /// reachability. 0 = the device never churns.
   double mean_up_s = 0.0;
   double mean_down_s = 0.0;
 };

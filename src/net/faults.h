@@ -4,11 +4,11 @@
 // Three failure processes, all pure functions of (plan seed, party,
 // event), so fault sequences are bit-identical across thread counts:
 //
-//   churn       Markov on/off availability traces per device. Each
+//   churn       Markov on/off reachability traces per device. Each
 //               party alternates exponential up/down intervals with the
 //               device's mean_up_s/mean_down_s (the stationary up
-//               fraction equals the legacy Device::availability). The
-//               `churn` knob scales mean downtime: 0 disables churn,
+//               fraction mean_up / (mean_up + mean_down) is the device
+//               type's long-run reachability). The `churn` knob scales mean downtime: 0 disables churn,
 //               1 reproduces the device trace, >1 makes outages longer.
 //   crashes     per-dispatch Bernoulli loss combining the device's
 //               fault_rate with the plan-wide crash_rate. A crashed
@@ -33,8 +33,9 @@
 
 namespace flips::net {
 
-/// Knobs for the fault plan. Default-constructed = no faults, and every
-/// session path is byte-identical to a fault-free build.
+/// Knobs for the fault plan, the session's only reliability model.
+/// Default-constructed = no faults: no dispatch is unreachable, crashes
+/// or loses its uplink.
 struct FaultConfig {
   double churn = 0.0;            ///< downtime scale; 0 = no churn
   double crash_rate = 0.0;       ///< extra per-dispatch crash probability

@@ -59,7 +59,7 @@ Federation build_federation(const ExperimentConfig& config,
   Federation out;
   common::Rng profile_rng(seed ^ 0xBEEF);
   // Under a fault plan the fleet comes from the senior-care device mix,
-  // so the availability / fault-rate / churn columns reach the session.
+  // so the fault-rate and churn columns reach the fault plan.
   // A fault-free fleet has only speed factors: 60 % nominal devices,
   // 30 % 2× slower, 10 % 4× slower (TiFL/Oort react to these).
   const bool fault_fleet = config.faults.enabled();

@@ -68,8 +68,8 @@ struct ExperimentConfig {
   fl::FederationMode mode = fl::FederationMode::kSync;
   fl::AsyncConfig async;
   /// Fault plan (net/faults.h). When enabled() the fleet is sampled from
-  /// the senior-care device mix, whose availability / fault-rate / churn
-  /// columns reach the party profiles.
+  /// the senior-care device mix, whose fault-rate and churn columns
+  /// reach the party profiles.
   net::FaultConfig faults;
 };
 

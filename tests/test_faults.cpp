@@ -38,8 +38,8 @@ struct TinyFederation {
 };
 
 /// A small federation whose party profiles carry the reliability
-/// columns the fault plan consumes (availability 0.8 as an up fraction
-/// of 40 s up / 10 s down, a 5% device fault rate).
+/// columns the fault plan consumes (an up fraction of 0.8 from 40 s up
+/// / 10 s down, a 5% device fault rate).
 TinyFederation build_faulty(std::size_t num_parties, std::uint64_t seed) {
   flips::data::FederatedDataConfig dc;
   dc.spec = flips::data::DatasetCatalog::ecg();
@@ -54,7 +54,6 @@ TinyFederation build_faulty(std::size_t num_parties, std::uint64_t seed) {
   for (std::size_t p = 0; p < data.party_data.size(); ++p) {
     PartyProfile profile;
     profile.speed_factor = 1.0 + static_cast<double>(p % 3);
-    profile.availability = 0.8;
     profile.fault_rate = 0.05;
     profile.mean_up_s = 40.0;
     profile.mean_down_s = 10.0;
@@ -239,24 +238,37 @@ TEST(FaultConfig, ValidateRejectsOutOfRangeKnobs) {
 // ---------------------------------------------------------------------
 // Session recovery paths.
 
-/// The dead-field pin: profile availability must actually gate legacy
-/// (fault-plan-off) dispatches — an availability-0 fleet never responds.
-TEST(SessionFaults, LegacyAvailabilityFieldIsConsulted) {
+/// One reliability model: a profile's fault_rate acts only through the
+/// fault plan's crash stream. With the plan off, a fleet that crashes
+/// half its dispatches under a plan answers every pick; with only churn
+/// on (and parties that never churn), the same columns crash dispatches.
+TEST(SessionFaults, DeviceColumnsActOnlyThroughThePlan) {
   auto fed = build_faulty(8, 17);
-  std::vector<Party> unreachable;
+  std::vector<Party> fragile;
   for (const auto& party : fed.parties) {
     PartyProfile profile = party.profile();
-    profile.availability = 0.0;
-    unreachable.emplace_back(party.id(), party.dataset(), profile);
+    profile.fault_rate = 0.5;
+    profile.mean_up_s = 0.0;  // never churns
+    fragile.emplace_back(party.id(), party.dataset(), profile);
   }
-  fed.parties = std::move(unreachable);
+  fed.parties = std::move(fragile);
   FlJobConfig config = faulty_config(4, 3, 17);
-  config.faults = FaultConfig{};  // legacy Bernoulli path
-  const auto result = run_session(config, fed);
-  for (const auto& record : result.history) {
-    EXPECT_EQ(record.responded, 0u);
+
+  config.faults = FaultConfig{};
+  const auto plain = run_session(config, fed);
+  ASSERT_EQ(plain.history.size(), 4u);
+  for (const auto& record : plain.history) {
     EXPECT_GT(record.selected, 0u);
+    EXPECT_EQ(record.responded, record.selected);
+    EXPECT_EQ(record.crashed, 0u);
   }
+
+  config.faults = FaultConfig{};
+  config.faults.churn = 1.0;
+  const auto churned = run_session(config, fed);
+  std::size_t crashed = 0;
+  for (const auto& record : churned.history) crashed += record.crashed;
+  EXPECT_GT(crashed, 0u);
 }
 
 TEST(SessionFaults, SyncFaultedRunIsBitIdenticalAcrossThreads) {

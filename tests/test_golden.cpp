@@ -84,7 +84,7 @@ struct Federation {
 };
 
 /// Twelve ECG parties with heterogeneous speed (1x..4x) and the
-/// reliability columns both the legacy draws and the fault plan read.
+/// reliability columns the fault plan reads.
 const Federation& federation() {
   static const Federation fed = [] {
     flips::data::FederatedDataConfig dc;
@@ -100,7 +100,6 @@ const Federation& federation() {
     for (std::size_t p = 0; p < data.party_data.size(); ++p) {
       PartyProfile profile;
       profile.speed_factor = 1.0 + static_cast<double>(p % 4);
-      profile.availability = 0.9;
       profile.fault_rate = 0.05;
       profile.mean_up_s = 2.0;
       profile.mean_down_s = 0.5;

@@ -248,12 +248,12 @@ TEST(ScenarioSpec, FaultKeysParseValidateAndLower) {
 }
 
 TEST(ScenarioSpec, FaultPlanActivatesTheDeviceFleet) {
-  // With faults off, build_federation keeps the legacy always-on
-  // profiles: every selected party responds. With any fault knob on,
-  // the senior-care device fleet's reliability columns reach the
-  // session, so dispatches actually crash. Pinned end to end because
-  // the Device availability/fault_rate columns were silently unused
-  // for several releases.
+  // With faults off, build_federation gives parties speed factors only
+  // and no dispatch can fail: every selected party responds. With any
+  // fault knob on, the senior-care device fleet's fault-rate and churn
+  // columns reach the fault plan, so dispatches actually crash. Pinned
+  // end to end because the Device fault_rate column was once silently
+  // unused.
   flips::ScenarioSpec spec;
   spec.parties = 16;
   spec.samples_per_party = 20;
