@@ -57,23 +57,23 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
     kGolden = {
         {"GNU-12",
          {
-             {"async_dense64", 0x7e7f291b0c34b3dd},
+             {"async_dense64", 0x885037ef5f3a3f2b},
              {"async_faults", 0x74d855d5b93067b2},
              {"async_faults_stragglers", 0x5db96b3a0cc3dc13},
-             {"async_quant8_dp", 0x17707be557be123d},
+             {"async_quant8_dp", 0x2b965e115eb7ad8f},
              {"builder_ecg_fedyogi_async_faults", 0x28bec44a8161e172},
-             {"builder_femnist_fedavg", 0xe56244cc114baede},
-             {"select_flips", 0x5d69ecf75aec7006},
-             {"select_oort", 0xc85501a1ea19bd3a},
-             {"select_random", 0x23f3a25140edb4d4},
-             {"sync_deadline", 0x18fcda7788a556f9},
-             {"sync_dp", 0x365d96e395820335},
-             {"sync_drop_fraction", 0x940868ce2f130998},
+             {"builder_femnist_fedavg", 0x8e662e0870807cda},
+             {"select_flips", 0x43302124f18cf62a},
+             {"select_oort", 0x626cca5cf6d07c41},
+             {"select_random", 0x6170161611fb94aa},
+             {"sync_deadline", 0xc8efccd847ddfc94},
+             {"sync_dp", 0xb12edd77a749be7f},
+             {"sync_drop_fraction", 0x2d305922aefa257a},
              {"sync_faults_quant8", 0x1765173b72a13b72},
-             {"sync_fedavg_dense64", 0x44d3ae0b4a149f6c},
-             {"sync_feddyn_topk", 0x4b3fefa3b4e2dd8b},
-             {"sync_fedprox_quant8", 0xdb9267d41aa111bf},
-             {"sync_scaffold", 0x013adb02ece4de4b},
+             {"sync_fedavg_dense64", 0x0cb07976672b3709},
+             {"sync_feddyn_topk", 0x897d7633d31c2936},
+             {"sync_fedprox_quant8", 0xdd5adc0f97456985},
+             {"sync_scaffold", 0x9839ba697c435070},
          }},
 };
 
