@@ -12,11 +12,12 @@
 // Every party dispatch, in either mode, runs through one kernel,
 // dispatch_party() in fl/session.cpp: the duration draw, straggler
 // checks, the fault plan's crash and link draws (the only reliability
-// model: with the plan off, no dispatch fails), local SGD / FedProx / SCAFFOLD / FedDyn over batches
-// gathered row by row from the party's feature tensor, the arena delta
-// lease, the client-state refresh, codec error feedback and the DP
-// clip. It returns one Dispatch record. Two thin drivers call it, and
-// advance() picks one by FlJobConfig::mode:
+// model: with the plan off, no dispatch fails), local SGD / FedProx /
+// SCAFFOLD / FedDyn over batches gathered row by row from the party's
+// feature tensor, the arena delta lease, the client-state refresh,
+// codec error feedback and the DP clip. It returns one Dispatch
+// record. Two thin drivers call it, and advance() picks one by
+// FlJobConfig::mode:
 //
 //   kSync (fl/session_sync.cpp) — the round barrier: select a cohort,
 //       run the kernel over it on the worker pool, then add every

@@ -57,7 +57,7 @@ void FaultPlan::restart_trace(std::size_t party, Trace& trace,
                               double mean_up_s, double mean_down_s) {
   trace.rng = common::Rng(common::mix_seed(seed_, kChurnSalt, party));
   // Stationary start state: up with probability mean_up / (up + down),
-  // so the long-run up fraction matches the device's calibration.
+  // the trace's long-run up fraction, so it starts in equilibrium.
   trace.up =
       trace.rng.uniform() < mean_up_s / (mean_up_s + mean_down_s);
   trace.interval_begin_s = 0.0;

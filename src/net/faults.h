@@ -8,8 +8,9 @@
 //               party alternates exponential up/down intervals with the
 //               device's mean_up_s/mean_down_s (the stationary up
 //               fraction mean_up / (mean_up + mean_down) is the device
-//               type's long-run reachability). The `churn` knob scales mean downtime: 0 disables churn,
-//               1 reproduces the device trace, >1 makes outages longer.
+//               type's long-run reachability). The `churn` knob
+//               scales mean downtime: 0 disables churn, 1 reproduces
+//               the device trace, >1 makes outages longer.
 //   crashes     per-dispatch Bernoulli loss combining the device's
 //               fault_rate with the plan-wide crash_rate. A crashed
 //               dispatch consumes its full simulated duration before

@@ -75,10 +75,12 @@ struct Dataset {
 };
 
 // ECG and FEMNIST swept 2026-07, HAM and Fashion 2026-08: FLIPS
-// rounds-to-target at the default scale lands at 20/14/20 (ECG
-// fedavg/fedyogi/fedprox), 56/16/56 (FEMNIST), 26/14/26 (HAM, with
-// random never reaching the target inside the budget) and 18/10/18
-// (Fashion) — tens of rounds on every arm, vs 4-10 before.
+// rounds-to-target at the default scale (`flips_run --scenario P --set
+// runs=2`, re-read 2026-10) lands at 20/14/20 (ECG
+// fedavg/fedyogi/fedprox), 52/16/54 (FEMNIST), 26/14/26 (HAM, with
+// random never reaching the target inside the fedavg and fedprox
+// budgets) and 18/10/18 (Fashion) — tens of rounds on every arm, vs
+// 4-10 before.
 const Choice<Dataset> kDatasets[] = {
     {"ecg", {&data::DatasetCatalog::ecg, 0.72, 1.0, 0.03, 0.01}},
     {"ham", {&data::DatasetCatalog::ham10000, 0.72, 0.8, 0.02, 0.01}},

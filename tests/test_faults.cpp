@@ -170,7 +170,7 @@ TEST(FaultPlan, ChurnTraceMatchesStationaryUpFraction) {
   FaultConfig config;
   config.churn = 1.0;
   FaultPlan plan(7, config, 4);
-  // mean_up 30 s / mean_down 10 s => stationary availability 0.75.
+  // mean_up 30 s / mean_down 10 s => stationary up fraction 0.75.
   std::size_t up = 0;
   const std::size_t samples = 20000;
   for (std::size_t i = 0; i < samples; ++i) {
@@ -263,7 +263,6 @@ TEST(SessionFaults, DeviceColumnsActOnlyThroughThePlan) {
     EXPECT_EQ(record.crashed, 0u);
   }
 
-  config.faults = FaultConfig{};
   config.faults.churn = 1.0;
   const auto churned = run_session(config, fed);
   std::size_t crashed = 0;
