@@ -6,7 +6,8 @@
 #   ci/identity.sh PARENT_BUILD CHANGE_BUILD
 #
 # Each argument is a configured and built tree (cmake -B DIR -S .) whose
-# bench/ holds flips_tables, flips_run and bench_deadline_stragglers.
+# bench/ holds flips_tables, flips_run, bench_deadline_stragglers,
+# bench_comm_costs and bench_ablation_design.
 # Artifacts:
 #   flips_tables/<preset>   the 12 presets at parties=30 rounds=20
 #                           runs=2 seed=7;
@@ -17,7 +18,8 @@
 #   flips_run/sync-faults, flips_run/async-faults   flips_run with
 #                           churn=1 fault_rate=0.1 in both modes: the
 #                           summary table, the --csv accuracy curve and
-#                           the --metrics-out round records.
+#                           the --metrics-out round records;
+#   bench_comm_costs, bench_ablation_design   each at its defaults.
 # Host wall-clock is stripped before comparing: `perf,` lines (except
 # bench_deadline_stragglers' `perf,async` and `perf,faults`, which are
 # computed from simulated time only), `rerun,` lines, flips_run's final
@@ -100,4 +102,9 @@ for mode in sync async; do
   run "run-${mode}" flips_run --set churn=1 --set fault_rate=0.1 \
       --set mode="${mode}" --csv --metrics-out @METRICS@
   verdict "flips_run/${mode}-faults" "run-${mode}"
+done
+
+for bench in bench_comm_costs bench_ablation_design; do
+  run "${bench}" "${bench}"
+  verdict "${bench}" "${bench}"
 done

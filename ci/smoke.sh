@@ -38,7 +38,7 @@
 #    (sigma from the aggregator's fold weights), under ASan and TSan.
 # 9. the UDS serving smoke runs flips_serve + flips_loadgen as real
 #    processes: two tenants over a unix socket, frame parsing, the
-#    reader/builder/scheduler thread handoff, admission accounting, and
+#    I/O/builder/scheduler thread handoff, admission accounting, and
 #    graceful drain — the socket plane TSan and ASan must see end to
 #    end (the loadgen exits non-zero if served results are not
 #    bit-identical to in-process runs). --metrics additionally polls

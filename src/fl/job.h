@@ -138,7 +138,6 @@ struct LocalSolverConfig {
   ml::SgdConfig sgd;
   double prox_mu = 0.0;    ///< FedProx proximal strength (0 = off)
   ClientAlgo algo = ClientAlgo::kSgd;
-  double feddyn_alpha = 0.1;
 };
 
 struct FlJobConfig {
@@ -161,9 +160,6 @@ struct FlJobConfig {
   /// the FedBuff-style buffered event loop configured by `async`.
   FederationMode mode = FederationMode::kSync;
   AsyncConfig async;
-  /// Simulated seconds of local compute per (sample x epoch) on a
-  /// nominal device; scaled by each party's speed_factor.
-  double compute_s_per_sample = 2e-3;
   /// Wire codec for updates (uplink) and the broadcast delta
   /// (downlink). kDense64 ships raw doubles. Lossy codecs (kQuant8 /
   /// kTopK) run with client-side error-feedback residuals; the server

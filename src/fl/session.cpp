@@ -15,6 +15,12 @@ namespace flips::fl {
 
 namespace {
 
+/// Simulated seconds of local compute per (sample x epoch) on a nominal
+/// device; scaled by each party's speed_factor.
+constexpr double kComputeSPerSample = 2e-3;
+/// FedDyn's dynamic-regularizer strength (Acar et al.'s alpha).
+constexpr double kFedDynAlpha = 0.1;
+
 struct EvalResult {
   double balanced_accuracy = 0.0;
   std::vector<double> per_label_accuracy;
@@ -280,9 +286,8 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   fb.duration_s =
       net::simulated_duration_s(
           party.profile().speed_factor, static_cast<double>(party.size()),
-          static_cast<double>(config_.local.epochs),
-          config_.compute_s_per_sample, static_cast<double>(model_bytes_),
-          party.profile().network_mbps) *
+          static_cast<double>(config_.local.epochs), kComputeSPerSample,
+          static_cast<double>(model_bytes_), party.profile().network_mbps) *
       prng.uniform(0.85, 1.15);
 
   // (kDeadline never reaches an async dispatch: construction rejects
@@ -389,9 +394,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
           break;
         case ClientAlgo::kFedDyn:
           for (std::size_t i = 0; i < dim_; ++i) {
-            double g = grad[i] +
-                       config_.local.feddyn_alpha *
-                           (w[i] - global_params_[i]) -
+            double g = grad[i] + kFedDynAlpha * (w[i] - global_params_[i]) -
                        (hi != nullptr ? hi[i] : 0.0);
             if (mu > 0.0) g += mu * (w[i] - global_params_[i]);
             w[i] -= lr * g;
@@ -428,7 +431,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
     auto& hi_state = feddyn_hi_[p];
     if (hi_state.empty()) hi_state.assign(dim_, 0.0);
     for (std::size_t i = 0; i < dim_; ++i) {
-      hi_state[i] -= config_.local.feddyn_alpha * out.delta[i];
+      hi_state[i] -= kFedDynAlpha * out.delta[i];
     }
   }
 

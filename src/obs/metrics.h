@@ -5,9 +5,7 @@
 // plane, audited by bench_micro_obs under an operator-new override):
 //
 //   * inc()/set()/add()/record() are lock-free, allocation-free
-//     relaxed atomics. Counters shard across kCounterShards cache
-//     lines with a per-thread slot so concurrent writers never bounce
-//     one line.
+//     relaxed atomics.
 //   * Registration (Registry::counter/gauge/histogram) takes a mutex
 //     and allocates — do it once at construction time and keep the
 //     returned pointer; instruments live as long as the registry and
@@ -27,7 +25,6 @@
 // the exact wire format.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -43,42 +40,20 @@
 
 namespace flips::obs {
 
-/// Cache-line shards per counter. Power of two; 8 lines (512 B) per
-/// counter keeps even 64-thread ingest from serializing on one line.
-inline constexpr std::size_t kCounterShards = 8;
-
-/// Stable per-thread shard slot, assigned round-robin on first use.
-inline std::size_t thread_shard_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) & (kCounterShards - 1);
-  return slot;
-}
-
-/// Monotone event counter. inc() is a relaxed fetch_add on the calling
-/// thread's shard; value() sums shards (racy-read exact only once
-/// writers quiesce, like any relaxed counter).
+/// Monotone event counter: one relaxed atomic. value() is racy-read
+/// exact only once writers quiesce, like any relaxed counter.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void inc(std::uint64_t n = 1) {
-    shards_[thread_shard_slot()].v.fetch_add(n, std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
 
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Shard, kCounterShards> shards_{};
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Double-valued level. set() stores, add() is a CAS loop; both are

@@ -6,6 +6,15 @@
 
 namespace flips::select {
 
+namespace {
+
+/// Cap on the extra fraction requested against stragglers.
+constexpr double kMaxOverprovision = 0.5;
+/// EMA factor for the observed non-response rate.
+constexpr double kStraggleEma = 0.3;
+
+}  // namespace
+
 FlipsSelector::FlipsSelector(std::vector<std::size_t> cluster_of,
                              std::size_t num_clusters,
                              const FlipsSelectorConfig& config)
@@ -47,7 +56,7 @@ std::vector<std::size_t> FlipsSelector::select(std::size_t round,
 
   if (config_.overprovision && straggle_rate_ > 0.0) {
     const double boost =
-        std::min(config_.max_overprovision,
+        std::min(kMaxOverprovision,
                  straggle_rate_ / std::max(1e-9, 1.0 - straggle_rate_));
     want = std::min(
         n, want + static_cast<std::size_t>(
@@ -107,8 +116,7 @@ void FlipsSelector::report_round(
   }
   const double rate =
       static_cast<double>(missed) / static_cast<double>(feedback.size());
-  straggle_rate_ = (1.0 - config_.straggle_ema) * straggle_rate_ +
-                   config_.straggle_ema * rate;
+  straggle_rate_ = (1.0 - kStraggleEma) * straggle_rate_ + kStraggleEma * rate;
 }
 
 }  // namespace flips::select

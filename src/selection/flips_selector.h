@@ -22,10 +22,6 @@ namespace flips::select {
 
 struct FlipsSelectorConfig {
   bool overprovision = true;
-  /// Cap on the extra fraction requested against stragglers.
-  double max_overprovision = 0.5;
-  /// EMA factor for the observed non-response rate.
-  double straggle_ema = 0.3;
   std::uint64_t seed = 0x5E1E;
 };
 

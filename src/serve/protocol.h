@@ -10,8 +10,8 @@
 //   kStep         request: u64 client-chosen request id
 //                 reply:   u64 id, u32 rounds completed, u8 finished
 //                          (id-only on kRejected / kSessionDone, so
-//                          out-of-band rejections written by the
-//                          reader thread still match their request)
+//                          out-of-band rejections queued by the
+//                          I/O thread still match their request)
 //   kResult       request: empty
 //                 reply:   u32 dim, dim f64 final parameters
 //   kShutdown     request/reply: empty

@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -46,29 +48,9 @@ const char* frame_status_label(net::FrameStatus status) {
   return "unknown";
 }
 
-void set_send_timeout(int fd, double seconds) {
-  if (seconds <= 0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-}
-
-/// Writes the whole buffer or reports failure (short write after the
-/// send timeout, or a closed peer). MSG_NOSIGNAL: a dead peer must
-/// surface as EPIPE, not kill the process.
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (sent <= 0) {
-      if (sent < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(sent);
-    size -= static_cast<std::size_t>(sent);
-  }
-  return true;
+net::Frame status_frame(net::FrameType type, net::FrameStatus status,
+                        std::string_view message) {
+  return {type, status, encode_text(message)};
 }
 
 }  // namespace
@@ -101,7 +83,8 @@ Server::~Server() { drain(); }
 void Server::start() {
   if (started_) throw std::logic_error("Server::start called twice");
   const bool uds = !config_.uds_path.empty();
-  listen_fd_ = ::socket(uds ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
+  listen_fd_ =
+      ::socket(uds ? AF_UNIX : AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error(std::string("socket: ") +
                              std::strerror(errno));
@@ -142,8 +125,13 @@ void Server::start() {
     throw std::runtime_error(std::string("listen: ") +
                              std::strerror(errno));
   }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    throw std::runtime_error(std::string("eventfd: ") +
+                             std::strerror(errno));
+  }
   started_ = true;
-  acceptor_ = std::thread([this] { accept_loop(); });
+  io_ = std::thread([this] { io_loop(); });
   builder_ = std::thread([this] { builder_loop(); });
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
@@ -162,42 +150,22 @@ void Server::drain() {
     shutdown_requested_ = true;
   }
   shutdown_cv_.notify_all();
-  // Wake the acceptor: shutdown() makes the blocking accept() return
-  // (Linux semantics) without racing a close()d-and-reused fd.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  // Let the scheduler finish everything already queued, then exit.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_scheduler_ = true;
-  }
+  // Nothing is queued or posted once draining_ is set, so the scheduler
+  // and the builder each finish their queue and exit; a build that
+  // finishes now is answered kShuttingDown.
   work_cv_.notify_all();
-  if (scheduler_.joinable()) scheduler_.join();
-  // Replies are flushed; unblock the readers and wait until every one
-  // has closed its connection and exited.
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns = connections_;
-  }
-  for (const auto& conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    readers_cv_.wait(lock, [&] { return connections_.empty(); });
-  }
-  reap_exited_readers();
-  // Only now: a reader may have been waiting on a build until it exited.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_builder_ = true;
-  }
+  scheduler_.join();
   build_cv_.notify_all();
-  if (builder_.joinable()) builder_.join();
+  builder_.join();
+  // Every reply is queued: the I/O thread flushes them, then closes.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_io_ = true;
+    wake_io_locked();
+  }
+  io_.join();
+  ::close(listen_fd_);
+  ::close(wake_fd_);
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 }
 
@@ -216,118 +184,176 @@ Server::Stats Server::stats() const {
   return out;
 }
 
-void Server::accept_loop() {
+void Server::io_loop() {
+  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<pollfd> fds;
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down — we are draining
-    }
-    set_send_timeout(fd, config_.send_timeout_s);
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    bool late = false;
+    const std::uint64_t now = common::steady_now_ns();
+    bool accepting = false;
+    bool stopping = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      late = draining_;
-      if (!late) {
-        connections_.push_back(conn);
-        stat_connections_accepted_.fetch_add(1);
-        conn->reader = std::thread([this, conn] { reader_loop(conn); });
+      wake_pending_ = false;
+      accepting = !draining_;
+      stopping = stop_io_;
+    }
+    // Per connection: run its buffered frames, write its replies, and
+    // close it once it is done.
+    fds.assign({{wake_fd_, POLLIN, 0},
+                {accepting ? listen_fd_ : -1, POLLIN, 0}});
+    int timeout_ms = -1;
+    for (std::size_t i = 0; i < conns.size();) {
+      Connection& conn = *conns[i];
+      if (conn.wire.empty()) conn.last_write_ns = now;
+      const short events = pump(conns[i], stopping);
+      const bool failed = !write_out(conn, now);
+      const bool stalled =
+          !conn.wire.empty() && now - conn.last_write_ns >= kStallTimeoutNs;
+      if (failed || stalled ||
+          ((conn.dead || stopping) && conn.wire.empty())) {
+        close_connection(conn);
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+        continue;
+      }
+      pollfd& entry = fds.emplace_back(pollfd{conn.fd, events, 0});
+      if (!conn.wire.empty()) {
+        entry.events |= POLLOUT;
+        const std::uint64_t left_ns =
+            conn.last_write_ns + kStallTimeoutNs - now;
+        const int ms = static_cast<int>(left_ns / 1'000'000 + 1);
+        timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+      }
+      // A connection neither read nor written is not polled at all: its
+      // hang-up would otherwise make every poll() return at once.
+      if (entry.events == 0) entry.fd = -1;
+      ++i;
+    }
+    if (stopping && conns.empty()) return;
+
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) continue;  // EINTR
+    if ((fds[0].revents & POLLIN) != 0) {
+      std::uint64_t wakes = 0;
+      [[maybe_unused]] const ssize_t got =
+          ::read(wake_fd_, &wakes, sizeof wakes);
+    }
+    // Read one chunk from every readable connection; the next pass
+    // decodes it. A peer's EOF or error closes the connection at once.
+    for (std::size_t i = conns.size(); i-- > 0;) {
+      Connection& conn = *conns[i];
+      if ((fds[i + 2].events & POLLIN) == 0 ||
+          (fds[i + 2].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+        continue;
+      }
+      std::uint8_t chunk[4096];
+      const ssize_t got = ::recv(conn.fd, chunk, sizeof chunk, 0);
+      if (got > 0) {
+        conn.decoder.feed(chunk, static_cast<std::size_t>(got));
+      } else if (got == 0 || (errno != EAGAIN && errno != EINTR)) {
+        close_connection(conn);
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
-    if (late) {
-      ::close(fd);
-      continue;
+    if ((fds[1].revents & POLLIN) == 0) continue;
+    // Until EAGAIN: the backlog is empty.
+    for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_NONBLOCK)) >= 0;) {
+      conns.push_back(std::make_shared<Connection>());
+      conns.back()->fd = fd;
+      stat_connections_accepted_.fetch_add(1);
     }
-    reap_exited_readers();
   }
 }
 
-void Server::reap_exited_readers() {
-  std::vector<std::shared_ptr<Connection>> exited;
+short Server::pump(const std::shared_ptr<Connection>& conn, bool stopping) {
+  std::unique_lock<std::mutex> lock(mu_);
+  short events = 0;
+  net::Frame frame;
+  while (!stopping && !conn->dead && !conn->building) {
+    if (conn->wire.size() + conn->outbox.size() > kOutboxLimit) {
+      // Resume once the socket takes more, or next pass if it took all.
+      events = POLLOUT;
+      break;
+    }
+    const auto verdict = conn->decoder.next(frame);
+    if (verdict == net::FrameDecodeResult::kNeedMore) {
+      events = POLLIN;
+      break;
+    }
+    if (verdict == net::FrameDecodeResult::kError) {
+      // Framing has no resync point: answer, then close once the answer
+      // is written.
+      stat_bad_frames_.fetch_add(1);
+      obs_bad_frames_->inc();
+      reply_locked(*conn, status_frame(net::FrameType::kHello,
+                                       net::FrameStatus::kBadFrame,
+                                       conn->decoder.error()));
+      conn->dead = true;
+    } else {
+      stat_frames_.fetch_add(1);
+      handle_frame(conn, std::move(frame), lock);
+    }
+  }
+  conn->wire.insert(conn->wire.end(), conn->outbox.begin(),
+                    conn->outbox.end());
+  conn->outbox.clear();
+  return events;
+}
+
+bool Server::write_out(Connection& conn, std::uint64_t now_ns) {
+  while (!conn.wire.empty()) {
+    const ssize_t sent =
+        ::send(conn.fd, conn.wire.data(), conn.wire.size(), MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN;
+    }
+    conn.wire.erase(conn.wire.begin(), conn.wire.begin() + sent);
+    conn.last_write_ns = now_ns;
+  }
+  return true;
+}
+
+void Server::close_connection(Connection& conn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    exited.swap(exited_);
+    conn.dead = true;
+    conn.outbox.clear();
   }
-  for (const auto& conn : exited) conn->reader.join();
-}
-
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  net::FrameDecoder decoder;
-  std::uint8_t chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t got = ::recv(conn->fd, chunk, sizeof chunk, 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      break;  // peer closed, or drain() shut the socket down
-    }
-    decoder.feed(chunk, static_cast<std::size_t>(got));
-    net::Frame frame;
-    for (;;) {
-      const auto verdict = decoder.next(frame);
-      if (verdict == net::FrameDecodeResult::kNeedMore) break;
-      if (verdict == net::FrameDecodeResult::kError) {
-        stat_bad_frames_.fetch_add(1);
-        obs_bad_frames_->inc();
-        send_status(conn, net::FrameType::kHello,
-                    net::FrameStatus::kBadFrame, decoder.error());
-        open = false;  // framing has no resync point
-        break;
-      }
-      stat_frames_.fetch_add(1);
-      handle_frame(conn, std::move(frame));
-      if (conn->dead.load()) {
-        open = false;
-        break;
-      }
-    }
-  }
-  // Marking the connection dead is what lets a later hello rebind the
-  // tenant and the idle sweep evict it. The full shutdown lets the peer
-  // see EOF after any error reply (queued data drains first on Linux);
-  // fd is cleared under write_mu so no writer can reach a reused number.
-  conn->dead.store(true);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    ::shutdown(conn->fd, SHUT_RDWR);
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
+  // The full shutdown lets the peer see EOF after any error reply.
+  ::shutdown(conn.fd, SHUT_RDWR);
+  ::close(conn.fd);
+  conn.fd = -1;
   stat_connections_closed_.fetch_add(1);
-  std::lock_guard<std::mutex> lock(mu_);
-  connections_.erase(
-      std::find(connections_.begin(), connections_.end(), conn));
-  exited_.push_back(std::move(conn));
-  readers_cv_.notify_all();
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn,
-                          net::Frame frame) {
+                          net::Frame frame,
+                          std::unique_lock<std::mutex>& lock) {
   frames_by_type_[static_cast<std::uint8_t>(frame.type)]->inc();
   switch (frame.type) {
     case net::FrameType::kHello: {
       const std::string name = decode_text(frame.payload);
-      if (name.empty()) {
-        send_status(conn, frame.type, net::FrameStatus::kBadFrame,
-                    "empty tenant name");
-        return;
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      if (conn->tenant) {
-        send_status(conn, frame.type, net::FrameStatus::kBadFrame,
-                    "hello already sent on this connection");
+      const std::string banner = "flips_serve v" +
+                                 std::to_string(net::kFrameVersion) +
+                                 " tenant " + name;
+      if (name.empty() || conn->tenant) {
+        reply_locked(*conn, status_frame(frame.type,
+                                         net::FrameStatus::kBadFrame,
+                                         name.empty()
+                                             ? "empty tenant name"
+                                             : "hello already sent on this "
+                                               "connection"));
         return;
       }
       for (const auto& tenant_ptr : tenants_) {
         Tenant& tenant = *tenant_ptr;
         if (tenant.name != name) continue;
         const auto held = tenant.conn.lock();
-        if (held != nullptr && !held->dead.load()) {
-          send_status(conn, frame.type,
-                      net::FrameStatus::kDuplicateTenant,
-                      "tenant already registered: " + name);
+        if (held != nullptr && !held->dead) {
+          reply_locked(*conn,
+                       status_frame(frame.type,
+                                    net::FrameStatus::kDuplicateTenant,
+                                    "tenant already registered: " + name));
           return;
         }
         // The previous connection died: rebind the tenant to this one.
@@ -336,9 +362,8 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         tenant.conn = conn;
         tenant.last_activity_ns = common::steady_now_ns();
         conn->tenant = tenant_ptr;
-        send_status(conn, frame.type, net::FrameStatus::kOk,
-                    "flips_serve v" + std::to_string(net::kFrameVersion) +
-                        " tenant " + name + " (rebound)");
+        reply_locked(*conn, status_frame(frame.type, net::FrameStatus::kOk,
+                                         banner + " (rebound)"));
         return;
       }
       auto tenant = std::make_shared<Tenant>();
@@ -360,31 +385,28 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       tenant->last_activity_ns = common::steady_now_ns();
       conn->tenant = tenant;
       tenants_.push_back(std::move(tenant));
-      send_status(conn, frame.type, net::FrameStatus::kOk,
-                  "flips_serve v" + std::to_string(net::kFrameVersion) +
-                      " tenant " + name);
+      reply_locked(*conn,
+                   status_frame(frame.type, net::FrameStatus::kOk, banner));
       return;
     }
-    case net::FrameType::kShutdown: {
+    case net::FrameType::kShutdown:
       // Flag and ack in one critical section: a client that has read
-      // the ack observes shutdown_requested(), and drain() (which takes
-      // mu_ first) cannot shut this connection before the ack is out.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        shutdown_requested_ = true;
-        send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
-      }
+      // the ack observes shutdown_requested().
+      shutdown_requested_ = true;
+      reply_locked(*conn,
+                   status_frame(frame.type, net::FrameStatus::kOk, "draining"));
       shutdown_cv_.notify_all();
       return;
-    }
     case net::FrameType::kMetrics: {
-      // Live snapshot, answered on the reader thread (never queued
-      // behind session work) and tenant-less so operators can poll
-      // without a hello. Payload: Prometheus text exposition.
-      net::Frame reply;
-      reply.type = net::FrameType::kMetrics;
-      reply.payload = encode_text(obs::Registry::global().text_exposition());
-      send_frame(*conn, reply);
+      // Live snapshot, answered on the I/O thread (never queued behind
+      // session work) and tenant-less so operators can poll without a
+      // hello. Payload: Prometheus text exposition, rendered unlocked
+      // so a flood of requests never holds up the scheduler's replies.
+      lock.unlock();
+      std::string text = obs::Registry::global().text_exposition();
+      lock.lock();
+      reply_locked(*conn,
+                   {frame.type, net::FrameStatus::kOk, encode_text(text)});
       return;
     }
     case net::FrameType::kOpenSession:
@@ -394,121 +416,77 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
   }
 
   if (!conn->tenant) {
-    send_status(conn, frame.type, net::FrameStatus::kNoSession,
-                "send kHello first");
+    reply_locked(*conn, status_frame(frame.type, net::FrameStatus::kNoSession,
+                                     "send kHello first"));
     return;
   }
-
   Pending work;
   work.type = frame.type;
   work.conn = conn;
   work.enqueued_ns = common::steady_now_ns();
-  if (frame.type == net::FrameType::kOpenSession) {
-    KvPairs kv;
-    std::string error;
-    if (!decode_kv(frame.payload, kv, error)) {
-      send_status(conn, frame.type, net::FrameStatus::kBadFrame, error);
-      return;
-    }
-    if (!build_session(conn, std::move(kv), work)) return;
-  } else if (frame.type == net::FrameType::kStep) {
-    if (!decode_step_request(frame.payload, work.request_id)) {
-      send_status(conn, frame.type, net::FrameStatus::kBadFrame,
-                  "step payload must be one u64 request id");
-      return;
-    }
+  std::string error;
+  if (frame.type == net::FrameType::kOpenSession &&
+      !decode_kv(frame.payload, work.kv, error)) {
+    reply_locked(*conn,
+                 status_frame(frame.type, net::FrameStatus::kBadFrame, error));
+    return;
   }
+  if (frame.type == net::FrameType::kStep &&
+      !decode_step_request(frame.payload, work.request_id)) {
+    reply_locked(*conn,
+                 status_frame(frame.type, net::FrameStatus::kBadFrame,
+                              "step payload must be one u64 request id"));
+    return;
+  }
+  if (frame.type != net::FrameType::kOpenSession) {
+    admit_locked(work);
+  } else if (!refuse_locked(*conn, frame.type)) {
+    // Refused before building, so repeated opens cannot keep the one
+    // builder busy for everyone else's opens.
+    if (conn->tenant->session_requested) {
+      reply_locked(*conn, status_frame(frame.type, net::FrameStatus::kBadFrame,
+                                       "tenant already has a session"));
+      return;
+    }
+    conn->tenant->session_requested = true;
+    conn->building = true;
+    builds_.push_back(std::move(work));
+    build_cv_.notify_one();
+  }
+}
 
-  {
-    // A build that finished after drain() began (or after an eviction)
-    // is refused here; its session is dropped with `work`.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (refuse_locked(conn, frame.type)) return;
-    Tenant& tenant = *conn->tenant;
-    tenant.last_activity_ns = common::steady_now_ns();
-    if (frame.type == net::FrameType::kStep) {
-      // Admission control: bound the tenant's queued + executing steps.
-      if (tenant.inflight_steps >= config_.max_inflight_per_tenant) {
-        stat_rejected_.fetch_add(1);
-        tenant.rejections->inc();
-        net::Frame reply;
-        reply.type = net::FrameType::kStep;
-        reply.status = net::FrameStatus::kRejected;
-        reply.payload = encode_step_request(work.request_id);
-        send_frame(*conn, reply);
-        return;
-      }
-      ++tenant.inflight_steps;
-      tenant.inflight->set(static_cast<double>(tenant.inflight_steps));
+void Server::admit_locked(Pending& work) {
+  Connection& conn = *work.conn;
+  if (refuse_locked(conn, work.type)) return;
+  Tenant& tenant = *conn.tenant;
+  tenant.last_activity_ns = common::steady_now_ns();
+  if (work.type == net::FrameType::kStep) {
+    // Admission control: bound the tenant's queued + executing steps.
+    if (tenant.inflight_steps >= config_.max_inflight_per_tenant) {
+      stat_rejected_.fetch_add(1);
+      tenant.rejections->inc();
+      reply_locked(conn, {net::FrameType::kStep, net::FrameStatus::kRejected,
+                          encode_step_request(work.request_id)});
+      return;
     }
-    tenant.queue.push_back(std::move(work));
-    tenant.queue_depth->set(static_cast<double>(tenant.queue.size()));
-    ++pending_total_;
+    ++tenant.inflight_steps;
+    tenant.inflight->set(static_cast<double>(tenant.inflight_steps));
   }
+  tenant.queue.push_back(std::move(work));
+  tenant.queue_depth->set(static_cast<double>(tenant.queue.size()));
+  ++pending_total_;
   work_cv_.notify_one();
 }
 
-bool Server::build_session(const std::shared_ptr<Connection>& conn,
-                           KvPairs kv, Pending& work) {
-  Tenant& tenant = *conn->tenant;
-  std::future<Build> built;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (refuse_locked(conn, net::FrameType::kOpenSession)) return false;
-    // Refused before building, so repeated opens cannot keep the one
-    // builder busy for everyone else's opens.
-    if (tenant.session_requested) {
-      send_status(conn, net::FrameType::kOpenSession,
-                  net::FrameStatus::kBadFrame,
-                  "tenant already has a session");
-      return false;
-    }
-    tenant.session_requested = true;
-    std::packaged_task<Build()> task(
-        [this, kv = std::move(kv), name = tenant.name] {
-          Build out;
-          // A rejection comes back as text, not as an exception through
-          // the future: the builder thread would free the exception
-          // object through a reference count TSan cannot see while the
-          // reader still reads its message.
-          try {
-            out.session = factory_(kv, &workers_, &out.banner);
-          } catch (const std::invalid_argument& bad) {
-            out.bad_scenario = bad.what();
-            return out;
-          }
-          // Every served session reports per-round/per-phase telemetry
-          // under its tenant label — the kMetrics snapshot covers the
-          // whole session plane, not just the socket front end.
-          out.session->add_observer(
-              std::make_shared<fl::MetricsObserver>(name));
-          return out;
-        });
-    built = task.get_future();
-    builds_.push_back(std::move(task));
-  }
-  build_cv_.notify_one();
-  work.built = built.get();
-  if (work.built.session != nullptr) return true;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tenant.session_requested = false;
-  }
-  send_status(conn, net::FrameType::kOpenSession,
-              net::FrameStatus::kBadScenario, work.built.bad_scenario);
-  return false;
-}
-
-bool Server::refuse_locked(const std::shared_ptr<Connection>& conn,
-                           net::FrameType type) {
+bool Server::refuse_locked(Connection& conn, net::FrameType type) {
   if (draining_) {
-    send_status(conn, type, net::FrameStatus::kShuttingDown,
-                "server draining");
+    reply_locked(conn, status_frame(type, net::FrameStatus::kShuttingDown,
+                                    "server draining"));
     return true;
   }
-  if (conn->tenant->evicted) {
-    send_status(conn, type, net::FrameStatus::kNoSession,
-                "tenant evicted; send kHello again");
+  if (conn.tenant->evicted) {
+    reply_locked(conn, status_frame(type, net::FrameStatus::kNoSession,
+                                    "tenant evicted; send kHello again"));
     return true;
   }
   return false;
@@ -516,15 +494,41 @@ bool Server::refuse_locked(const std::shared_ptr<Connection>& conn,
 
 void Server::builder_loop() {
   for (;;) {
-    std::packaged_task<Build()> task;
+    Pending work;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      build_cv_.wait(lock, [&] { return !builds_.empty() || stop_builder_; });
+      build_cv_.wait(lock, [&] { return !builds_.empty() || draining_; });
       if (builds_.empty()) return;
-      task = std::move(builds_.front());
+      work = std::move(builds_.front());
       builds_.pop_front();
     }
-    task();  // the build, or its rejection, goes to the reader
+    const std::shared_ptr<Connection> conn = work.conn;
+    std::string bad_scenario;
+    try {
+      work.session = factory_(work.kv, &workers_, &work.banner);
+      // Every served session reports per-round/per-phase telemetry
+      // under its tenant label — the kMetrics snapshot covers the whole
+      // session plane, not just the socket front end.
+      work.session->add_observer(
+          std::make_shared<fl::MetricsObserver>(conn->tenant->name));
+    } catch (const std::invalid_argument& bad) {
+      bad_scenario = bad.what();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (work.session != nullptr) {
+      // A build that finished after drain() began (or after an
+      // eviction) is refused here; its session is freed with `work`,
+      // after the lock.
+      admit_locked(work);
+    } else {
+      conn->tenant->session_requested = false;
+      reply_locked(*conn, status_frame(net::FrameType::kOpenSession,
+                                       net::FrameStatus::kBadScenario,
+                                       bad_scenario));
+    }
+    // Only now may the I/O thread run the connection's next frame.
+    conn->building = false;
+    wake_io_locked();
   }
 }
 
@@ -539,9 +543,7 @@ void Server::scheduler_loop() {
     std::shared_ptr<Tenant> tenant;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      const auto runnable = [&] {
-        return pending_total_ > 0 || stop_scheduler_;
-      };
+      const auto runnable = [&] { return pending_total_ > 0 || draining_; };
       if (evicting) {
         while (!runnable()) {
           work_cv_.wait_for(lock, sweep_every);
@@ -550,7 +552,7 @@ void Server::scheduler_loop() {
       } else {
         work_cv_.wait(lock, runnable);
       }
-      if (pending_total_ == 0 && stop_scheduler_) return;
+      if (pending_total_ == 0 && draining_) return;
       // Fairness: cyclic scan over tenants, one request per turn, so a
       // flooding tenant's backlog cannot starve anyone else's queue.
       const std::size_t n = tenants_.size();
@@ -569,7 +571,7 @@ void Server::scheduler_loop() {
       }
     }
     // Session work runs unlocked: local training on the worker pool
-    // must not block readers enqueueing (or rejecting) other tenants.
+    // must not block the I/O thread queueing (or rejecting) frames.
     if (tenant != nullptr) execute(*tenant, std::move(work));
   }
 }
@@ -584,15 +586,15 @@ void Server::evict_idle_tenants_locked(std::uint64_t now_ns) {
     // requests is never evicted.
     const auto held = tenant.conn.lock();
     const bool idle = tenant.queue.empty() && tenant.inflight_steps == 0 &&
-                      (held == nullptr || held->dead.load()) &&
+                      (held == nullptr || held->dead) &&
                       now_ns - tenant.last_activity_ns >= timeout_ns;
     if (!idle) {
       ++i;
       continue;
     }
     // The session's memory is freed here on the scheduler thread — the
-    // only thread that ever steps sessions. A zombie reader may still
-    // hold the Tenant; it sees `evicted` and answers kNoSession.
+    // only thread that ever steps sessions. A connection may still hold
+    // the Tenant; its frames see `evicted` and are answered kNoSession.
     tenant.session.reset();
     tenant.evicted = true;
     tenant.evictions->inc();
@@ -603,24 +605,18 @@ void Server::evict_idle_tenants_locked(std::uint64_t now_ns) {
 }
 
 void Server::execute(Tenant& tenant, Pending work) {
-  const auto& conn = work.conn;
+  net::Frame reply;
+  reply.type = work.type;
   switch (work.type) {
-    case net::FrameType::kOpenSession: {
+    case net::FrameType::kOpenSession:
       // Built on the builder thread; installed here, so only this
       // thread ever steps a session.
-      tenant.session = std::move(work.built.session);
+      tenant.session = std::move(work.session);
       stat_sessions_opened_.fetch_add(1);
       obs_sessions_opened_->inc();
-      net::Frame reply;
-      reply.type = work.type;
-      reply.payload = encode_text(work.built.banner);
-      send_frame(*conn, reply);
-      retire_if_finished(tenant);  // a zero-round session
-      return;
-    }
+      reply.payload = encode_text(work.banner);
+      break;
     case net::FrameType::kStep: {
-      net::Frame reply;
-      reply.type = work.type;
       fl::FederationSession* session = tenant.session.get();
       if (tenant.final_parameters) {
         reply.status = net::FrameStatus::kSessionDone;
@@ -642,34 +638,33 @@ void Server::execute(Tenant& tenant, Pending work) {
         }
         reply.payload = encode_step_reply(body);
       }
-      send_frame(*conn, reply);
-      tenant.reply_seconds->record(
-          static_cast<double>(common::steady_now_ns() - work.enqueued_ns) *
-          1e-9);
-      retire_if_finished(tenant);
-      std::lock_guard<std::mutex> lock(mu_);
-      --tenant.inflight_steps;
-      tenant.inflight->set(static_cast<double>(tenant.inflight_steps));
-      return;
+      break;
     }
-    case net::FrameType::kResult: {
+    case net::FrameType::kResult:
       if (tenant.final_parameters) {
-        net::Frame reply;
-        reply.type = work.type;
         reply.payload = encode_result_reply(*tenant.final_parameters);
-        send_frame(*conn, reply);
       } else if (tenant.session == nullptr) {
-        send_status(conn, work.type, net::FrameStatus::kNoSession,
-                    "open a session first");
+        reply = status_frame(work.type, net::FrameStatus::kNoSession,
+                             "open a session first");
       } else {
-        send_status(conn, work.type, net::FrameStatus::kNotFinished,
-                    "session still has rounds left");
+        reply = status_frame(work.type, net::FrameStatus::kNotFinished,
+                             "session still has rounds left");
       }
-      return;
-    }
+      break;
     default:
       return;  // kHello/kShutdown never reach the queue
   }
+  retire_if_finished(tenant);  // a last round, or a zero-round session
+  // A step's reply is queued and counted out of the admission bound in
+  // one critical section, so the client's next step never finds this
+  // one still in flight.
+  std::lock_guard<std::mutex> lock(mu_);
+  reply_locked(*work.conn, reply);
+  if (work.type != net::FrameType::kStep) return;
+  tenant.reply_seconds->record(
+      static_cast<double>(common::steady_now_ns() - work.enqueued_ns) * 1e-9);
+  --tenant.inflight_steps;
+  tenant.inflight->set(static_cast<double>(tenant.inflight_steps));
 }
 
 void Server::retire_if_finished(Tenant& tenant) {
@@ -678,28 +673,21 @@ void Server::retire_if_finished(Tenant& tenant) {
   tenant.session.reset();
 }
 
-bool Server::send_frame(Connection& conn, const net::Frame& frame) {
+void Server::reply_locked(Connection& conn, const net::Frame& frame) {
   const auto status = static_cast<std::uint16_t>(frame.status);
   if (status < replies_by_status_.size()) replies_by_status_[status]->inc();
-  if (conn.dead.load()) return false;
-  std::vector<std::uint8_t> wire;
-  net::encode_frame(frame, wire);
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  if (conn.fd < 0 || !send_all(conn.fd, wire.data(), wire.size())) {
-    conn.dead.store(true);
-    return false;
-  }
-  return true;
+  if (conn.dead) return;
+  net::encode_frame(frame, conn.outbox);
+  wake_io_locked();
 }
 
-void Server::send_status(const std::shared_ptr<Connection>& conn,
-                         net::FrameType type, net::FrameStatus status,
-                         std::string_view message) {
-  net::Frame reply;
-  reply.type = type;
-  reply.status = status;
-  reply.payload = encode_text(message);
-  send_frame(*conn, reply);
+void Server::wake_io_locked() {
+  // One write per I/O pass: the pass clears the flag before it takes
+  // any outbox, so a reply queued later is seen by the next pass.
+  if (wake_pending_) return;
+  wake_pending_ = true;
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t wrote = ::write(wake_fd_, &one, sizeof one);
 }
 
 }  // namespace flips::serve

@@ -5,35 +5,34 @@
 // accounting ledger.
 //
 // Threading model (all shared state under one server mutex; sessions
-// are stepped by the scheduler thread only):
+// are stepped by the scheduler thread only). The server runs three
+// threads of its own however many connections are open:
 //
-//   acceptor thread     accept() loop; spawns one reader per conn and
-//                       joins readers that have exited since the last
-//                       accept
-//   reader threads      parse frames; enqueue work; answer protocol
-//                       errors and admission rejections immediately;
-//                       on kOpenSession, post the build to the builder
-//                       and block until it is done, then answer a bad
-//                       scenario itself or queue the built session;
-//                       on EOF or a bad frame, close the conn's fd and
-//                       exit (drain() waits until no reader is live,
-//                       then joins the rest)
+//   I/O thread          owns every socket: poll()s the listen socket, a
+//                       wake eventfd and every connection; accepts,
+//                       reads and writes without blocking; decodes
+//                       frames and answers protocol errors, admission
+//                       rejections, hellos and metrics itself; posts an
+//                       open's build to the builder; writes out every
+//                       reply, whichever thread queued it
 //   builder thread      runs the SessionFactory for one open at a
 //                       time, so a ~40 ms federation build never sits
-//                       in front of other tenants' queued steps
+//                       in front of other tenants' queued steps, then
+//                       queues the built session or answers the open
 //   scheduler thread    pops per-tenant queues round-robin, installs
 //                       built sessions, steps the tenant's session,
-//                       writes open/step/result replies, frees a
+//                       queues open/step/result replies, frees a
 //                       session once its last round ran (keeping only
 //                       its final parameters for kResult), and erases
 //                       idle tenants
 //   worker pool         ONE common::ThreadPool every tenant's local
 //                       training contends for
 //
-// A reader handles its connection's frames one at a time, and an open
-// is queued only once its build is done, so a connection's frames
-// still run in the order sent: a step pipelined behind an open steps
-// the session that open built.
+// Build hold: once an open's build is posted, the I/O thread decodes
+// none of that connection's frames until the builder has queued or
+// answered the open, so a connection's frames still run in the order
+// sent: a step pipelined behind an open steps the session that open
+// built.
 //
 // Isolation properties:
 //   admission control   a tenant may have at most
@@ -46,9 +45,14 @@
 //                       slow or hostile tenant cannot stall others
 //   fairness            the scheduler services tenants with pending
 //                       work in cyclic order, one request per turn
+//   no wedge            a connection's replies wait in its outbox; one
+//                       holding more than kOutboxLimit bytes is not read
+//                       until it drains, and one whose replies make no
+//                       write progress for kStallTimeoutNs is closed
 //   graceful drain      drain() stops accepting work (late frames get
 //                       kShuttingDown), finishes everything already
-//                       queued, flushes replies, then joins threads
+//                       queued and built, flushes every outbox, then
+//                       closes every socket and joins threads
 //
 // Because sessions are stepped by one thread over seed-derived RNG
 // streams, a served session's final_parameters are bit-identical to
@@ -62,7 +66,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -101,9 +104,6 @@ struct ServerConfig {
   std::size_t worker_threads = 0;
   /// Admission bound: max step frames queued or executing per tenant.
   std::size_t max_inflight_per_tenant = 8;
-  /// Socket send timeout (seconds) — a peer that stops reading is
-  /// declared dead instead of wedging the scheduler on write().
-  double send_timeout_s = 5.0;
   /// Idle eviction: a tenant whose connection is dead and that has been
   /// inactive (no frames, no queued work) this long has its session
   /// destroyed and leaves the server, which releases its name
@@ -120,8 +120,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the acceptor, builder and scheduler
-  /// threads.
+  /// Binds, listens, and spawns the I/O, builder and scheduler threads.
   /// Throws std::runtime_error on socket errors.
   void start();
 
@@ -150,8 +149,8 @@ class Server {
     std::uint64_t rejected = 0;           ///< admission-control refusals
     std::uint64_t sessions_opened = 0;
     std::uint64_t sessions_finished = 0;
-    std::uint64_t connections_accepted = 0;  ///< readers spawned
-    std::uint64_t connections_closed = 0;    ///< fds closed by readers
+    std::uint64_t connections_accepted = 0;
+    std::uint64_t connections_closed = 0;
     std::uint64_t tenants = 0;  ///< registered tenants (evicted ones leave)
   };
   Stats stats() const;
@@ -159,35 +158,42 @@ class Server {
  private:
   struct Tenant;
 
+  /// Replies a connection may hold unsent before it is no longer read.
+  static constexpr std::size_t kOutboxLimit = std::size_t{1} << 20;
+  /// Unsent replies that make no write progress this long close the
+  /// connection, so a peer that stops reading never wedges the server.
+  static constexpr std::uint64_t kStallTimeoutNs = 5'000'000'000;
+
+  /// One client socket. `fd`, `decoder`, `wire` and `last_write_ns`
+  /// belong to the I/O thread; the rest is under mu_.
   struct Connection {
-    /// Closed and set to -1 by the reader, under write_mu, when it
-    /// exits; writers skip a closed connection.
     int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> dead{false};
-    /// Set once by the hello handler (the connection's own reader
-    /// thread) before any use. Shared, so a connection whose tenant was
-    /// evicted still sees `evicted` after the tenant leaves tenants_.
+    net::FrameDecoder decoder;
+    std::vector<std::uint8_t> wire;  ///< replies being written
+    std::uint64_t last_write_ns = 0;  ///< last write progress
+    std::vector<std::uint8_t> outbox;  ///< replies queued by any thread
+    /// Set by the I/O thread: nothing more is read or queued, and the
+    /// fd closes once `wire` is flushed. Lets a later hello rebind the
+    /// tenant and the idle sweep evict it.
+    bool dead = false;
+    /// Build hold: set when the I/O thread posts an open's build,
+    /// cleared by the builder once the open is queued or answered.
+    bool building = false;
+    /// Set once by the hello handler. Shared, so a connection whose
+    /// tenant was evicted still sees `evicted` after the tenant leaves
+    /// tenants_.
     std::shared_ptr<Tenant> tenant;
-    /// Started under mu_, so it is set before the reader can exit;
-    /// joined by reap_exited_readers().
-    std::thread reader;
   };
 
-  /// What the builder hands back to a waiting reader.
-  struct Build {
-    std::unique_ptr<fl::FederationSession> session;
-    std::string banner;  ///< the kOpenSession reply payload
-    /// The factory's std::invalid_argument message; set when no
-    /// session was built.
-    std::string bad_scenario;
-  };
-
-  /// One queued unit of scheduler work for a tenant.
+  /// One unit of builder or scheduler work for a tenant.
   struct Pending {
     net::FrameType type = net::FrameType::kStep;
     std::uint64_t request_id = 0;  ///< kStep only
-    Build built;  ///< kOpenSession only: the session to install
+    // kOpenSession only: the scenario the builder builds, then the
+    // built session and the reply payload the scheduler installs.
+    KvPairs kv;
+    std::unique_ptr<fl::FederationSession> session;
+    std::string banner;
     std::shared_ptr<Connection> conn;
     std::uint64_t enqueued_ns = 0;  ///< reply-latency clock start
   };
@@ -201,9 +207,9 @@ class Server {
     /// state. Both touched by the scheduler thread only.
     std::unique_ptr<fl::FederationSession> session;
     std::optional<std::vector<double>> final_parameters;
-    /// Set by the reader that claims the tenant's one session, before
-    /// it posts the build; cleared if the scenario is rejected. A
-    /// second open is refused on this flag, without a build.
+    /// Set when the tenant's one session is claimed, before its build
+    /// is posted; cleared if the scenario is rejected. A second open is
+    /// refused on this flag, without a build.
     bool session_requested = false;
     std::size_t inflight_steps = 0;  ///< queued + executing step frames
     std::deque<Pending> queue;
@@ -218,41 +224,48 @@ class Server {
     obs::Counter* evictions = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* inflight = nullptr;
-    obs::Histogram* reply_seconds = nullptr;  ///< enqueue -> reply sent
+    obs::Histogram* reply_seconds = nullptr;  ///< enqueue -> reply queued
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
+  void io_loop();
+  /// I/O thread: unless `stopping`, runs the connection's buffered
+  /// frames until the decoder needs input (returns POLLIN), its unsent
+  /// replies pass kOutboxLimit (POLLOUT), or it holds for a build or
+  /// dies (0); then moves its outbox to `wire`.
+  short pump(const std::shared_ptr<Connection>& conn, bool stopping);
+  /// I/O thread: sends what the socket takes of `wire`; false on a
+  /// socket error.
+  bool write_out(Connection& conn, std::uint64_t now_ns);
+  /// I/O thread: marks the connection dead and closes its fd.
+  void close_connection(Connection& conn);
   /// Runs posted builds one at a time until drain() stops it.
   void builder_loop();
-  /// Joins the readers that have exited (acceptor thread, or drain()).
-  void reap_exited_readers();
   void scheduler_loop();
   /// Idle sweep (scheduler thread, mu_ held): destroys the session of
   /// every tenant whose connection died and whose inactivity exceeds
   /// the timeout, and erases the tenant from tenants_.
   void evict_idle_tenants_locked(std::uint64_t now_ns);
-  /// Reader-side dispatch: answers protocol errors / rejections
-  /// inline, enqueues real work for the scheduler.
+  /// I/O-thread dispatch (`lock` holds mu_): answers protocol errors /
+  /// rejections inline, posts opens to the builder, queues other work
+  /// for the scheduler.
   void handle_frame(const std::shared_ptr<Connection>& conn,
-                    net::Frame frame);
-  /// Reader side of kOpenSession: claims the tenant's session, posts
-  /// the build to the builder thread and waits for it. Returns true
-  /// with the session in `work`; otherwise the open is answered.
-  bool build_session(const std::shared_ptr<Connection>& conn, KvPairs kv,
-                     Pending& work);
+                    net::Frame frame, std::unique_lock<std::mutex>& lock);
+  /// mu_ held: queues `work` (moved from) on its tenant for the
+  /// scheduler, unless it is refused or, for a step, over the
+  /// admission bound.
+  void admit_locked(Pending& work);
   /// mu_ held: answers a tenant-scoped frame that may no longer run
   /// (server draining, tenant evicted) and returns true.
-  bool refuse_locked(const std::shared_ptr<Connection>& conn,
-                     net::FrameType type);
+  bool refuse_locked(Connection& conn, net::FrameType type);
   void execute(Tenant& tenant, Pending work);
   /// Scheduler thread: once the tenant's session has run its last
   /// round, keeps its final parameters and frees the session.
   void retire_if_finished(Tenant& tenant);
-  bool send_frame(Connection& conn, const net::Frame& frame);
-  void send_status(const std::shared_ptr<Connection>& conn,
-                   net::FrameType type, net::FrameStatus status,
-                   std::string_view message);
+  /// mu_ held: appends a reply to the connection's outbox (dropped if
+  /// the connection is dead) and wakes the I/O thread.
+  void reply_locked(Connection& conn, const net::Frame& frame);
+  /// mu_ held: makes the I/O thread's poll() return.
+  void wake_io_locked();
 
   ServerConfig config_;
   SessionFactory factory_;
@@ -261,34 +274,31 @@ class Server {
   common::ThreadPool workers_;
 
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd the I/O thread polls
   std::uint16_t port_ = 0;
   bool started_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable shutdown_cv_;
-  std::condition_variable readers_cv_;  ///< a reader exited
   /// Registered tenants in registration order (the round-robin order).
   std::vector<std::shared_ptr<Tenant>> tenants_;
-  /// Connections whose reader is live; a reader moves its connection
-  /// to exited_ as its last step.
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::shared_ptr<Connection>> exited_;  ///< awaiting join
   std::size_t rr_cursor_ = 0;       ///< round-robin tenant cursor
   std::size_t pending_total_ = 0;   ///< queued work across tenants
-  bool draining_ = false;           ///< refuse new work
-  bool stop_scheduler_ = false;     ///< exit once queues drain
+  /// Refuse new work; the scheduler and builder exit once their queues
+  /// are empty.
+  bool draining_ = false;
+  bool stop_io_ = false;  ///< flush every outbox, close every fd, exit
+  bool wake_pending_ = false;  ///< wake_fd_ written since the I/O gather
   bool shutdown_requested_ = false;
 
-  /// Builds posted by readers, run in order by builder_. One thread is
-  /// enough: opens are rare next to steps, and one build at a time
-  /// bounds the memory that builds in flight hold.
-  std::deque<std::packaged_task<Build()>> builds_;
+  /// Opens posted by the I/O thread, built in order by builder_. One
+  /// thread is enough: opens are rare next to steps, and one build at a
+  /// time bounds the memory that builds in flight hold.
+  std::deque<Pending> builds_;
   std::condition_variable build_cv_;
-  /// Set by drain() once no reader is left to wait on a build.
-  bool stop_builder_ = false;
 
-  std::thread acceptor_;
+  std::thread io_;
   std::thread builder_;
   std::thread scheduler_;
 

@@ -165,7 +165,7 @@ TEST(ServePayloads, StepReplyFullAndIdOnlyForms) {
   EXPECT_EQ(decoded.round, 7u);
   EXPECT_TRUE(decoded.finished);
 
-  // Rejections echo just the id (written out-of-band by the reader
+  // Rejections echo just the id (queued out-of-band by the I/O
   // thread) — the short form must decode, not error.
   ASSERT_TRUE(flips::serve::decode_step_reply(
       flips::serve::encode_step_request(42), decoded));
@@ -409,7 +409,7 @@ TEST(ServeEndToEnd, FloodingTenantIsRejectedWhileVictimStaysBounded) {
   // The flooder's first step waits until the flooder has received a
   // kRejected. That step stays in flight meanwhile, so with
   // max_inflight_per_tenant = 2 the burst's third frame is refused
-  // however the scheduler and the reader interleave.
+  // however the scheduler and the I/O thread interleave.
   std::promise<void> rejected;
   const std::shared_future<void> rejected_seen = rejected.get_future().share();
   auto factory = [&](const flips::serve::KvPairs& kv,
@@ -547,13 +547,14 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
   const std::size_t fd_baseline = open_fd_count();
   const std::size_t thread_baseline = thread_count();
   ASSERT_EQ(server.stats().connections_accepted, 1u);
-  // Eight vandals each deliver half a frame, then reset the connection
-  // mid-payload. The server must tear each one down completely.
+  // A thousand vandals each deliver half a frame, then reset the
+  // connection mid-payload. The server must tear each one down
+  // completely.
   Frame step;
   step.type = FrameType::kStep;
   step.payload = flips::serve::encode_step_request(99);
   const auto image = wire_image(step);
-  for (int vandal = 0; vandal < 8; ++vandal) {
+  for (int vandal = 0; vandal < 1000; ++vandal) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
     sockaddr_un addr{};
@@ -567,14 +568,16 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
     ::close(fd);
   }
 
-  // Each reader notices EOF, closes its fd, then counts the close: once
-  // the server has accepted and closed all eight, their fds are gone.
+  // The I/O thread notices each EOF, closes the fd, then counts the
+  // close: once the server has accepted and closed them all, their fds
+  // are gone.
   ASSERT_TRUE(wait_until([&] {
     const auto stats = server.stats();
-    return stats.connections_accepted == 9 && stats.connections_closed == 8;
+    return stats.connections_accepted == 1001 &&
+           stats.connections_closed == 1000;
   }));
   EXPECT_EQ(open_fd_count(), fd_baseline);
-  // The reader threads exit right after their close is counted.
+  // No thread was started for any of them.
   EXPECT_TRUE(wait_until([&] { return thread_count() == thread_baseline; }))
       << thread_count() << " threads against a baseline of "
       << thread_baseline;
@@ -584,6 +587,95 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
   EXPECT_EQ(step_once(client, 1, reply), FrameStatus::kOk);
   server.drain();
   EXPECT_EQ(server.stats().steps, 1u);
+}
+
+/// A raw, frame-less unix-socket connection (-1 on failure).
+int raw_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServeEndToEnd, ThreadCountIsFlatAcrossConnections) {
+  const std::string socket = test_socket_path("flat");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  flips::serve::Client first;
+  first.connect_uds(socket);
+  first.hello("t0");
+  const std::size_t fd_baseline = open_fd_count();
+  const std::size_t thread_baseline = thread_count();
+
+  // 32 more live, hello'd connections cost two fds each (client and
+  // server end) and no thread.
+  std::vector<std::unique_ptr<flips::serve::Client>> clients;
+  for (int i = 1; i <= 32; ++i) {
+    clients.push_back(std::make_unique<flips::serve::Client>());
+    clients.back()->connect_uds(socket);
+    clients.back()->hello(std::to_string(i));
+  }
+  EXPECT_EQ(thread_count(), thread_baseline);
+  EXPECT_EQ(open_fd_count(), fd_baseline + 2 * 32);
+
+  clients.clear();
+  ASSERT_TRUE(
+      wait_until([&] { return server.stats().connections_closed == 32; }));
+  EXPECT_EQ(open_fd_count(), fd_baseline);
+  EXPECT_EQ(thread_count(), thread_baseline);
+  server.drain();
+}
+
+TEST(ServeEndToEnd, NonReadingPeerDoesNotStallOtherTenants) {
+  const std::string socket = test_socket_path("deaf");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  const auto spec = small_spec(4, 1414);
+  flips::serve::Client busy;
+  busy.connect_uds(socket);
+  busy.hello("busy");
+  busy.open_session(spec.to_key_values());
+
+  // A peer asks for 200 metrics snapshots and never reads one: its
+  // replies outgrow its socket buffer and stop making progress.
+  const int deaf = raw_connect(socket);
+  ASSERT_GE(deaf, 0);
+  Frame metrics;
+  metrics.type = FrameType::kMetrics;
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 200; ++i) flips::net::encode_frame(metrics, burst);
+  ASSERT_EQ(::send(deaf, burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+  ASSERT_TRUE(wait_until([&] { return server.stats().frames >= 2 + 10; }));
+
+  // The other tenant is served throughout.
+  flips::serve::StepReply reply;
+  for (std::uint64_t round = 1; round <= 4; ++round) {
+    ASSERT_EQ(step_once(busy, round, reply), FrameStatus::kOk);
+  }
+  EXPECT_TRUE(reply.finished);
+  EXPECT_EQ(fetch_result(busy), solo_parameters(spec));
+
+  // drain() returns with the deaf peer still connected: its unsent
+  // replies close it once they stall.
+  server.drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
+  ::close(deaf);
 }
 
 TEST(ServeEndToEnd, ReconnectAndReplayIsBitIdenticalUnderFaults) {
@@ -768,8 +860,8 @@ TEST(ServeEndToEnd, ShutdownWithStepInFlightDrainsCleanly) {
   client.open_session(small_spec(3, 606).to_key_values());
 
   // Queue a step, then request shutdown before reading its reply. The
-  // shutdown ack is written on the reader thread, so it may overtake
-  // the step reply — classify the two frames by type.
+  // shutdown ack is queued by the I/O thread, so it may overtake the
+  // step reply — classify the two frames by type.
   Frame step;
   step.type = FrameType::kStep;
   step.payload = flips::serve::encode_step_request(1);
