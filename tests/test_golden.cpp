@@ -61,6 +61,7 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
              {"async_faults", 0x74d855d5b93067b2},
              {"async_faults_stragglers", 0x5db96b3a0cc3dc13},
              {"async_quant8_dp", 0x2b965e115eb7ad8f},
+             {"builder_ecg_fedavg_logistic", 0xaab2fa541ef03478},
              {"builder_ecg_fedyogi_async_faults", 0x28bec44a8161e172},
              {"builder_femnist_fedavg", 0x8e662e0870807cda},
              {"select_flips", 0x43302124f18cf62a},
@@ -255,6 +256,8 @@ std::map<std::string, flips::ScenarioSpec> builder_cells() {
       "mode=async", "codec=quant8", "churn=1", "fault_rate=0.1"};
   std::map<std::string, flips::ScenarioSpec> out;
   out.emplace("builder_femnist_fedavg", scenario("femnist-fedavg", {}));
+  out.emplace("builder_ecg_fedavg_logistic",
+              scenario("ecg-fedavg", {"mlp_hidden=0"}));
   out.emplace("builder_ecg_fedyogi_async_faults",
               scenario("ecg-fedyogi", async_faults));
   return out;
