@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "ml/kernels.h"
 #include "ml/model.h"
-#include "ml/sgd.h"
 #include "net/codec.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
@@ -142,10 +141,9 @@ void mlp_train_step(benchmark::State& state, std::size_t in,
   for (auto& label : labels) {
     label = static_cast<std::uint32_t>(rng.uniform_index(classes));
   }
-  const flips::ml::SgdOptimizer sgd({.learning_rate = 0.01});
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.train_step_gradient(x, labels));
-    sgd.step(model, 0.01);
+    model.apply_gradients(0.01);
     benchmark::DoNotOptimize(model.mutable_parameters().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

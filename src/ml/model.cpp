@@ -1,9 +1,10 @@
 #include "ml/model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/simd.h"
 #include "ml/kernels.h"
@@ -216,185 +217,6 @@ FLIPS_TARGET_CLONES void exp_elements(const double* x, double* y,
 
 namespace {
 
-// ------------------------------------------------------------------
-// Dense (fully connected) layer: out = W x + b.
-//
-// Weights are stored input-major ([in][out]) so the forward pass and
-// the weight-gradient update walk contiguous memory with an independent
-// accumulator per output unit. The input gradient runs the forward
-// kernel over a transposed copy of W (weights_t_, refreshed per
-// backward), so its lanes also run across independent outputs.
-
-class DenseLayer final : public Layer {
- public:
-  DenseLayer(std::size_t in, std::size_t out, common::Rng& rng)
-      : in_(in), out_(out), init_(in * out + out, 0.0) {
-    // He-style init keeps both tanh and relu stacks trainable. Bias
-    // (the tail of init_) starts at zero.
-    const double scale = std::sqrt(2.0 / static_cast<double>(in));
-    for (std::size_t i = 0; i < in * out; ++i) init_[i] = scale * rng.normal();
-  }
-
-  const Tensor& forward(const Tensor& input) override {
-    input_ = &input;
-    output_.resize(input.rows(), out_);
-    dense_forward(input.data(), weights_, bias_, output_.data(),
-                  input.rows(), in_, out_);
-    return output_;
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool need_input_grad) override {
-    const std::size_t batch = grad_output.rows();
-    dense_backward_params(input_->data(), grad_output.data(), grad_weights_,
-                          grad_bias_, batch, in_, out_);
-    if (!need_input_grad) {
-      grad_input_.resize(0, in_);
-      return grad_input_;
-    }
-    weights_t_.resize(out_, in_);
-    for (std::size_t i = 0; i < in_; ++i) {
-      const double* w = weights_ + i * out_;
-      for (std::size_t o = 0; o < out_; ++o) weights_t_(o, i) = w[o];
-    }
-    grad_input_.resize(batch, in_);
-    // dL/dx = g W^T is dense_forward over W^T with no bias.
-    dense_forward(grad_output.data(), weights_t_.data(), nullptr,
-                  grad_input_.data(), batch, out_, in_);
-    return grad_input_;
-  }
-
-  std::size_t num_parameters() const override { return in_ * out_ + out_; }
-  void export_initial_parameters(double* dst) override {
-    std::copy(init_.begin(), init_.end(), dst);
-    init_.clear();
-    init_.shrink_to_fit();
-  }
-  void bind(double*& params, double*& grads) override {
-    weights_ = params;
-    bias_ = params + in_ * out_;
-    params += num_parameters();
-    grad_weights_ = grads;
-    grad_bias_ = grads + in_ * out_;
-    grads += num_parameters();
-  }
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<DenseLayer>(*this);
-  }
-
- private:
-  std::size_t in_;
-  std::size_t out_;
-  std::vector<double> init_;   ///< initial weights until bound
-  double* weights_ = nullptr;  ///< [in][out] segment of the flat params
-  double* bias_ = nullptr;
-  double* grad_weights_ = nullptr;
-  double* grad_bias_ = nullptr;
-  /// Borrowed: forward's input outlives the forward/backward pair in
-  /// the Sequential chain (caller's features or the previous layer's
-  /// owned output buffer), so no copy is taken.
-  const Tensor* input_ = nullptr;
-  Tensor output_;
-  Tensor grad_input_;
-  Tensor weights_t_;  ///< [out][in] scratch: W^T for the input gradient
-};
-
-// ------------------------------------------------------------------
-// Element-wise tanh activation.
-
-class TanhLayer final : public Layer {
- public:
-  const Tensor& forward(const Tensor& input) override {
-    output_.resize(input.rows(), input.cols());
-    tanh_elements(input.data(), output_.data(), output_.size());
-    return output_;
-  }
-
-  const Tensor& backward(const Tensor& grad_output,
-                         bool /*need_input_grad*/) override {
-    // Element-wise derivative is as cheap as the skip test; activations
-    // are never a model's first layer anyway.
-    grad_input_.resize(grad_output.rows(), grad_output.cols());
-    const double* __restrict__ go = grad_output.data();
-    double* __restrict__ g = grad_input_.data();
-    const double* __restrict__ y = output_.data();
-    const std::size_t n = grad_input_.size();
-    for (std::size_t i = 0; i < n; ++i) g[i] = go[i] * (1.0 - y[i] * y[i]);
-    return grad_input_;
-  }
-
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<TanhLayer>(*this);
-  }
-
- private:
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-}  // namespace
-
-// ------------------------------------------------------------------
-// Sequential
-
-Sequential::Sequential(const Sequential& other)
-    : params_(other.params_), grads_(other.grads_) {
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
-  rebind();
-}
-
-Sequential& Sequential::operator=(const Sequential& other) {
-  if (this == &other) return *this;
-  params_ = other.params_;
-  grads_ = other.grads_;
-  layers_.clear();
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
-  rebind();
-  return *this;
-}
-
-void Sequential::rebind() {
-  double* p = params_.data();
-  double* g = grads_.data();
-  for (auto& layer : layers_) layer->bind(p, g);
-}
-
-void Sequential::add(std::unique_ptr<Layer> layer) {
-  const std::size_t offset = params_.size();
-  const std::size_t n = layer->num_parameters();
-  params_.resize(offset + n);
-  grads_.resize(offset + n, 0.0);
-  layer->export_initial_parameters(params_.data() + offset);
-  layers_.push_back(std::move(layer));
-  rebind();  // resize may have moved both buffers
-}
-
-void Sequential::set_parameters(const std::vector<double>& params) {
-  assert(params.size() == params_.size());
-  std::copy(params.begin(), params.end(), params_.begin());
-}
-
-void Sequential::apply_gradients(double learning_rate) {
-  const std::size_t n = params_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    params_[i] -= learning_rate * grads_[i];
-  }
-}
-
-void Sequential::zero_gradients() {
-  std::fill(grads_.begin(), grads_.end(), 0.0);
-}
-
-const Tensor& Sequential::forward(const Tensor& features) {
-  const Tensor* x = &features;
-  for (auto& layer : layers_) x = &layer->forward(*x);
-  return *x;
-}
-
-namespace {
-
 /// Softmax in place, row by row. Numerically stabilized: each row is
 /// shifted by its max, then one exp pass covers the whole tensor. The
 /// row sum is one scalar chain in column order.
@@ -419,39 +241,122 @@ void softmax_rows(Tensor& logits) {
 
 }  // namespace
 
+// ------------------------------------------------------------------
+// Sequential
+
+Sequential::Sequential(std::size_t input_dim, std::size_t hidden,
+                       std::size_t num_classes, common::Rng& rng)
+    : hidden_(hidden) {
+  first_ = {input_dim, hidden > 0 ? hidden : num_classes, 0};
+  second_ = {hidden, hidden > 0 ? num_classes : 0, first_.end()};
+  params_.assign(second_.end(), 0.0);
+  grads_.assign(second_.end(), 0.0);
+  // He-style init, first layer's weights first; biases start at zero.
+  for (const Dense* layer : {&first_, &second_}) {
+    if (layer->out == 0) continue;
+    const double scale = std::sqrt(2.0 / static_cast<double>(layer->in));
+    double* w = params_.data() + layer->offset;
+    for (std::size_t i = 0; i < layer->in * layer->out; ++i) {
+      w[i] = scale * rng.normal();
+    }
+  }
+}
+
+void Sequential::set_parameters(const std::vector<double>& params) {
+  if (params.size() != params_.size()) {
+    throw std::invalid_argument(
+        "Sequential::set_parameters: got " + std::to_string(params.size()) +
+        " values for a model of " + std::to_string(params_.size()));
+  }
+  std::copy(params.begin(), params.end(), params_.begin());
+}
+
+void Sequential::apply_gradients(double learning_rate) {
+  const std::size_t n = params_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    params_[i] -= learning_rate * grads_[i];
+  }
+}
+
+void Sequential::dense_forward_into(const Dense& layer, const double* x,
+                                    std::size_t batch, Tensor& y) const {
+  y.resize(batch, layer.out);
+  dense_forward(x, params_.data() + layer.offset,
+                params_.data() + layer.bias(), y.data(), batch, layer.in,
+                layer.out);
+}
+
+void Sequential::dense_backward_into(const Dense& layer, const double* x,
+                                     const Tensor& g) {
+  dense_backward_params(x, g.data(), grads_.data() + layer.offset,
+                        grads_.data() + layer.bias(), g.rows(), layer.in,
+                        layer.out);
+}
+
+const Tensor& Sequential::forward(const Tensor& features) {
+  const std::size_t batch = features.rows();
+  if (hidden_ == 0) {
+    dense_forward_into(first_, features.data(), batch, logits_);
+    return logits_;
+  }
+  dense_forward_into(first_, features.data(), batch, hidden_out_);
+  tanh_elements(hidden_out_.data(), hidden_out_.data(), hidden_out_.size());
+  dense_forward_into(second_, hidden_out_.data(), batch, logits_);
+  return logits_;
+}
+
 double Sequential::train_step_gradient(
     const Tensor& features, const std::vector<std::uint32_t>& labels) {
-  zero_gradients();
+  std::fill(grads_.begin(), grads_.end(), 0.0);
   if (features.rows() == 0) return 0.0;
-  probs_ = forward(features);
-  softmax_rows(probs_);
+  forward(features);
+  softmax_rows(logits_);
 
   const std::size_t batch = features.rows();
   double loss = 0.0;
   const double inv_batch = 1.0 / static_cast<double>(batch);
-  // Turn probs_ into dL/dlogits in place: (p - onehot(y)) / batch.
+  // Turn logits_ into dL/dlogits in place: (p - onehot(y)) / batch.
   for (std::size_t b = 0; b < batch; ++b) {
-    double* row = probs_.row(b);
+    double* row = logits_.row(b);
     const std::uint32_t y = labels[b];
     loss -= std::log(std::max(row[y], 1e-12));
     row[y] -= 1.0;
-    for (std::size_t c = 0; c < probs_.cols(); ++c) row[c] *= inv_batch;
+    for (std::size_t c = 0; c < logits_.cols(); ++c) row[c] *= inv_batch;
   }
-  const Tensor* grad = &probs_;
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    grad = &layers_[l]->backward(*grad, /*need_input_grad=*/l > 0);
+  if (hidden_ == 0) {
+    dense_backward_into(first_, features.data(), logits_);
+    return loss * inv_batch;
   }
+  dense_backward_into(second_, hidden_out_.data(), logits_);
+  // dL/dh = g W2^T is dense_forward over W2^T with no bias; then the
+  // tanh derivative, 1 - h^2, in place.
+  const double* w2 = params_.data() + second_.offset;
+  weights_t_.resize(second_.out, second_.in);
+  for (std::size_t i = 0; i < second_.in; ++i) {
+    for (std::size_t o = 0; o < second_.out; ++o) {
+      weights_t_(o, i) = w2[i * second_.out + o];
+    }
+  }
+  grad_hidden_.resize(batch, hidden_);
+  dense_forward(logits_.data(), weights_t_.data(), nullptr,
+                grad_hidden_.data(), batch, second_.out, second_.in);
+  double* __restrict__ g = grad_hidden_.data();
+  const double* __restrict__ h = hidden_out_.data();
+  for (std::size_t i = 0; i < grad_hidden_.size(); ++i) {
+    g[i] = g[i] * (1.0 - h[i] * h[i]);
+  }
+  dense_backward_into(first_, features.data(), grad_hidden_);
   return loss * inv_batch;
 }
 
 double Sequential::evaluate_loss(const Tensor& features,
                                  const std::vector<std::uint32_t>& labels) {
   if (features.rows() == 0) return 0.0;
-  probs_ = forward(features);
-  softmax_rows(probs_);
+  forward(features);
+  softmax_rows(logits_);
   double loss = 0.0;
   for (std::size_t b = 0; b < features.rows(); ++b) {
-    loss -= std::log(std::max(probs_(b, labels[b]), 1e-12));
+    loss -= std::log(std::max(logits_(b, labels[b]), 1e-12));
   }
   return loss / static_cast<double>(features.rows());
 }
@@ -462,18 +367,12 @@ double Sequential::evaluate_loss(const Tensor& features,
 Sequential ModelFactory::logistic_regression(std::size_t input_dim,
                                              std::size_t num_classes,
                                              common::Rng& rng) {
-  Sequential model;
-  model.add(std::make_unique<DenseLayer>(input_dim, num_classes, rng));
-  return model;
+  return Sequential(input_dim, 0, num_classes, rng);
 }
 
 Sequential ModelFactory::mlp(std::size_t input_dim, std::size_t hidden,
                              std::size_t num_classes, common::Rng& rng) {
-  Sequential model;
-  model.add(std::make_unique<DenseLayer>(input_dim, hidden, rng));
-  model.add(std::make_unique<TanhLayer>());
-  model.add(std::make_unique<DenseLayer>(hidden, num_classes, rng));
-  return model;
+  return Sequential(input_dim, hidden, num_classes, rng);
 }
 
 }  // namespace flips::ml

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "ml/model.h"
-
 namespace flips::ml {
 
 struct SgdConfig {
@@ -18,13 +16,6 @@ struct SgdConfig {
 class SgdOptimizer {
  public:
   explicit SgdOptimizer(const SgdConfig& config) : config_(config) {}
-
-  /// Applies the model's accumulated gradients at `learning_rate` and
-  /// clears them.
-  void step(Sequential& model, double learning_rate) const {
-    model.apply_gradients(learning_rate);
-    model.zero_gradients();
-  }
 
   /// Effective learning rate for 1-based FL round `round`.
   double learning_rate_for_round(std::size_t round) const {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "ml/kernels.h"
@@ -49,6 +50,19 @@ TEST(Sequential, ParameterRoundTrip) {
   EXPECT_EQ(model.parameters(), params);
 }
 
+// A vector of the wrong length is refused in every build type and
+// leaves the model untouched.
+TEST(Sequential, SetParametersRejectsSizeMismatch) {
+  Rng rng(9);
+  Sequential model = ModelFactory::mlp(6, 4, 3, rng);
+  const auto before = model.parameters();
+  EXPECT_THROW(model.set_parameters(std::vector<double>(before.size() - 1)),
+               std::invalid_argument);
+  EXPECT_THROW(model.set_parameters(std::vector<double>(before.size() + 1)),
+               std::invalid_argument);
+  EXPECT_EQ(model.parameters(), before);
+}
+
 TEST(Sequential, CopyIsDeep) {
   Rng rng(2);
   Sequential a = ModelFactory::mlp(4, 3, 2, rng);
@@ -60,8 +74,7 @@ TEST(Sequential, CopyIsDeep) {
   EXPECT_EQ(a.num_parameters(), b.num_parameters());
 }
 
-// The copy must rebind layer weight pointers into the copy's own flat
-// buffer: training the copy may not disturb the original.
+// Training a copy may not disturb the original.
 TEST(Sequential, CopyTrainsIndependently) {
   Rng rng(12);
   Sequential a = ModelFactory::mlp(4, 3, 2, rng);
@@ -211,13 +224,12 @@ TEST(Training, LossDecreasesOnSeparableData) {
     features(i, 1) = 0.1 * rng.normal();
     labels.push_back(y);
   }
-  flips::ml::SgdOptimizer opt({.learning_rate = 0.5});
   const double first = model.train_step_gradient(features, labels);
-  opt.step(model, 0.5);
+  model.apply_gradients(0.5);
   double last = first;
   for (std::size_t e = 0; e < 20; ++e) {
     last = model.train_step_gradient(features, labels);
-    opt.step(model, 0.5);
+    model.apply_gradients(0.5);
   }
   EXPECT_LT(last, 0.5 * first);
 }
