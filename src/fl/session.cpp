@@ -27,8 +27,8 @@ struct EvalResult {
 };
 
 /// Balanced accuracy over the test set. Predictions are computed in
-/// parallel chunks (each chunk forwards through its own clone of the
-/// model, since layers cache activations) into per-row slots; the
+/// parallel chunks (each chunk forwards through its own copy of the
+/// model, since the model keeps its activations) into per-row slots; the
 /// per-class tally runs on one thread, so the result does not depend
 /// on the chunking.
 EvalResult evaluate(const ml::Sequential& model, const ml::Tensor& features,
@@ -50,9 +50,9 @@ EvalResult evaluate(const ml::Sequential& model, const ml::Tensor& features,
   constexpr std::size_t kEvalChunkRows = 64;
   const std::size_t num_chunks = (n + kEvalChunkRows - 1) / kEvalChunkRows;
   // Scratch models are recycled through a small checkout stack so the
-  // number of deep clones is bounded by the worker count, not the
-  // chunk count (a clone exists only to give each in-flight chunk
-  // private activation buffers).
+  // number of copies is bounded by the worker count, not the chunk
+  // count (a copy exists only to give each in-flight chunk private
+  // activation buffers).
   std::vector<std::unique_ptr<ml::Sequential>> scratch_models;
   std::mutex scratch_mutex;
   pool.parallel_for(num_chunks, [&](std::size_t c) {
@@ -135,8 +135,7 @@ FederationSession::FederationSession(
     owned_pool_ = std::make_unique<common::ThreadPool>(config_.threads);
   }
 
-  global_params_ = model_.parameters();
-  dim_ = global_params_.size();
+  dim_ = model_.num_parameters();
   model_bytes_ = static_cast<std::uint64_t>(dim_ * sizeof(double));
 
   // Drift-correction state (lazily touched per party).
@@ -325,9 +324,9 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   if (!responds || party.size() == 0) return out;
 
   // ---- Local training (only responders pay the compute). Shared
-  // state (model_, global_params_, round-start control variates) is
-  // read-only here.
+  // state (model_, round-start control variates) is read-only here.
   out.trained = true;
+  const double* global = model_.parameters().data();
   ml::Sequential local = model_;
   std::vector<double>& w = local.mutable_parameters();
   const auto& dataset = party.dataset();
@@ -376,7 +375,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
         case ClientAlgo::kSgd:
           if (mu > 0.0) {
             for (std::size_t i = 0; i < dim_; ++i) {
-              w[i] -= lr * (grad[i] + mu * (w[i] - global_params_[i]));
+              w[i] -= lr * (grad[i] + mu * (w[i] - global[i]));
             }
           } else {
             for (std::size_t i = 0; i < dim_; ++i) {
@@ -388,15 +387,15 @@ FederationSession::Dispatch FederationSession::dispatch_party(
           for (std::size_t i = 0; i < dim_; ++i) {
             double g = grad[i] + scaffold_c_round_[i] -
                        (ci != nullptr ? ci[i] : 0.0);
-            if (mu > 0.0) g += mu * (w[i] - global_params_[i]);
+            if (mu > 0.0) g += mu * (w[i] - global[i]);
             w[i] -= lr * g;
           }
           break;
         case ClientAlgo::kFedDyn:
           for (std::size_t i = 0; i < dim_; ++i) {
-            double g = grad[i] + kFedDynAlpha * (w[i] - global_params_[i]) -
+            double g = grad[i] + kFedDynAlpha * (w[i] - global[i]) -
                        (hi != nullptr ? hi[i] : 0.0);
-            if (mu > 0.0) g += mu * (w[i] - global_params_[i]);
+            if (mu > 0.0) g += mu * (w[i] - global[i]);
             w[i] -= lr * g;
           }
           break;
@@ -405,7 +404,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   }
   out.delta = arena_.lease(dim_);
   for (std::size_t i = 0; i < dim_; ++i) {
-    out.delta[i] = w[i] - global_params_[i];
+    out.delta[i] = w[i] - global[i];
   }
   if (steps > 0) {
     fb.mean_loss = batch_loss_sum / static_cast<double>(steps);
@@ -568,7 +567,7 @@ FlJobResult FederationSession::result() const {
   FlJobResult result;
   if (inert_) return result;
   result.history = history_;
-  result.final_parameters = global_params_;
+  result.final_parameters = model_.parameters();
   // Running sums in round order, so time_to_target_s is exactly the
   // simulated clock at the end of the target round.
   for (const RoundRecord& r : history_) {

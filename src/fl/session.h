@@ -86,6 +86,7 @@
 #include "fl/aggregator.h"
 #include "fl/job.h"
 #include "fl/observer.h"
+#include "ml/model.h"
 #include "ml/tensor.h"
 #include "net/codec.h"
 #include "net/device.h"
@@ -149,7 +150,9 @@ class FederationSession {
   const std::vector<Party>& parties() const { return *parties_; }
   const FlJobConfig& config() const { return config_; }
   /// Current global model parameters (the server replica).
-  const std::vector<double>& parameters() const { return global_params_; }
+  const std::vector<double>& parameters() const {
+    return model_.parameters();
+  }
 
  private:
   /// One party dispatch, as dispatch_party() produced it: the party's
@@ -255,6 +258,9 @@ class FederationSession {
   FlJobConfig config_;
   std::shared_ptr<const std::vector<Party>> parties_;
   data::Dataset global_test_;
+  /// The global model. Its flat parameter vector is the server replica:
+  /// the server step updates it in place, and every dispatch trains a
+  /// copy.
   ml::Sequential model_;
   std::unique_ptr<ParticipantSelector> selector_;
 
@@ -276,7 +282,6 @@ class FederationSession {
   std::size_t next_round_ = 1;
   std::size_t dim_ = 0;
   std::uint64_t model_bytes_ = 0;
-  std::vector<double> global_params_;
   common::Rng rng_;  ///< feeds only DP noise after party streams split
   ServerOptimizer server_;
   ml::SgdOptimizer local_sgd_;

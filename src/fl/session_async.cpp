@@ -191,8 +191,7 @@ const RoundRecord& FederationSession::async_step() {
   t = common::steady_now_ns();
   if (aggregator_.contributions() > 0) {
     add_dp_noise(aggregate);
-    server_.apply(global_params_, aggregate);
-    model_.set_parameters(global_params_);
+    server_.apply(model_.mutable_parameters(), aggregate);
     // Staleness is measured in APPLIED steps: an empty flush does not
     // age in-flight updates.
     ++server_version_;

@@ -164,6 +164,7 @@ std::uint64_t FederationSession::server_step(
   std::uint64_t round_down_bytes = 0;
   if (apply && aggregator_.contributions() > 0) {
     add_dp_noise(aggregate);
+    std::vector<double>& global = model_.mutable_parameters();
     if (codec_on_) {
       // The broadcast is the codec-compressed per-round parameter
       // delta (clients cache the model and apply decoded deltas). The
@@ -172,12 +173,11 @@ std::uint64_t FederationSession::server_step(
       // client reconstructs. Server-side error feedback keeps the
       // broadcast stream convergent.
       std::vector<double> prev = arena_.lease(dim_);
-      std::memcpy(prev.data(), global_params_.data(),
-                  dim_ * sizeof(double));
-      server_.apply(global_params_, aggregate);
+      std::memcpy(prev.data(), global.data(), dim_ * sizeof(double));
+      server_.apply(global, aggregate);
       std::vector<double> pre = arena_.lease(dim_);
       for (std::size_t i = 0; i < dim_; ++i) {
-        pre[i] = (global_params_[i] - prev[i]) + server_residual_[i];
+        pre[i] = (global[i] - prev[i]) + server_residual_[i];
       }
       codec_.encode(pre, broadcast_rng_, broadcast_enc_, broadcast_ws_);
       round_down_bytes =
@@ -186,14 +186,13 @@ std::uint64_t FederationSession::server_step(
       codec_.decode(broadcast_enc_, broadcast_wire_);
       for (std::size_t i = 0; i < dim_; ++i) {
         server_residual_[i] = pre[i] - broadcast_wire_[i];
-        global_params_[i] = prev[i] + broadcast_wire_[i];
+        global[i] = prev[i] + broadcast_wire_[i];
       }
       arena_.release(std::move(prev));
       arena_.release(std::move(pre));
     } else {
-      server_.apply(global_params_, aggregate);
+      server_.apply(global, aggregate);
     }
-    model_.set_parameters(global_params_);
   }
   if (!codec_on_) {
     round_down_bytes = model_bytes_ * cohort.size();  // full model down
