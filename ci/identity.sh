@@ -19,6 +19,9 @@
 #                           churn=1 fault_rate=0.1 in both modes: the
 #                           summary table, the --csv accuracy curve and
 #                           the --metrics-out round records;
+#   flips_run/logistic      flips_run with mlp_hidden=0, the one-layer
+#                           (softmax regression) model no other artifact
+#                           trains: the same three outputs;
 #   bench_comm_costs, bench_ablation_design   each at its defaults.
 # Host wall-clock is stripped before comparing: `perf,` lines (except
 # bench_deadline_stragglers' `perf,async` and `perf,faults`, which are
@@ -103,6 +106,9 @@ for mode in sync async; do
       --set mode="${mode}" --csv --metrics-out @METRICS@
   verdict "flips_run/${mode}-faults" "run-${mode}"
 done
+
+run run-logistic flips_run --set mlp_hidden=0 --csv --metrics-out @METRICS@
+verdict flips_run/logistic run-logistic
 
 for bench in bench_comm_costs bench_ablation_design; do
   run "${bench}" "${bench}"

@@ -56,12 +56,6 @@ inline double mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
-inline double l2_norm(const std::vector<double>& v) {
-  double s = 0.0;
-  for (const double x : v) s += x * x;
-  return std::sqrt(s);
-}
-
 inline double l1_distance(const std::vector<double>& a,
                           const std::vector<double>& b) {
   double s = 0.0;

@@ -37,7 +37,6 @@ void RdpAccountant::steps(double noise_multiplier, std::size_t count) {
   if (count == 0) return;
   const auto& grid = alpha_grid();
   if (rdp_.empty()) rdp_.assign(grid.size(), 0.0);
-  num_steps_ += count;
   if (noise_multiplier <= 0.0) {
     // No noise = no privacy; saturate the ledger.
     for (auto& r : rdp_) r = std::numeric_limits<double>::infinity();

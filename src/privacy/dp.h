@@ -28,12 +28,9 @@ class RdpAccountant {
   /// Smallest epsilon over the alpha grid for the accumulated steps.
   [[nodiscard]] double epsilon(double delta) const;
 
-  std::size_t num_steps() const { return num_steps_; }
-
  private:
   /// Accumulated RDP at each grid alpha (same order as alpha_grid()).
   std::vector<double> rdp_;
-  std::size_t num_steps_ = 0;
 };
 
 }  // namespace flips::privacy
