@@ -59,6 +59,7 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
          {
              {"async_dense64", 0x885037ef5f3a3f2b},
              {"async_faults", 0x74d855d5b93067b2},
+             {"async_faults_quant8_dp", 0x4c9fe16e22f190f8},
              {"async_faults_stragglers", 0x5db96b3a0cc3dc13},
              {"async_quant8_dp", 0x2b965e115eb7ad8f},
              {"builder_ecg_fedavg_logistic", 0xaab2fa541ef03478},
@@ -70,7 +71,9 @@ const std::map<std::string_view, std::map<std::string_view, std::uint64_t>>
              {"sync_deadline", 0xc8efccd847ddfc94},
              {"sync_dp", 0xb12edd77a749be7f},
              {"sync_drop_fraction", 0x2d305922aefa257a},
+             {"sync_faults_feddyn", 0xca634647d7d8f6cd},
              {"sync_faults_quant8", 0x1765173b72a13b72},
+             {"sync_faults_scaffold", 0x5eb56c2fd0a896d6},
              {"sync_fedavg_dense64", 0x0cb07976672b3709},
              {"sync_feddyn_topk", 0x897d7633d31c2936},
              {"sync_fedprox_quant8", 0xdd5adc0f97456985},
@@ -208,6 +211,15 @@ std::map<std::string, Cell> cells() {
     enable_faults(c);
     c.codec.codec = Codec::kQuant8;
   });
+  // Backfilled parties under SCAFFOLD / FedDyn client state.
+  sync("sync_faults_scaffold", [](FlJobConfig& c) {
+    enable_faults(c);
+    c.local.algo = flips::fl::ClientAlgo::kScaffold;
+  });
+  sync("sync_faults_feddyn", [](FlJobConfig& c) {
+    enable_faults(c);
+    c.local.algo = flips::fl::ClientAlgo::kFedDyn;
+  });
   // Selector cells: a wider cohort over more rounds, so each policy's
   // picks (and its use of the round feedback) move the fingerprint.
   const auto wide = [](FlJobConfig& c) {
@@ -231,6 +243,15 @@ std::map<std::string, Cell> cells() {
     c.faults.churn = 1.0;
     c.faults.crash_rate = 0.15;
     c.stragglers.rate = 0.5;
+  });
+  // Retried dispatches through codec error feedback and the DP clip.
+  async("async_faults_quant8_dp", [](FlJobConfig& c) {
+    c.faults.churn = 1.0;
+    c.faults.crash_rate = 0.15;
+    c.faults.link_fault_rate = 0.1;
+    c.codec.codec = Codec::kQuant8;
+    c.privacy.mechanism = flips::fl::PrivacyMechanism::kDp;
+    c.privacy.dp.noise_multiplier = 0.5;
   });
   return out;
 }
