@@ -158,7 +158,7 @@ void mlp_eval_forward(benchmark::State& state, std::size_t in,
   const std::size_t rows = 64;
   const flips::ml::Tensor x = bench_features(rows, in, rng);
   for (auto _ : state) {
-    const flips::ml::Tensor& logits = model.forward(x);
+    const flips::ml::Tensor& logits = model.forward(x.data(), x.rows());
     benchmark::DoNotOptimize(logits.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

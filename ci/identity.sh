@@ -22,11 +22,16 @@
 #   flips_run/logistic      flips_run with mlp_hidden=0, the one-layer
 #                           (softmax regression) model no other artifact
 #                           trains: the same three outputs;
+#   flips_run/sync-trace, flips_run/async-trace   the --trace-out spans
+#                           of the two fault-plan runs: span structure
+#                           (names, ids, parents, rounds) and each
+#                           span's simulated clock;
 #   bench_comm_costs, bench_ablation_design   each at its defaults.
 # Host wall-clock is stripped before comparing: `perf,` lines (except
 # bench_deadline_stragglers' `perf,async` and `perf,faults`, which are
 # computed from simulated time only), `rerun,` lines, flips_run's final
-# "wall s/round" column and the metrics records' "phases" durations.
+# "wall s/round" column, the metrics records' "phases" durations and
+# the trace spans' `start_ns`/`end_ns`.
 # Exits 0 whether or not artifacts differ; the verdicts are the output.
 set -euo pipefail
 
@@ -39,7 +44,8 @@ trap 'rm -rf "${work}"' EXIT
 # Drops wall-clock lines and columns from one artifact's output.
 strip() {
   sed -E -e '/^rerun,/d' -e '/^perf,(async|faults),/!{/^perf,/d}' \
-      -e 's/,"phases":\{[^}]*\}//' "$1" \
+      -e 's/,"phases":\{[^}]*\}//' \
+      -e 's/,"start_ns":[0-9]*,"end_ns":[0-9]*//' "$1" \
     | awk '/wall s\/round/ { wall = 1; print; next }
            /^$/ { wall = 0 }
            wall && $1 ~ /^[0-9>]/ { $NF = ""; print; next }
@@ -47,8 +53,9 @@ strip() {
 }
 
 # run NAME CMD... : runs CMD (a path under bench/ plus its flags) on
-# both builds. A `@METRICS@` argument becomes a per-build metrics file
-# whose records are appended to the output before stripping.
+# both builds. An `@OUT@` argument becomes a per-build file (metrics
+# records or trace spans) whose lines are appended to the output before
+# stripping.
 run() {
   local name=$1
   shift
@@ -58,18 +65,18 @@ run() {
     [ "${side}" = change ] && dir=${change}
     out="${work}/${side}/${name}"
     mkdir -p "$(dirname "${out}")"
-    local args=() metrics=""
+    local args=() file=""
     for a in "$@"; do
-      if [ "${a}" = @METRICS@ ]; then
-        metrics="${out}.metrics"
-        args+=("${metrics}")
+      if [ "${a}" = @OUT@ ]; then
+        file="${out}.file"
+        args+=("${file}")
       else
         args+=("${a}")
       fi
     done
     args[0]="${dir}/bench/${args[0]}"
     "${args[@]}" > "${out}.raw"
-    if [ -n "${metrics}" ]; then cat "${metrics}" >> "${out}.raw"; fi
+    if [ -n "${file}" ]; then cat "${file}" >> "${out}.raw"; fi
     strip "${out}.raw" > "${out}"
   done
 }
@@ -103,12 +110,19 @@ verdict bench_deadline_stragglers/fault-plan stragglers \
 
 for mode in sync async; do
   run "run-${mode}" flips_run --set churn=1 --set fault_rate=0.1 \
-      --set mode="${mode}" --csv --metrics-out @METRICS@
+      --set mode="${mode}" --csv --metrics-out @OUT@
   verdict "flips_run/${mode}-faults" "run-${mode}"
 done
 
-run run-logistic flips_run --set mlp_hidden=0 --csv --metrics-out @METRICS@
+run run-logistic flips_run --set mlp_hidden=0 --csv --metrics-out @OUT@
 verdict flips_run/logistic run-logistic
+
+# The same fault-plan runs again, compared on their spans only.
+for mode in sync async; do
+  run "trace-${mode}" flips_run --set churn=1 --set fault_rate=0.1 \
+      --set mode="${mode}" --trace-out @OUT@
+  verdict "flips_run/${mode}-trace" "trace-${mode}" '/^\{"name"/'
+done
 
 for bench in bench_comm_costs bench_ablation_design; do
   run "${bench}" "${bench}"

@@ -23,10 +23,9 @@
 #    interleave over one shared 4-worker pool — the multi-tenant
 #    scheduling path TSan must see under real contention.
 # 6. the mode=async smoke drives the buffered asynchronous plane —
-#    eager parallel training at dispatch, the arrival event loop,
+#    the arrival event loop, each step's one parallel training pass,
 #    staleness drops, partial buffer flushes — with 4 workers so
-#    ASan sees the arena slot lifecycle and TSan the dispatch-batch
-#    parallelism.
+#    ASan sees the arena slot lifecycle and TSan the training pass.
 # 7. the chaos smokes turn the deterministic fault plan on: a sync
 #    run with churn + crashes + a 50% quorum floor (backfill waves,
 #    quorum-degraded folds) and a 4-thread async run with churn +

@@ -1,19 +1,20 @@
 // Shared FL job vocabulary: the configs (FlJobConfig and its parts),
 // Party, the per-round RoundRecord and the FlJobResult summary. The
 // federation itself runs in fl::FederationSession (fl/session.h): one
-// party-dispatch kernel (fl/session.cpp) driven by a sync round-barrier
+// party-dispatch kernel (fl/session.cpp), scheduled on the stepping
+// thread and trained on the workers, driven by a sync round-barrier
 // driver (fl/session_sync.cpp) or an async FedBuff driver
 // (fl/session_async.cpp), one server step per advance().
 //
-// Selected parties train concurrently on a small worker pool
-// (FlJobConfig::threads); every dispatch draws from a private RNG
-// stream. The stepping thread then adds the updates to fl::Aggregator
-// in cohort (sync) or arrival (async) order and folds them once; it
-// also runs every other order-sensitive reduction (SCAFFOLD
-// control-variate updates, loss averaging) — so results are
-// bit-identical across thread counts. Delta buffers are
-// leased from a fl::BufferArena and reused across rounds: the
-// steady-state aggregation path performs no heap allocation.
+// Each server step's dispatches train concurrently, in one pass, on a
+// small worker pool (FlJobConfig::threads); every dispatch draws from a
+// private RNG stream. The stepping thread then adds the updates to
+// fl::Aggregator in cohort (sync) or arrival (async) order and folds
+// them once; it also runs every other order-sensitive reduction
+// (SCAFFOLD control-variate updates, loss averaging) — so results are
+// bit-identical across thread counts. Delta buffers are leased from a
+// fl::BufferArena and reused across rounds: the steady-state
+// aggregation path performs no heap allocation.
 #pragma once
 
 #include <cstdint>

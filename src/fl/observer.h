@@ -48,8 +48,9 @@ enum class ArrivalOutcome {
 
 /// The phases a server step decomposes into. Sync mode times each of
 /// the five stages of sync_step; async mode maps its event loop onto
-/// the same vocabulary (refill/dispatch → kTrainCohort, the arrival
-/// fold loop → kFold).
+/// the same vocabulary (refill, the arrival pops with their retries and
+/// the training pass → kTrainCohort; adding the folded arrivals and
+/// finalize() → kFold).
 enum class SessionPhase : std::uint8_t {
   kSelect = 0,
   kTrainCohort,

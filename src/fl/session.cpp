@@ -68,10 +68,7 @@ EvalResult evaluate(const ml::Sequential& model, const ml::Tensor& features,
       }
     }
     if (!local) local = std::make_unique<ml::Sequential>(model);
-    ml::Tensor slice(end - begin, features.cols());
-    std::memcpy(slice.data(), features.row(begin),
-                slice.size() * sizeof(double));
-    const ml::Tensor& logits = local->forward(slice);
+    const ml::Tensor& logits = local->forward(features.row(begin), end - begin);
     for (std::size_t i = begin; i < end; ++i) {
       const double* row = logits.row(i - begin);
       std::size_t best = 0;
@@ -106,6 +103,10 @@ EvalResult evaluate(const ml::Sequential& model, const ml::Tensor& features,
 /// Seed salt for the session's fault plan: its churn/crash/link streams
 /// must never alias the party training streams.
 constexpr std::uint64_t kFaultPlanSalt = 0xFA17'0000'0000'0000ull;
+/// RNG-stream salt for async dispatches: streams are keyed by the
+/// monotone dispatch sequence (not the step number), so a party
+/// re-dispatched at the same server version still draws fresh noise.
+constexpr std::uint64_t kAsyncStreamSalt = 0x0A57'0000'0000'0000ull;
 
 }  // namespace
 
@@ -126,7 +127,6 @@ FederationSession::FederationSession(
       selection_counts_(parties_->size(), 0),
       rng_(config_.seed),
       server_(config_.server, model_.num_parameters()),
-      local_sgd_(config_.local.sgd),
       codec_(config_.codec),
       broadcast_rng_(common::mix_seed(config_.seed, 0, 0xB0ADCA57ull)) {
   const std::size_t n = parties_->size();
@@ -264,36 +264,41 @@ void FederationSession::emit_phase(std::size_t round, SessionPhase phase,
   }
 }
 
-FederationSession::Dispatch FederationSession::dispatch_party(
-    std::uint64_t stream_key, std::uint64_t event, std::size_t p, double lr,
-    bool churned) {
+void FederationSession::schedule_dispatch(Dispatch& d, std::size_t p,
+                                          std::size_t round, double time_s) {
   const Party& party = (*parties_)[p];
-  Dispatch out;
-  out.event = event;
-  out.churned = churned;
-  PartyFeedback& fb = out.fb;
+  d = Dispatch();
+  d.event = dispatch_seq_++;
+  PartyFeedback& fb = d.fb;
   fb.party_id = p;
   fb.num_samples = party.size();
-  if (churned) {
+  // The churn trace keeps a cursor, so it is read here, on the stepping
+  // thread, at dispatch time.
+  const PartyProfile& profile = party.profile();
+  if (faults_on_ && !faults_.available(p, time_s, profile.mean_up_s,
+                                       profile.mean_down_s)) {
     // Unreachable at dispatch: the server notices immediately — no
     // compute, no wire time.
-    out.fault_failed = true;
-    return out;
+    d.fault_failed = true;
+    return;
   }
 
-  common::Rng prng(stream_key);
+  d.rng = common::Rng(
+      config_.mode == FederationMode::kAsync
+          ? common::mix_seed(config_.seed, kAsyncStreamSalt ^ d.event, p)
+          : common::mix_seed(config_.seed, round, p));
   fb.duration_s =
       net::simulated_duration_s(
-          party.profile().speed_factor, static_cast<double>(party.size()),
+          profile.speed_factor, static_cast<double>(party.size()),
           static_cast<double>(config_.local.epochs), kComputeSPerSample,
-          static_cast<double>(model_bytes_), party.profile().network_mbps) *
-      prng.uniform(0.85, 1.15);
+          static_cast<double>(model_bytes_), profile.network_mbps) *
+      d.rng.uniform(0.85, 1.15);
 
   // (kDeadline never reaches an async dispatch: construction rejects
   // it, since the bounded-staleness cutoff subsumes it.)
   bool responds = true;
   if (config_.stragglers.mode == StragglerMode::kDropFraction) {
-    if (prng.uniform() < config_.stragglers.rate) responds = false;
+    if (d.rng.uniform() < config_.stragglers.rate) responds = false;
   } else if (config_.stragglers.deadline_s > 0.0 &&
              fb.duration_s > config_.stragglers.deadline_s) {
     responds = false;
@@ -301,31 +306,44 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   // The fault plan is the only reliability model: with it off, every
   // dispatch that beats the straggler rules responds.
   if (faults_on_ && responds) {
-    if (faults_.crashes(p, event, party.profile().fault_rate)) {
+    if (faults_.crashes(p, d.event, profile.fault_rate)) {
       // Mid-training crash: the full simulated duration elapses before
       // the server gives up on the dispatch, but no update lands (and
       // the party burns no persistent client state).
       responds = false;
-      out.fault_failed = true;
-    } else if (const net::LinkFault link = faults_.transfer(p, event);
+      d.fault_failed = true;
+    } else if (const net::LinkFault link = faults_.transfer(p, d.event);
                link.failed) {
       // Uplink lost in transit: full duration consumed and the encoded
       // update's bytes are charged as waste (the dense size — the
       // failed transfer never reaches the codec path, which also keeps
       // the party's error-feedback residual untouched).
       responds = false;
-      out.fault_failed = true;
-      out.wire_bytes = model_bytes_;
+      d.fault_failed = true;
+      d.wire_bytes = model_bytes_;
     } else {
       fb.duration_s *= link.slowdown;
     }
   }
   fb.responded = responds;
-  if (!responds || party.size() == 0) return out;
+  d.trained = responds && party.size() > 0;
+  if (d.trained) pending_.push_back(&d);
+}
 
-  // ---- Local training (only responders pay the compute). Shared
-  // state (model_, round-start control variates) is read-only here.
-  out.trained = true;
+void FederationSession::train_pending(std::size_t round) {
+  const double lr = ml::learning_rate_for_round(config_.local.sgd, round);
+  pool().parallel_for(pending_.size(), [&](std::size_t i) {
+    train_dispatch(*pending_[i], lr);
+  });
+  pending_.clear();
+}
+
+void FederationSession::train_dispatch(Dispatch& out, double lr) {
+  const std::size_t p = out.fb.party_id;
+  const Party& party = (*parties_)[p];
+  PartyFeedback& fb = out.fb;
+  // ---- Local training. Shared state (model_, round-start control
+  // variates) is read-only here.
   const double* global = model_.parameters().data();
   ml::Sequential local = model_;
   std::vector<double>& w = local.mutable_parameters();
@@ -351,7 +369,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   double batch_loss_sq_sum = 0.0;
   std::size_t steps = 0;
   for (std::size_t epoch = 0; epoch < config_.local.epochs; ++epoch) {
-    prng.shuffle(order);
+    out.rng.shuffle(order);
     for (std::size_t start = 0; start < order.size();
          start += config_.local.batch_size) {
       const std::size_t stop =
@@ -450,7 +468,7 @@ FederationSession::Dispatch FederationSession::dispatch_party(
         pre[i] = out.delta[i] + residual[i];
       }
     }
-    codec_.encode(pre, prng, enc, ws);
+    codec_.encode(pre, out.rng, enc, ws);
     out.wire_bytes = enc.wire_bytes();
     codec_.decode(enc, out.delta);
     if (residual.empty()) residual.assign(dim_, 0.0);
@@ -465,7 +483,6 @@ FederationSession::Dispatch FederationSession::dispatch_party(
   if (dp_on_) {
     privacy::clip_to_norm(out.delta, config_.privacy.dp.clip_norm);
   }
-  return out;
 }
 
 double FederationSession::fold_weight(const PartyFeedback& fb) const {
@@ -490,17 +507,6 @@ std::vector<std::size_t> FederationSession::pick_parties(std::size_t round,
     kept.push_back(p);
   }
   return kept;
-}
-
-void FederationSession::begin_dispatch(Dispatch& d, std::size_t p,
-                                       double time_s) {
-  d.fb.party_id = p;
-  d.event = dispatch_seq_++;
-  // Stateful churn cursor: stepping thread only, at dispatch time. The
-  // workers then use only the plan's stateless crash and link streams.
-  const PartyProfile& profile = (*parties_)[p].profile();
-  d.churned = faults_on_ && !faults_.available(p, time_s, profile.mean_up_s,
-                                               profile.mean_down_s);
 }
 
 void FederationSession::add_dp_noise(std::vector<double>& aggregate) {

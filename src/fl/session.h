@@ -9,48 +9,59 @@
 //   while (!session.done()) session.advance();
 //   FlJobResult result = session.result();
 //
-// Every party dispatch, in either mode, runs through one kernel,
-// dispatch_party() in fl/session.cpp: the duration draw, straggler
-// checks, the fault plan's crash and link draws (the only reliability
-// model: with the plan off, no dispatch fails), local SGD / FedProx /
-// SCAFFOLD / FedDyn over batches gathered row by row from the party's
-// feature tensor, the arena delta lease, the client-state refresh,
-// codec error feedback and the DP clip. It returns one Dispatch
-// record. Two thin drivers call it, and advance() picks one by
+// Every party dispatch, in either mode, runs through one kernel in
+// fl/session.cpp, in two halves. schedule_dispatch() decides on the
+// stepping thread how the dispatch ends: the dispatch sequence, the
+// churn check, the duration draw, the straggler checks and the fault
+// plan's crash and link verdicts (the only reliability model: with the
+// plan off, no dispatch fails). train_dispatch() then runs on a worker:
+// local SGD / FedProx / SCAFFOLD / FedDyn over batches gathered row by
+// row from the party's feature tensor, the arena delta lease, the
+// client-state refresh, codec error feedback and the DP clip. Both
+// fill one Dispatch record, which carries the dispatch's RNG stream
+// from one half to the other. Each server step schedules all its
+// dispatches first, then trains them in one train_pending() pass, then
+// folds. Two thin drivers run that sequence, and advance() picks one by
 // FlJobConfig::mode:
 //
-//   kSync (fl/session_sync.cpp) — the round barrier: select a cohort,
-//       run the kernel over it on the worker pool, then add every
+//   kSync (fl/session_sync.cpp) — the round barrier: select and
+//       schedule a cohort, train it on the worker pool, then add every
 //       trained update to the aggregator in cohort order and fold once,
 //       one server step per round. Under a fault plan, fault-failed
-//       slots are backfilled from the selector in later waves (all
-//       waves end before the fold) and a quorum rule can skip the step.
+//       slots are backfilled from the selector in later waves, which
+//       are scheduled before the one training pass, and a quorum rule
+//       can skip the step.
 //   kAsync (fl/session_async.cpp) — FedBuff-style buffered stepping:
 //       the session keeps `parties_per_round` parties in flight, an
 //       arrival queue ordered by the net/device.h latency model
 //       delivers their updates one at a time, and the server steps
-//       every `async.buffer_k` folded arrivals (each added to the
-//       aggregator as it pops). Each folded update is
-//       weighted by fold_weight() times staleness_discount(server steps
-//       since its dispatch); updates staler than `async.max_staleness`
-//       are dropped (RoundRecord::dropped_stale). Freed in-flight slots
-//       are refilled from the selector at the top of every advance() —
+//       every `async.buffer_k` folded arrivals. Arrivals pop in
+//       simulated-time order; the step's new dispatches (refills and
+//       retries) train after the pops, and the folded updates are then
+//       added to the aggregator in pop order (the model only changes
+//       at the server step, so this is the same as training each
+//       dispatch when it is sent). Each folded update is weighted by
+//       fold_weight() times staleness_discount(server steps since its
+//       dispatch); updates staler than `async.max_staleness` are
+//       dropped (RoundRecord::dropped_stale). Freed in-flight slots are
+//       refilled from the selector at the top of every advance() —
 //       continuous re-selection, so a slow party never stalls the
 //       cohort. Under a fault plan, a dispatch lost to a fault is
-//       retried in place after a backoff; other non-responders
-//       (stragglers, empty parties) are not. Async supports
-//       ClientAlgo::kSgd (with FedProx mu), DP and the lossy uplink
-//       codecs; SCAFFOLD / FedDyn are round-synchronous by construction
-//       and rejected at build time, as is StragglerMode::kDeadline (the
-//       staleness cutoff subsumes it). The downlink ships the full model
-//       per dispatch (no broadcast-delta compression).
+//       retried in place after a backoff, scheduled when its failure
+//       pops; other non-responders (stragglers, empty parties) are
+//       not. Async supports ClientAlgo::kSgd (with FedProx mu), DP and
+//       the lossy uplink codecs; SCAFFOLD / FedDyn are
+//       round-synchronous by construction and rejected at build time,
+//       as is StragglerMode::kDeadline (the staleness cutoff subsumes
+//       it). The downlink ships the full model per dispatch (no
+//       broadcast-delta compression).
 //
 // Every decision the two drivers share has one implementation in
 // fl/session.cpp: pick_parties() (selector picks, minus unknown and
-// already-dispatched ids), begin_dispatch() (dispatch sequence and churn
-// verdict), add_dp_noise() (sigma from the aggregator's fold weights),
-// emit_retry() and the step epilogue finish_step() (eval, history,
-// observer fan-out, report_round and arena release).
+// already-dispatched ids), schedule_dispatch() and train_pending() (the
+// kernel's two halves), add_dp_noise() (sigma from the aggregator's
+// fold weights), emit_retry() and the step epilogue finish_step()
+// (eval, history, observer fan-out, report_round and arena release).
 //
 // Ownership: the session owns (or shares) its parties — a value
 // vector or a shared_ptr<const std::vector<Party>> — so a session can
@@ -63,9 +74,11 @@
 // keeps only the per-party selection counts (Jain's index) and the
 // coverage round beside it.
 //
-// Threads: workers run only dispatch_party() (and evaluation); the
-// aggregator, the observers and every step decision run on the
-// stepping thread.
+// Threads: workers run only train_dispatch(), once per server step in
+// train_pending() (and evaluation); scheduling, the aggregator, the
+// observers and every step decision run on the stepping thread. A
+// Dispatch moves from the stepping thread to a worker and back across
+// the pool's parallel_for.
 //
 // Determinism: per-dispatch RNG streams (sync keyed by (round, party);
 // async by the monotone dispatch sequence, so re-dispatches draw fresh
@@ -155,19 +168,22 @@ class FederationSession {
   }
 
  private:
-  /// One party dispatch, as dispatch_party() produced it: the party's
-  /// feedback, its arena-leased wire update (decoded under a lossy
-  /// codec, clipped under DP) and how the dispatch ended. Sync keeps one
-  /// per cohort slot; async extends it into an in-flight slot.
+  /// One party dispatch: how schedule_dispatch() decided it would end,
+  /// and what train_dispatch() produced — the party's feedback and its
+  /// arena-leased wire update (decoded under a lossy codec, clipped
+  /// under DP). Sync keeps one per cohort slot; async extends it into
+  /// an in-flight slot.
   struct Dispatch {
     PartyFeedback fb;
     /// What the aggregator folds. Moved into fb.delta once the fold has
     /// released it, then returned to the arena after report_round.
     std::vector<double> delta;
+    /// The dispatch's private stream: the duration and straggler draws
+    /// at scheduling, then the batch shuffles and the codec's draws.
+    common::Rng rng;
     std::uint64_t wire_bytes = 0;  ///< encoded uplink size
     std::uint64_t event = 0;       ///< dispatch sequence (fault stream)
-    bool trained = false;          ///< update produced (and aggregated)
-    bool churned = false;          ///< unreachable at dispatch
+    bool trained = false;          ///< trains, and its update is folded
     bool fault_failed = false;     ///< lost to churn / crash / link fault
     std::vector<double> scaffold_ci_new;  ///< SCAFFOLD only
   };
@@ -184,17 +200,25 @@ class FederationSession {
   }
 
   // ---- The party-dispatch kernel (session.cpp). ----
-  /// Runs one dispatch of `party` end to end: duration draw, straggler
-  /// checks, the fault plan's crash and link draws (when the plan is
-  /// on), local training at rate `lr`, the delta lease, the
-  /// SCAFFOLD / FedDyn client-state refresh, codec error feedback and
-  /// the DP clip. `stream_key` seeds the dispatch's private RNG stream
-  /// and `event` keys its fault draws; `churned` is the churn verdict
-  /// the stepping thread took at dispatch time. Writes only state owned
-  /// by `party` (plus the thread-safe arena), so dispatches of distinct
-  /// parties run concurrently.
-  Dispatch dispatch_party(std::uint64_t stream_key, std::uint64_t event,
-                          std::size_t party, double lr, bool churned);
+  /// Decides how a dispatch of `party` sent at simulated time `time_s`
+  /// ends, on the stepping thread: takes the next dispatch sequence,
+  /// checks the churn trace, seeds the dispatch's stream (sync by
+  /// (round, party), async by the sequence), draws the duration and
+  /// the straggler verdict, and takes the fault plan's crash and link
+  /// verdicts. Resets `d`, fills its feedback and, when the dispatch
+  /// will train, queues it in pending_.
+  void schedule_dispatch(Dispatch& d, std::size_t party, std::size_t round,
+                         double time_s);
+  /// Trains every dispatch queued since the last pass, in parallel on
+  /// the worker pool at `round`'s learning rate; once per server step.
+  void train_pending(std::size_t round);
+  /// The training half of a scheduled dispatch, on a worker: local
+  /// SGD / FedProx / SCAFFOLD / FedDyn at rate `lr`, the delta lease,
+  /// the client-state refresh, codec error feedback and the DP clip.
+  /// Writes only `out` and state owned by its party (plus the
+  /// thread-safe arena), so dispatches of distinct parties run
+  /// concurrently.
+  void train_dispatch(Dispatch& out, double lr);
   /// Base fold weight of a trained dispatch: its sample count, or 1.0
   /// under DP (equal weights keep the clip-based sensitivity valid).
   double fold_weight(const PartyFeedback& fb) const;
@@ -205,10 +229,6 @@ class FederationSession {
   /// already dispatched. Marks each kept party in party_in_flight_.
   std::vector<std::size_t> pick_parties(std::size_t round, std::size_t want,
                                         std::size_t limit);
-  /// Prepares `d` for a fresh dispatch of `party` at simulated time
-  /// `time_s`: takes the next dispatch sequence and checks the churn
-  /// trace (stepping thread only).
-  void begin_dispatch(Dispatch& d, std::size_t party, double time_s);
   /// Under DP, adds Gaussian noise to the finalized aggregate and steps
   /// the accountant; a no-op otherwise.
   void add_dp_noise(std::vector<double>& aggregate);
@@ -226,17 +246,13 @@ class FederationSession {
 
   // ---- Sync driver (session_sync.cpp). ----
   const RoundRecord& sync_step();
-  /// Trains the cohort; under a fault plan, follows up with backfill
-  /// waves that replace fault-failed slots from the selector (cohort
-  /// grows in place). Returns the round's simulated elapsed seconds
-  /// (wave maxima + backoffs).
+  /// Schedules the cohort; under a fault plan, follows up with
+  /// backfill waves that replace fault-failed slots from the selector
+  /// (cohort grows in place). Then trains every scheduled dispatch in
+  /// one pass. Returns the round's simulated elapsed seconds (wave
+  /// maxima + backoffs).
   double train_cohort(std::size_t round, std::vector<std::size_t>& cohort,
                       RoundRecord& record);
-  /// One parallel dispatch wave writing outcomes_[slot_offset ...].
-  /// Returns the wave's max simulated duration.
-  double train_wave(std::size_t round,
-                    const std::vector<std::size_t>& wave,
-                    std::size_t slot_offset, double dispatch_time_s);
   void fold_outcomes(const std::vector<std::size_t>& cohort,
                      RoundRecord& record, std::uint64_t& up_bytes);
   std::uint64_t server_step(std::vector<double>& aggregate,
@@ -244,15 +260,14 @@ class FederationSession {
                             bool apply);
 
   // ---- Async (FedBuff) driver (session_async.cpp). ----
-  /// Refills freed in-flight slots from the selector, trains the new
-  /// dispatch batch in parallel, and schedules its arrivals. Returns
-  /// the number of parties dispatched.
+  /// Refills freed in-flight slots from the selector, schedules each
+  /// new dispatch and pushes its arrival. Returns the number of
+  /// parties dispatched.
   std::size_t refill_inflight(std::size_t step);
-  /// Runs the dispatch kernel for a slot prepared by begin_dispatch(),
-  /// on the slot's dispatch-sequence-keyed RNG stream.
-  void run_dispatch(InFlight& flight, double lr);
   /// One buffered server step: pop arrivals until buffer_k of them
-  /// fold (or the queue drains), then step the server.
+  /// fold (or the queue drains), scheduling fault retries as they pop;
+  /// train the step's dispatches, fold in pop order, then step the
+  /// server.
   const RoundRecord& async_step();
 
   FlJobConfig config_;
@@ -284,7 +299,6 @@ class FederationSession {
   std::uint64_t model_bytes_ = 0;
   common::Rng rng_;  ///< feeds only DP noise after party streams split
   ServerOptimizer server_;
-  ml::SgdOptimizer local_sgd_;
   privacy::RdpAccountant accountant_;
 
   std::vector<std::vector<double>> scaffold_ci_;
@@ -310,6 +324,9 @@ class FederationSession {
 
   // Hoisted per-round containers: capacity survives across rounds.
   std::vector<Dispatch> outcomes_;
+  /// Dispatches scheduled to train and not yet trained; each points
+  /// into outcomes_ (sync) or inflight_ (async).
+  std::vector<Dispatch*> pending_;
   std::vector<PartyFeedback> feedback_;
   /// Per-party dispatch guard: set by pick_parties(), cleared when the
   /// party's dispatch ends (sync: at round end; async: when its slot
@@ -320,7 +337,7 @@ class FederationSession {
   // ---- Async (FedBuff) engine state. Slots are in-flight dispatch
   // records; the arrival queue holds (time, seq, slot) events. The
   // stepping thread owns all of it — workers only fill their own
-  // dispatch record during the parallel training batch.
+  // dispatch record during the step's training pass.
   std::vector<InFlight> inflight_;
   std::vector<std::size_t> free_slots_;
   net::ArrivalQueue arrivals_;

@@ -1,31 +1,20 @@
 // The async (FedBuff) driver: keeps `parties_per_round` dispatches in
 // flight, pops their arrivals in simulated-time order, folds each with
 // its staleness discount and steps the server every buffer_k folds.
-// Every dispatch, first try or retry, goes through begin_dispatch() and
-// the shared dispatch kernel.
+// Every dispatch, first try or retry, is scheduled on the stepping
+// thread when it is sent; the step's one training pass runs after the
+// arrival loop, before the fold.
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "fl/session.h"
 
 namespace flips::fl {
 
-namespace {
-
-/// RNG-stream salt for async dispatches: streams are keyed by the
-/// monotone dispatch sequence (not the step number), so a party
-/// re-dispatched at the same server version still draws fresh noise.
-constexpr std::uint64_t kAsyncStreamSalt = 0x0A57'0000'0000'0000ull;
-
-}  // namespace
-
 std::size_t FederationSession::refill_inflight(std::size_t step) {
   if (free_slots_.empty()) return 0;
-  // Stepping thread assigns slots and dispatch metadata; the worker
-  // pool then trains the whole batch against the CURRENT server state
-  // (every dispatch in the batch shares one model version, so training
-  // eagerly at dispatch time is equivalent to training on arrival).
-  std::vector<std::size_t> batch;
+  std::size_t dispatched = 0;
   for (const std::size_t p : pick_parties(step, config_.parties_per_round,
                                           free_slots_.size())) {
     const std::size_t slot = free_slots_.back();
@@ -33,28 +22,11 @@ std::size_t FederationSession::refill_inflight(std::size_t step) {
     InFlight& f = inflight_[slot];
     f.attempt = 0;
     f.dispatch_version = server_version_;
-    begin_dispatch(f, p, sim_time_s_);
-    batch.push_back(slot);
-  }
-  if (batch.empty()) return 0;
-
-  const double lr = local_sgd_.learning_rate_for_round(step);
-  pool().parallel_for(batch.size(), [&](std::size_t b) {
-    run_dispatch(inflight_[batch[b]], lr);
-  });
-
-  for (const std::size_t slot : batch) {
-    const InFlight& f = inflight_[slot];
+    schedule_dispatch(f, p, step, sim_time_s_);
     arrivals_.push({sim_time_s_ + f.fb.duration_s, f.event, slot});
+    ++dispatched;
   }
-  return batch.size();
-}
-
-void FederationSession::run_dispatch(InFlight& f, double lr) {
-  const std::size_t p = f.fb.party_id;
-  static_cast<Dispatch&>(f) = dispatch_party(
-      common::mix_seed(config_.seed, kAsyncStreamSalt ^ f.event, p),
-      f.event, p, lr, f.churned);
+  return dispatched;
 }
 
 const RoundRecord& FederationSession::async_step() {
@@ -66,34 +38,33 @@ const RoundRecord& FederationSession::async_step() {
   const double step_start_s = sim_time_s_;
   std::uint64_t t = common::steady_now_ns();
   const std::size_t dispatched = refill_inflight(step);
-  emit_phase(step, SessionPhase::kTrainCohort, t);
+  feedback_.clear();
+  RoundRecord record;
+  record.round = step;
 
   if (arrivals_.empty()) {
     // Nothing in flight and nothing dispatchable: the session cannot
     // make progress (degenerate selector). Record an empty step and
     // stop.
+    emit_phase(step, SessionPhase::kTrainCohort, t);
     exhausted_ = true;
-    feedback_.clear();
-    RoundRecord record;
-    record.round = step;
     return finish_step(step, record);
   }
 
-  t = common::steady_now_ns();
-  aggregator_.begin_round(dim_);
-  feedback_.clear();
-  RoundRecord record;
-  record.round = step;
   std::uint64_t up_bytes = 0;
   std::size_t arrivals_seen = 0;
-  std::size_t folded = 0;
   std::size_t redispatched = 0;  ///< fault-plan retries this step
-  double loss_sum = 0.0;
-  // Folded slots stay occupied until the server step: the aggregator
-  // borrows their delta buffers until finalize().
-  std::vector<std::pair<std::size_t, std::size_t>> folded_slots;
+  // Folded arrivals in pop order. Their slots stay occupied until the
+  // server step: the aggregator borrows their delta buffers until
+  // finalize().
+  struct Folded {
+    std::size_t slot = 0;
+    std::size_t feedback_index = 0;
+    double weight = 0.0;
+  };
+  std::vector<Folded> folded;
 
-  while (folded < buffer_k_ && !arrivals_.empty()) {
+  while (folded.size() < buffer_k_ && !arrivals_.empty()) {
     const net::ArrivalEvent ev = arrivals_.pop();
     sim_time_s_ = ev.time_s;
     InFlight& f = inflight_[ev.slot];
@@ -120,12 +91,10 @@ const RoundRecord& FederationSession::async_step() {
     const std::size_t pid = f.fb.party_id;
     switch (arec.outcome) {
       case ArrivalOutcome::kFolded:
-        up_bytes += f.wire_bytes;
-        loss_sum += f.fb.mean_loss;
-        aggregator_.add(arec.weight, f.delta);
-        folded_slots.emplace_back(ev.slot, feedback_.size());
-        feedback_.push_back(f.fb);  // delta attached after finalize
-        ++folded;
+        // The update may still be pending (dispatched this step); its
+        // feedback entry is filled after the training pass.
+        folded.push_back({ev.slot, feedback_.size(), arec.weight});
+        feedback_.emplace_back();
         break;
       case ArrivalOutcome::kDroppedStale:
         // The bytes transited even though the fold discards them;
@@ -147,10 +116,9 @@ const RoundRecord& FederationSession::async_step() {
         feedback_.push_back(f.fb);
         if (f.fault_failed && f.attempt < config_.faults.max_retries) {
           // Retry the slot in place: a fresh dispatch of the same
-          // party against the CURRENT server state, scheduled after an
-          // exponential backoff. Runs inline on the stepping thread —
-          // the result only depends on the new event-keyed stream, so
-          // it is bit-identical to a worker execution.
+          // party, scheduled after an exponential backoff. It trains in
+          // this step's training pass, against the same server state
+          // as every other dispatch of the step.
           ++record.crashed;
           ++record.retried;
           ++redispatched;
@@ -161,8 +129,7 @@ const RoundRecord& FederationSession::async_step() {
           // is also how a churned party waits out its downtime.
           const double redispatch_s = sim_time_s_ + backoff_s;
           f.dispatch_version = server_version_;
-          begin_dispatch(f, pid, redispatch_s);
-          run_dispatch(f, local_sgd_.learning_rate_for_round(step));
+          schedule_dispatch(f, pid, step, redispatch_s);
           arrivals_.push(
               {redispatch_s + f.fb.duration_s, f.event, ev.slot});
         } else {
@@ -174,11 +141,27 @@ const RoundRecord& FederationSession::async_step() {
     }
   }
 
+  // The model does not change before the server step, so training every
+  // dispatch of the step here, after the pops, gives the same updates
+  // as training each one when it was sent.
+  train_pending(step);
+  emit_phase(step, SessionPhase::kTrainCohort, t);
+
+  t = common::steady_now_ns();
+  aggregator_.begin_round(dim_);
+  double loss_sum = 0.0;
+  for (const Folded& fold : folded) {
+    const InFlight& f = inflight_[fold.slot];
+    up_bytes += f.wire_bytes;
+    loss_sum += f.fb.mean_loss;
+    aggregator_.add(fold.weight, f.delta);
+    feedback_[fold.feedback_index] = f.fb;  // delta attached after finalize
+  }
   std::vector<double>& aggregate = aggregator_.finalize();
   emit_phase(step, SessionPhase::kFold, t);
 
   record.selected = arrivals_seen;
-  record.responded = folded;
+  record.responded = folded.size();
   record.round_time_s = sim_time_s_ - step_start_s;
   record.upload_bytes = up_bytes;
   // Async downlink: every dispatch ships the full model (clients may
@@ -186,7 +169,7 @@ const RoundRecord& FederationSession::async_step() {
   // fault-plan retries re-ship it.
   record.download_bytes = model_bytes_ * (dispatched + redispatched);
   record.mean_train_loss =
-      folded > 0 ? loss_sum / static_cast<double>(folded) : 0.0;
+      folded.empty() ? 0.0 : loss_sum / static_cast<double>(folded.size());
 
   t = common::steady_now_ns();
   if (aggregator_.contributions() > 0) {
@@ -200,14 +183,15 @@ const RoundRecord& FederationSession::async_step() {
 
   // Hand the folded deltas to their feedback entries now that the
   // aggregator released its borrow.
-  for (const auto& [slot, idx] : folded_slots) {
-    feedback_[idx].delta = std::move(inflight_[slot].delta);
+  for (const Folded& fold : folded) {
+    feedback_[fold.feedback_index].delta =
+        std::move(inflight_[fold.slot].delta);
   }
 
   const RoundRecord& stored = finish_step(step, record);
-  for (const auto& [slot, idx] : folded_slots) {
-    party_in_flight_[inflight_[slot].fb.party_id] = 0;
-    free_slots_.push_back(slot);
+  for (const Folded& fold : folded) {
+    party_in_flight_[inflight_[fold.slot].fb.party_id] = 0;
+    free_slots_.push_back(fold.slot);
   }
   return stored;
 }

@@ -1,8 +1,8 @@
-// The sync driver: one barrier round per advance(). Selects a cohort,
-// runs the dispatch kernel over it on the worker pool (plus backfill
-// waves under a fault plan), then, on the stepping thread, adds every
-// trained update to the aggregator in cohort order, folds once and
-// steps the server.
+// The sync driver: one barrier round per advance(). Selects a cohort
+// and schedules it (plus backfill waves under a fault plan) on the
+// stepping thread, trains every scheduled dispatch in one pass on the
+// worker pool, then, on the stepping thread, adds every trained update
+// to the aggregator in cohort order, folds once and steps the server.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -26,20 +26,33 @@ double FederationSession::train_cohort(std::size_t round,
   }
 
   // Under a fault plan the round reserves a backfill budget of one
-  // extra slot per cohort member.
+  // extra slot per cohort member. Reserved once, so the pending
+  // pointers into outcomes_ stay valid until train_pending().
   const std::size_t base = cohort.size();
   const std::size_t budget = faults_on_ ? base : 0;
   outcomes_.clear();
   outcomes_.reserve(base + budget);
 
-  double elapsed_s = train_wave(round, cohort, 0, sim_time_s_);
+  // Schedules one wave at `time_s` into the next outcome slots and
+  // returns its longest simulated duration.
+  const auto schedule_wave = [&](const std::vector<std::size_t>& wave,
+                                 double time_s) {
+    double wave_max_s = 0.0;
+    for (const std::size_t p : wave) {
+      Dispatch& d = outcomes_.emplace_back();
+      schedule_dispatch(d, p, round, time_s);
+      wave_max_s = std::max(wave_max_s, d.fb.duration_s);
+    }
+    return wave_max_s;
+  };
+  double elapsed_s = schedule_wave(cohort, sim_time_s_);
 
   if (faults_on_ && budget > 0) {
     // Backfill waves: each wave replaces the previous wave's
     // fault-failed slots with fresh selector picks, dispatched after an
     // exponential backoff. Wave count is capped by max_retries and the
-    // slot budget; everything runs on the stepping thread, so the
-    // schedule is a pure function of the seed.
+    // slot budget. Every verdict is drawn at scheduling time, so the
+    // whole schedule is known before any party trains.
     std::size_t wave_begin = 0;
     for (std::size_t wave = 1; wave <= config_.faults.max_retries;
          ++wave) {
@@ -60,38 +73,11 @@ double FederationSession::train_cohort(std::size_t round,
       record.backfilled += extra.size();
       wave_begin = outcomes_.size();
       cohort.insert(cohort.end(), extra.begin(), extra.end());
-      elapsed_s +=
-          train_wave(round, extra, wave_begin, sim_time_s_ + elapsed_s);
+      elapsed_s += schedule_wave(extra, sim_time_s_ + elapsed_s);
     }
   }
+  train_pending(round);
   return elapsed_s;
-}
-
-double FederationSession::train_wave(std::size_t round,
-                                     const std::vector<std::size_t>& wave,
-                                     std::size_t slot_offset,
-                                     double dispatch_time_s) {
-  const double lr = local_sgd_.learning_rate_for_round(round);
-
-  outcomes_.resize(slot_offset + wave.size());
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    begin_dispatch(outcomes_[slot_offset + i], wave[i], dispatch_time_s);
-  }
-
-  // ---- Parallel phase: each party runs the dispatch kernel into its
-  // own outcome slot.
-  pool().parallel_for(wave.size(), [&](std::size_t i) {
-    Dispatch& out = outcomes_[slot_offset + i];
-    out = dispatch_party(common::mix_seed(config_.seed, round, wave[i]),
-                         out.event, wave[i], lr, out.churned);
-  });
-
-  double wave_max_s = 0.0;
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    wave_max_s =
-        std::max(wave_max_s, outcomes_[slot_offset + i].fb.duration_s);
-  }
-  return wave_max_s;
 }
 
 void FederationSession::fold_outcomes(

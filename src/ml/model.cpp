@@ -293,13 +293,12 @@ void Sequential::dense_backward_into(const Dense& layer, const double* x,
                         layer.out);
 }
 
-const Tensor& Sequential::forward(const Tensor& features) {
-  const std::size_t batch = features.rows();
+const Tensor& Sequential::forward(const double* rows, std::size_t batch) {
   if (hidden_ == 0) {
-    dense_forward_into(first_, features.data(), batch, logits_);
+    dense_forward_into(first_, rows, batch, logits_);
     return logits_;
   }
-  dense_forward_into(first_, features.data(), batch, hidden_out_);
+  dense_forward_into(first_, rows, batch, hidden_out_);
   tanh_elements(hidden_out_.data(), hidden_out_.data(), hidden_out_.size());
   dense_forward_into(second_, hidden_out_.data(), batch, logits_);
   return logits_;
@@ -309,7 +308,7 @@ double Sequential::train_step_gradient(
     const Tensor& features, const std::vector<std::uint32_t>& labels) {
   std::fill(grads_.begin(), grads_.end(), 0.0);
   if (features.rows() == 0) return 0.0;
-  forward(features);
+  forward(features.data(), features.rows());
   softmax_rows(logits_);
 
   const std::size_t batch = features.rows();
@@ -352,7 +351,7 @@ double Sequential::train_step_gradient(
 double Sequential::evaluate_loss(const Tensor& features,
                                  const std::vector<std::uint32_t>& labels) {
   if (features.rows() == 0) return 0.0;
-  forward(features);
+  forward(features.data(), features.rows());
   softmax_rows(logits_);
   double loss = 0.0;
   for (std::size_t b = 0; b < features.rows(); ++b) {

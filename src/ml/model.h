@@ -52,9 +52,10 @@ class Sequential {
   /// params -= learning_rate * gradients.
   void apply_gradients(double learning_rate);
 
-  /// Forward to logits (no softmax). The returned reference is valid
+  /// Forward `n` row-major input rows (n x input_dim doubles at
+  /// `rows`) to logits (no softmax). The returned reference is valid
   /// until the next forward/training call on this model.
-  const Tensor& forward(const Tensor& features);
+  const Tensor& forward(const double* rows, std::size_t n);
 
   /// One forward+backward over the batch with softmax cross-entropy.
   /// Writes the batch's gradients into the flat gradient buffer

@@ -1,5 +1,6 @@
-// Plain SGD applier with the round-indexed step decay the benches use
-// (lr halves every `lr_decay_rounds` FL rounds).
+// Local SGD settings and the round-indexed step decay the benches use
+// (lr is multiplied by `lr_decay_factor` every `lr_decay_rounds` FL
+// rounds).
 #pragma once
 
 #include <cmath>
@@ -13,25 +14,16 @@ struct SgdConfig {
   std::size_t lr_decay_rounds = 0;  ///< 0 = no decay
 };
 
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(const SgdConfig& config) : config_(config) {}
-
-  /// Effective learning rate for 1-based FL round `round`.
-  double learning_rate_for_round(std::size_t round) const {
-    if (config_.lr_decay_rounds == 0 || config_.lr_decay_factor == 1.0 ||
-        round <= 1) {
-      return config_.learning_rate;
-    }
-    const auto windows =
-        static_cast<double>((round - 1) / config_.lr_decay_rounds);
-    return config_.learning_rate * std::pow(config_.lr_decay_factor, windows);
+/// Effective learning rate for 1-based FL round `round`.
+inline double learning_rate_for_round(const SgdConfig& config,
+                                      std::size_t round) {
+  if (config.lr_decay_rounds == 0 || config.lr_decay_factor == 1.0 ||
+      round <= 1) {
+    return config.learning_rate;
   }
-
-  const SgdConfig& config() const { return config_; }
-
- private:
-  SgdConfig config_;
-};
+  const auto windows =
+      static_cast<double>((round - 1) / config.lr_decay_rounds);
+  return config.learning_rate * std::pow(config.lr_decay_factor, windows);
+}
 
 }  // namespace flips::ml

@@ -272,21 +272,29 @@ TEST(SessionFaults, DeviceColumnsActOnlyThroughThePlan) {
 
 TEST(SessionFaults, SyncFaultedRunIsBitIdenticalAcrossThreads) {
   const auto fed = build_faulty(12, 23);
-  auto config = faulty_config(8, 4, 23);
-  config.threads = 1;
-  const auto one = run_session(config, fed);
-  config.threads = 4;
-  const auto four = run_session(config, fed);
-  expect_same_result(one, four);
+  // Backfilled parties keep per-party client state under SCAFFOLD and
+  // FedDyn too.
+  for (const auto algo :
+       {flips::fl::ClientAlgo::kSgd, flips::fl::ClientAlgo::kScaffold,
+        flips::fl::ClientAlgo::kFedDyn}) {
+    SCOPED_TRACE(flips::fl::to_string(algo));
+    auto config = faulty_config(8, 4, 23);
+    config.local.algo = algo;
+    config.threads = 1;
+    const auto one = run_session(config, fed);
+    config.threads = 4;
+    const auto four = run_session(config, fed);
+    expect_same_result(one, four);
 
-  std::size_t crashed = 0;
-  std::size_t backfilled = 0;
-  for (const auto& record : one.history) {
-    crashed += record.crashed;
-    backfilled += record.backfilled;
+    std::size_t crashed = 0;
+    std::size_t backfilled = 0;
+    for (const auto& record : one.history) {
+      crashed += record.crashed;
+      backfilled += record.backfilled;
+    }
+    EXPECT_GT(crashed, 0u);     // the plan actually fired
+    EXPECT_GT(backfilled, 0u);  // and the backfill waves recovered slots
   }
-  EXPECT_GT(crashed, 0u);     // the plan actually fired
-  EXPECT_GT(backfilled, 0u);  // and the backfill waves recovered slots
 }
 
 TEST(SessionFaults, AsyncFaultedRunIsBitIdenticalAcrossThreads) {

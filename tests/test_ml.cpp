@@ -107,7 +107,7 @@ TEST(DenseKernel, ForwardMatchesHandComputed) {
   x(0, 1) = 2.0;
   x(1, 0) = -3.0;
   x(1, 1) = 0.5;
-  const Tensor& logits = model.forward(x);
+  const Tensor& logits = model.forward(x.data(), x.rows());
   ASSERT_EQ(logits.rows(), 2u);
   ASSERT_EQ(logits.cols(), 2u);
   // Sample 0: y0 = 0.25 + 1*1 + 2*0.5 = 2.25; y1 = -0.75 - 1 + 4 = 2.25.
@@ -160,7 +160,7 @@ TEST(DenseKernel, MatchesNaiveReferenceLoop) {
   for (std::size_t r = 0; r < 5; ++r) {
     for (std::size_t c = 0; c < 7; ++c) x(r, c) = data_rng.normal();
   }
-  const Tensor& logits = model.forward(x);
+  const Tensor& logits = model.forward(x.data(), x.rows());
   for (std::size_t b = 0; b < 5; ++b) {
     for (std::size_t o = 0; o < 4; ++o) {
       double expected = params[7 * 4 + o];  // bias
@@ -239,11 +239,10 @@ TEST(Sgd, LearningRateDecaySchedule) {
   config.learning_rate = 0.1;
   config.lr_decay_factor = 0.5;
   config.lr_decay_rounds = 10;
-  flips::ml::SgdOptimizer opt(config);
-  EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(1), 0.1);
-  EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(10), 0.1);
-  EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(11), 0.05);
-  EXPECT_DOUBLE_EQ(opt.learning_rate_for_round(21), 0.025);
+  EXPECT_DOUBLE_EQ(flips::ml::learning_rate_for_round(config, 1), 0.1);
+  EXPECT_DOUBLE_EQ(flips::ml::learning_rate_for_round(config, 10), 0.1);
+  EXPECT_DOUBLE_EQ(flips::ml::learning_rate_for_round(config, 11), 0.05);
+  EXPECT_DOUBLE_EQ(flips::ml::learning_rate_for_round(config, 21), 0.025);
 }
 
 
